@@ -14,7 +14,6 @@ import configparser
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -427,12 +426,6 @@ def _merge_config(args) -> RunConfig:
         val = getattr(args, attr, None)
         if val is not None:
             setattr(cfg, attr, val)
-    if "SILT_THREADS" in os.environ:
-        # evaluation is serial; the cap is honored by keeping it that way
-        try:
-            int(os.environ["SILT_THREADS"])
-        except ValueError as exc:
-            raise ValidationError("SILT_THREADS must be an integer") from exc
     return cfg
 
 

@@ -119,13 +119,15 @@ def inner(f: GridFunction, g: GridFunction) -> float:
     )
 
 
-def indicator_values(grid: Grid, t) -> np.ndarray:
-    """Cell representations of 1I_[0,t] for an array of times, shape (B, n).
+def indicator_params(grid: Grid, t):
+    """Two-cell construction of 1I_[0,t] for an array of times: (p, alpha, beta).
 
-    The boundary is spread over two adjacent cells so that both the mass and
-    the squared norm of the representation are exact (norm^2 = t exactly).
+    The cell representation is one on cells [0, p), alpha on cell p, beta on
+    cell p + 1 and zero beyond, with alpha + beta and alpha^2 + beta^2 chosen
+    so that both the mass and the squared norm are exact.  A time in the last
+    cell, and t = T (alpha = beta = 1), use the cells n-2 and n-1, so p <= n-2.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
     if np.any(t < -1e-12) or np.any(t > grid.T + 1e-12):
         bad = t[(t < -1e-12) | (t > grid.T + 1e-12)][0]
         raise ValidationError(f"time {bad} outside [0, {grid.T}]")
@@ -133,23 +135,84 @@ def indicator_values(grid: Grid, t) -> np.ndarray:
     n, w = grid.n, grid.weight
     c = np.minimum(np.floor(t / w).astype(int), n)
     f = t / w - c
-    V = (np.arange(n)[None, :] < c[:, None]).astype(float)
+    last = c == n - 1
+    s = np.where(last, 1.0 + f, f)
+    d = np.sqrt(np.where(last, s * (1.0 - f), f * (2.0 - f)))
+    alpha = np.where(c == n, 1.0, (s + d) / 2.0)
+    beta = np.where(c == n, 1.0, (s - d) / 2.0)
+    return np.minimum(c, n - 2), alpha, beta
 
-    rows = np.nonzero(c <= n - 2)[0]
-    if rows.size:
-        fa = f[rows]
-        d = np.sqrt(fa * (2.0 - fa))
-        V[rows, c[rows]] = (fa + d) / 2.0
-        V[rows, c[rows] + 1] = (fa - d) / 2.0
 
-    rows = np.nonzero(c == n - 1)[0]
-    if rows.size:
-        fb = f[rows]
-        s = 1.0 + fb
-        d = np.sqrt(s * (1.0 - fb))
-        V[rows, n - 2] = (s + d) / 2.0
-        V[rows, n - 1] = (s - d) / 2.0
+def _indicator_cells(j, p, alpha, beta):
+    """Values at cells j of the representations with parameters (p, alpha, beta)."""
+    return np.where(j < p, 1.0, np.where(j == p, alpha, np.where(j == p + 1, beta, 0.0)))
+
+
+def indicator_values(grid: Grid, t) -> np.ndarray:
+    """Cell representations of 1I_[0,t] for an array of times, shape (B, n).
+
+    Built from ``indicator_params``: norm^2 = t exactly.
+    """
+    p, alpha, beta = indicator_params(grid, np.atleast_1d(t))
+    V = (np.arange(grid.n)[None, :] < p[:, None]).astype(float)
+    rows = np.arange(p.shape[0])
+    V[rows, p] = alpha
+    V[rows, p + 1] = beta
     return V
+
+
+@dataclass(frozen=True)
+class IndicatorIncrements:
+    """Cell representations of 1I_[0,b] - 1I_[0,a] for arrays a <= b, O(1) each.
+
+    The difference is one on the block of cells [lo, hi) (empty when
+    hi <= lo) and takes the values ``val`` at the four cells ``pos`` (last
+    axis) around the two boundaries; it is zero elsewhere.  A cell listed
+    twice carries value 0 at its second listing, and no listed cell lies in
+    the block.  Each boundary value is a difference of two cell values, as in
+    the dense rows, so sums over cells lose no digits to cancellation.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    pos: np.ndarray
+    val: np.ndarray
+
+    def dot(self, other: "IndicatorIncrements") -> np.ndarray:
+        """Sum over cells of the product of two differences (broadcasting)."""
+        both = np.minimum(self.hi, other.hi) - np.maximum(self.lo, other.lo)
+        mine = self._listed_in(other.lo, other.hi)
+        theirs = other._listed_in(self.lo, self.hi)
+        same = self.pos[..., :, None] == other.pos[..., None, :]
+        cross = self.val[..., :, None] * other.val[..., None, :]
+        return (
+            np.maximum(both, 0)
+            + np.sum(self.val * mine, axis=-1)
+            + np.sum(other.val * theirs, axis=-1)
+            + np.sum(cross * same, axis=(-2, -1))
+        )
+
+    def pair(self, x: np.ndarray, cum: np.ndarray) -> np.ndarray:
+        """Sum over cells of the difference times x, given cum = [0, cumsum(x)]."""
+        block = cum[np.maximum(self.hi, self.lo)] - cum[self.lo]
+        return block + np.sum(self.val * x[self.pos], axis=-1)
+
+    def _listed_in(self, lo, hi) -> np.ndarray:
+        return (self.pos >= lo[..., None]) & (self.pos < hi[..., None])
+
+
+def indicator_increments(grid: Grid, times) -> IndicatorIncrements:
+    """Differences 1I_[0,b] - 1I_[0,a] of consecutive times (last axis), a <= b."""
+    p, alpha, beta = (x[..., None] for x in indicator_params(grid, times))
+    pa, pb = p[..., :-1, :], p[..., 1:, :]
+    pos = np.concatenate([pa, pa + 1, pb, pb + 1], axis=-1)
+    val = _indicator_cells(pos, pb, alpha[..., 1:, :], beta[..., 1:, :]) - _indicator_cells(
+        pos, pa, alpha[..., :-1, :], beta[..., :-1, :]
+    )
+    pa, pb = pa[..., 0], pb[..., 0]
+    val[..., 2] = np.where(pb <= pa + 1, 0.0, val[..., 2])
+    val[..., 3] = np.where(pb == pa, 0.0, val[..., 3])
+    return IndicatorIncrements(pa + 2, pb, pos, val)
 
 
 def indicator(grid: Grid, t: float) -> GridFunction:

@@ -184,22 +184,21 @@ def single_interval_projection(
 def batch_decompose(model: ProcessModel, times: np.ndarray):
     """Cholesky data for a batch of time tuples.
 
-    times: (B, k) with strictly increasing rows.  Returns (inc, L, gamma):
-    embedded increments (B, k-1, D), lower Cholesky factors (B, k-1, k-1)
-    and Gram determinants (B,).
+    times: (B, k) with strictly increasing rows.  Returns (inc, L, gamma): the
+    model's structured increments (B, k-1), lower Cholesky factors
+    (B, k-1, k-1) and Gram determinants (B,).  The Gram matrices come from
+    the structured increments in O(1) per tuple; no factor rows are built.
     """
-    B, k = times.shape
-    E = model.embedded_factors(times.ravel()).reshape(B, k, -1)
-    inc = np.diff(E, axis=1)
-    A = np.einsum("bid,bjd->bij", inc, inc)
+    inc = model.increments(times)
+    A = model.increment_gram(inc)
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         bad = _first_non_spd(A)
-        gaps = np.diff(times[bad])
+        row = times[bad]
         raise DegenerateConfigurationError(
-            f"degenerate tuple {tuple(times[bad])} in batch "
-            f"(smallest gap {gaps.min():.3e})"
+            f"degenerate tuple {tuple(float(t) for t in row)} in batch "
+            f"(smallest gap {np.diff(row).min():.3e})"
         ) from None
     diag = np.einsum("bii->bi", L)
     gamma = np.prod(diag, axis=1) ** 2
@@ -207,15 +206,32 @@ def batch_decompose(model: ProcessModel, times: np.ndarray):
 
 
 def _first_non_spd(A: np.ndarray) -> int:
-    for i in range(A.shape[0]):
-        try:
-            np.linalg.cholesky(A[i])
-        except np.linalg.LinAlgError:
-            return i
-    return 0
+    """Index of the first matrix of A (B, m, m) with a non-positive or non-finite
+    Cholesky pivot; raises ConsistencyError when every pivot is fine."""
+    L = np.zeros_like(A)
+    bad = np.zeros(A.shape[0], dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(A.shape[1]):
+            pivot = A[:, j, j] - np.sum(L[:, j, :j] ** 2, axis=1)
+            bad |= ~(np.isfinite(pivot) & (pivot > 0))
+            L[:, j, j] = np.sqrt(pivot)
+            L[:, j + 1 :, j] = (
+                A[:, j + 1 :, j] - np.einsum("bik,bk->bi", L[:, j + 1 :, :j], L[:, j, :j])
+            ) / L[:, j, j, None]
+    rows = np.flatnonzero(bad)
+    if rows.size == 0:
+        raise ConsistencyError(
+            "batched Cholesky factorization failed, but no tuple has a bad pivot"
+        )
+    return int(rows[0])
 
 
-def batch_ortho_coeffs(inc: np.ndarray, L: np.ndarray, h_embedded: np.ndarray):
-    """Coefficients on the orthonormalized increments for each batch row."""
-    u = inc @ h_embedded
-    return np.linalg.solve(L, u[..., None])[..., 0]
+def batch_ortho_coeffs(L: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Coefficients on the orthonormalized increments: L y = u by forward substitution.
+
+    L: (B, m, m) lower Cholesky factors, u: (B, m) increment coefficients.
+    """
+    y = np.empty_like(u)
+    for i in range(u.shape[1]):
+        y[:, i] = (u[:, i] - np.einsum("bj,bj->b", L[:, i, :i], y[:, :i])) / L[:, i, i]
+    return y

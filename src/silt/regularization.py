@@ -109,14 +109,16 @@ def product_form_wiener(tt: TimeTuple, h1: GridFunction, h2: GridFunction) -> fl
 
 
 def batch_regularized_integrand(model: ProcessModel, h1: GridFunction, h2: GridFunction):
-    """Vectorized integrand over arrays of time tuples (B, k) -> (B,)."""
-    h1e, h2e = h1.embedded(), h2.embedded()
+    """Vectorized integrand over arrays of time tuples (B, k) -> (B,).
+
+    Works from the model's structured primitives; no factor rows are built.
+    """
+    pair1, pair2 = model.pairing(h1), model.pairing(h2)
 
     def f(times: np.ndarray) -> np.ndarray:
         inc, L, gamma = batch_decompose(model, times)
         q = 0.5 * (
-            batch_ortho_coeffs(inc, L, h1e) ** 2
-            + batch_ortho_coeffs(inc, L, h2e) ** 2
+            batch_ortho_coeffs(L, pair1(inc)) ** 2 + batch_ortho_coeffs(L, pair2(inc)) ** 2
         )
         return np.prod(-np.expm1(-q), axis=1) / gamma
 
@@ -132,12 +134,12 @@ def batch_fw_limit(
     """Vectorized unregularized limit integrand (the divergent one)."""
     if normalization not in NORMALIZATIONS:
         raise ValidationError(f"unknown normalization '{normalization}'")
-    h1e, h2e = h1.embedded(), h2.embedded()
+    pair1, pair2 = model.pairing(h1), model.pairing(h2)
 
     def f(times: np.ndarray) -> np.ndarray:
         inc, L, gamma = batch_decompose(model, times)
-        proj = (batch_ortho_coeffs(inc, L, h1e) ** 2).sum(axis=1) + (
-            batch_ortho_coeffs(inc, L, h2e) ** 2
+        proj = (batch_ortho_coeffs(L, pair1(inc)) ** 2).sum(axis=1) + (
+            batch_ortho_coeffs(L, pair2(inc)) ** 2
         ).sum(axis=1)
         factor = (
             1.0
@@ -314,7 +316,6 @@ def schur_kernel_norm(a: float = 0.0, T: float = 1.0, cells: int = 512) -> float
     from .function_space import KernelOperator, make_grid, operator_norm
 
     grid = make_grid(T - a, cells)
-    nodes = grid.nodes  # offsets from a
 
     def kernel(s1, s2):
         return np.where(s2 > s1, 1.0 / s2, 0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from silt import (
+    ConsistencyError,
     DegenerateConfigurationError,
     TimeTuple,
     ValidationError,
@@ -18,7 +19,7 @@ from silt import (
     subset_projection_norm_sq,
     wiener_model,
 )
-from silt.gram import batch_decompose, batch_ortho_coeffs
+from silt.gram import _first_non_spd, batch_decompose, batch_ortho_coeffs
 
 
 def random_tuple(rng, T, k, min_gap):
@@ -127,8 +128,24 @@ def test_batch_decompose_matches_scalar():
     times = np.sort(rng.uniform(0.05, 1.0, size=(40, 3)), axis=1)
     times = times[np.min(np.diff(times, axis=1), axis=1) > 0.02]
     inc, L, gamma = batch_decompose(m, times)
-    c = batch_ortho_coeffs(inc, L, h.embedded())
+    c = batch_ortho_coeffs(L, m.pairing(h)(inc))
     for row, g, ci in zip(times, gamma, c):
         dec = decompose(m, TimeTuple(row))
         assert g == pytest.approx(dec.gamma, rel=1e-10)
         assert np.allclose(np.abs(ci), np.abs(dec.ortho_coeffs(h)), atol=1e-10)
+
+
+def test_batch_decompose_names_the_degenerate_tuple():
+    m = wiener_model(make_grid(1.0, 64))
+    times = np.array([[0.1, 0.4, 0.8], [0.2, 0.5, 0.9], [0.3, 0.3, 0.7], [0.15, 0.6, 0.95]])
+    with pytest.raises(DegenerateConfigurationError, match=r"tuple \(0\.3, 0\.3, 0\.7\)"):
+        batch_decompose(m, times)
+
+
+def test_first_non_spd_never_blames_an_innocent_row():
+    A = np.repeat(np.eye(3)[None], 4, axis=0)
+    A[2, 1, 1] = np.nan
+    assert _first_non_spd(A) == 2
+    A[2, 1, 1] = 1.0
+    with pytest.raises(ConsistencyError):
+        _first_non_spd(A)
