@@ -33,7 +33,6 @@ from .nondeterminism import (
     SLNDReport,
     berman_scan,
     berman_stat,
-    conditional_variance_ratio,
     point_projection_norm_sq,
     projection_decay,
     slnd_ratio,

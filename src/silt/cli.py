@@ -33,7 +33,6 @@ from .nondeterminism import (
     slnd_scan,
 )
 from .process_models import covariance, parse_model, wiener_model
-from .quadrature import integrate_simplex_level  # noqa: F401  (re-export for scripts)
 from .regularization import (
     QuadratureSpec,
     divergence_probe,
@@ -318,6 +317,21 @@ def _cmd_selftest(cfg: RunConfig, args) -> int:
         1e-15,
     )
     check("wiener slnd ratio = 1", slnd_ratio(model, tt, {1}), 1.0, 1e-12)
+    # the Gram kernel against the dense factor rows it never builds
+    msl = parse_model("perturbed:sl", make_grid(math.pi / 2, 256))
+    tsl = TimeTuple([0.2, 0.5, 0.9, 1.3])
+    h = parse_function("sin:1", msl.grid)
+    dec = decompose(msl, tsl)
+    E = np.diff(msl.embedded_factors(tsl.times), axis=0)
+    Q = np.linalg.qr(E.T)[0]
+    ratio = dec.gamma / float(np.linalg.det(E @ E.T))
+    check("perturbed:sl Gamma / dense Gram determinant = 1", ratio, 1.0, 1e-10)
+    check(
+        "perturbed:sl ||Ph||^2 = dense projection",
+        projection_norm_sq(dec, h),
+        float(np.sum((Q.T @ h.embedded()) ** 2)),
+        1e-10,
+    )
     ok = all(flag for _, flag in checks)
     print(f"{sum(1 for _, f in checks if f)}/{len(checks)} selftest checks passed")
     return 0 if ok else 3

@@ -18,4 +18,5 @@ class DegenerateConfigurationError(SiltError, ArithmeticError):
 
 
 class ConsistencyError(SiltError, ArithmeticError):
-    """An internal dual-path self-check failed, signalling ill-conditioning."""
+    """An internal cross-check failed.  No code path raises it at present; the
+    Gram kernel's condition check reports ill-conditioning instead."""

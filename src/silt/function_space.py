@@ -8,9 +8,11 @@ counterexample process.
 Indicator elements 1I_[0,t] use a two-cell boundary construction: the two
 cells around t carry values chosen so that both the mass and the squared
 norm of the cell representation are exact.  As a consequence
-||1I_[0,t]||^2 = t holds to machine precision for every t, and inner
-products of indicators whose boundary cells are at least two cells apart
-are exact as well.
+||1I_[0,t]||^2 = t holds to machine precision for every t, and
+(1I_[0,s], 1I_[0,t]) = min(s, t) is exact when the boundary cell pairs
+{p, p+1} of s and t, with p = min(floor(t/w), n-2), are disjoint.  Near T
+that takes more than two cells between the times: a time in the last cell
+uses the cells n-2 and n-1.
 """
 
 from __future__ import annotations

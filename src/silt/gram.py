@@ -1,8 +1,10 @@
 """Gram matrices, determinants and projections of process increments.
 
-The central identity (quadratic form of the inverse Gram matrix equals the
-squared norm of the projection on the increment span) is computed along two
-numerically distinct routes and self-checked.
+One kernel, ``batch_decompose``, builds the Gram matrices of a batch of time
+tuples from the models' structured increments, checks their conditioning
+and factors them; ``decompose`` is its B=1 call.  Projections on the
+increment span are forward substitutions of the shift coefficients through
+the Cholesky factor.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
 
-from .errors import ConsistencyError, DegenerateConfigurationError, ValidationError
+from .errors import DegenerateConfigurationError, ValidationError
 from .function_space import GridFunction, inner
-from .process_models import ProcessModel
+from .process_models import Increments, ProcessModel
 
 COND_CUTOFF = 1e12
 DEFAULT_MIN_GAP = 1e-9
@@ -33,6 +34,8 @@ class TimeTuple:
         times = tuple(float(t) for t in times)
         if len(times) < 2:
             raise ValidationError("a time tuple needs at least two times")
+        if not all(map(math.isfinite, times)):
+            raise ValidationError(f"times must be finite, got {times}")
         if min_gap <= 0:
             raise ValidationError("min_gap must be positive")
         gaps = np.diff(times)
@@ -55,96 +58,39 @@ class TimeTuple:
         return np.diff(np.asarray(self.times))
 
 
-def _pivoted_cholesky_det(A: np.ndarray) -> float:
-    """Determinant of an SPD matrix via pivoted Cholesky (LAPACK pstrf)."""
-    (pstrf,) = get_lapack_funcs(("pstrf",), (A,))
-    c, piv, rank, info = pstrf(A, lower=1)
-    if rank < A.shape[0]:
-        raise DegenerateConfigurationError(
-            f"Gram matrix numerically rank deficient ({rank} < {A.shape[0]})"
-        )
-    return float(np.prod(np.diag(c)[:rank]) ** 2)
-
-
 @dataclass(frozen=True)
 class GramDecomposition:
-    """Increments, Gram matrix, determinant and orthonormalized basis."""
+    """Increments, Gram matrix, determinant and Cholesky factor of one time tuple.
+
+    A B=1 result of ``batch_decompose``: the increments are the model's
+    structured ones, and shift coefficients come from ``model.pairing``.
+    """
 
     tt: TimeTuple
-    increments: Tuple[GridFunction, ...]
+    model: ProcessModel = field(repr=False)
+    increments: Increments = field(repr=False)
     A: np.ndarray
     gamma: float
     chol: np.ndarray       # lower Cholesky factor of A, in index order
-    inv_chol: np.ndarray   # L^{-1}; rows give Gram-Schmidt combinations
-    ortho: Tuple[GridFunction, ...] = field(repr=False)
 
     def coeffs(self, h: GridFunction) -> np.ndarray:
         """u = ((dg(t_1), h), ..., (dg(t_{k-1}), h))."""
-        return np.array([inner(dg, h) for dg in self.increments])
+        return self.model.pairing(h)(self.increments)[0]
 
     def ortho_coeffs(self, h: GridFunction) -> np.ndarray:
-        """Coefficients of h on the orthonormalized increments, via L^{-1} u."""
-        return self.inv_chol @ self.coeffs(h)
+        """Coefficients of h on the orthonormalized increments: L y = u."""
+        return batch_ortho_coeffs(self.chol[None], self.coeffs(h)[None])[0]
 
 
 def decompose(model: ProcessModel, tt: TimeTuple) -> GramDecomposition:
     """Gram decomposition of the increments g(t_{i+1}) - g(t_i)."""
-    times = np.asarray(tt.times)
-    if times[-1] > model.grid.T + 1e-12:
-        raise ValidationError(
-            f"time {times[-1]} beyond the model interval [0, {model.grid.T}]"
-        )
-    V, X = model.factor_values(times)
-    incs = tuple(
-        GridFunction(model.grid, V[i + 1] - V[i], X[i + 1] - X[i])
-        for i in range(tt.k - 1)
-    )
-    E = np.stack([dg.embedded() for dg in incs])
-    A = E @ E.T
-    A = (A + A.T) / 2.0
-
-    eigs = np.linalg.eigvalsh(A)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_CUTOFF:
-        gaps = np.diff(times)
-        i = int(np.argmin(gaps))
-        raise DegenerateConfigurationError(
-            f"degenerate increment configuration: condition number "
-            f"{'inf' if eigs[0] <= 0 else f'{eigs[-1] / eigs[0]:.2e}'} "
-            f"(offending gap t[{i + 1}]-t[{i}] = {gaps[i]:.3e})"
-        )
-    gamma = _pivoted_cholesky_det(A)
-    L = np.linalg.cholesky(A)
-    inv_chol = solve_triangular(L, np.eye(tt.k - 1), lower=True)
-    ortho = tuple(
-        _combine(incs, inv_chol[i]) for i in range(tt.k - 1)
-    )
-    return GramDecomposition(tt, incs, A, gamma, L, inv_chol, ortho)
-
-
-def _combine(funcs: Sequence[GridFunction], coeffs: np.ndarray) -> GridFunction:
-    out = coeffs[0] * funcs[0]
-    for c, f in zip(coeffs[1:], funcs[1:]):
-        out = out + c * f
-    return out
+    inc, A, L, gamma = batch_decompose(model, np.asarray(tt.times)[None])
+    return GramDecomposition(tt, model, inc, A[0], float(gamma[0]), L[0])
 
 
 def projection_norm_sq(dec: GramDecomposition, h: GridFunction) -> float:
-    """||P h||^2 on the increment span, with a dual-route self-check.
-
-    Route (i): quadratic form u^T A^{-1} u via the SPD triangular solve.
-    Route (ii): sum of squared inner products with the orthonormalized basis.
-    Returns (i); raises if the two disagree beyond 1e-8 * (1 + ||h||^2).
-    """
-    u = dec.coeffs(h)
-    y = solve_triangular(dec.chol, u, lower=True)
-    quad = float(np.dot(y, y))
-    basis = float(sum(inner(h, e) ** 2 for e in dec.ortho))
-    if abs(quad - basis) > 1e-8 * (1.0 + h.norm_sq()):
-        raise ConsistencyError(
-            f"projection self-check failed: {quad!r} vs {basis!r} "
-            "(ill-conditioned Gram matrix)"
-        )
-    return quad
+    """||P h||^2 on the increment span: the quadratic form u^T A^{-1} u = |L^{-1} u|^2."""
+    return float(np.sum(dec.ortho_coeffs(h) ** 2))
 
 
 def subset_projection_norm_sq(dec: GramDecomposition, M, h: GridFunction) -> float:
@@ -152,7 +98,7 @@ def subset_projection_norm_sq(dec: GramDecomposition, M, h: GridFunction) -> flo
 
     Indices in M are 1-based, matching the increment labels 1..k-1.
     """
-    k1 = len(dec.increments)
+    k1 = dec.tt.k - 1
     M = sorted(set(int(i) for i in M))
     if any(i < 1 or i > k1 for i in M):
         raise ValidationError(f"subset {M} out of range 1..{k1}")
@@ -178,52 +124,36 @@ def single_interval_projection(
 
 
 # ---------------------------------------------------------------------------
-# batched machinery for the quadrature engine
+# the batched kernel behind every Gram computation
 
 
 def batch_decompose(model: ProcessModel, times: np.ndarray):
-    """Cholesky data for a batch of time tuples.
+    """Gram data for a batch of time tuples, and the one degeneracy check.
 
-    times: (B, k) with strictly increasing rows.  Returns (inc, L, gamma): the
-    model's structured increments (B, k-1), lower Cholesky factors
-    (B, k-1, k-1) and Gram determinants (B,).  The Gram matrices come from
-    the structured increments in O(1) per tuple; no factor rows are built.
+    times: (B, k) with strictly increasing rows.  Returns (inc, A, L, gamma):
+    the model's structured increments (B, k-1), Gram matrices and their lower
+    Cholesky factors (B, k-1, k-1), and Gram determinants (B,).  The Gram
+    matrices come from the structured increments in O(1) per tuple; no factor
+    rows are built.  A tuple whose Gram matrix is not finite or has condition
+    number above COND_CUTOFF raises DegenerateConfigurationError naming the
+    first such tuple.
     """
     inc = model.increments(times)
     A = model.increment_gram(inc)
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        bad = _first_non_spd(A)
-        row = times[bad]
+    finite = np.isfinite(A).all(axis=(1, 2))
+    eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], A, np.eye(A.shape[1])))
+    bad = np.flatnonzero(~(finite & (eigs[:, -1] <= COND_CUTOFF * eigs[:, 0])))
+    if bad.size:
+        i = int(bad[0])
+        lo, hi = eigs[i, 0], eigs[i, -1]
+        cond = f"{hi / lo:.2e}" if finite[i] and lo > 0 else "inf"
         raise DegenerateConfigurationError(
-            f"degenerate tuple {tuple(float(t) for t in row)} in batch "
-            f"(smallest gap {np.diff(row).min():.3e})"
-        ) from None
-    diag = np.einsum("bii->bi", L)
-    gamma = np.prod(diag, axis=1) ** 2
-    return inc, L, gamma
-
-
-def _first_non_spd(A: np.ndarray) -> int:
-    """Index of the first matrix of A (B, m, m) with a non-positive or non-finite
-    Cholesky pivot; raises ConsistencyError when every pivot is fine."""
-    L = np.zeros_like(A)
-    bad = np.zeros(A.shape[0], dtype=bool)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for j in range(A.shape[1]):
-            pivot = A[:, j, j] - np.sum(L[:, j, :j] ** 2, axis=1)
-            bad |= ~(np.isfinite(pivot) & (pivot > 0))
-            L[:, j, j] = np.sqrt(pivot)
-            L[:, j + 1 :, j] = (
-                A[:, j + 1 :, j] - np.einsum("bik,bk->bi", L[:, j + 1 :, :j], L[:, j, :j])
-            ) / L[:, j, j, None]
-    rows = np.flatnonzero(bad)
-    if rows.size == 0:
-        raise ConsistencyError(
-            "batched Cholesky factorization failed, but no tuple has a bad pivot"
+            f"degenerate tuple {tuple(float(t) for t in times[i])}: condition number "
+            f"{cond} (smallest gap {np.diff(times[i]).min():.3e})"
         )
-    return int(rows[0])
+    L = np.linalg.cholesky(A)
+    gamma = np.prod(np.einsum("bii->bi", L), axis=1) ** 2
+    return inc, A, L, gamma
 
 
 def batch_ortho_coeffs(L: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Diagnostics for strong local nondeterminism and Berman's local version.
 
-Ratios are computed on normalized increments (the Gram-determinant
-reduction), which stays well conditioned at small gaps; scans drive the
+Ratios are Gram determinants of normalized increments, which stay well
+conditioned at small gaps; they come from the models' structured Gram
+entries in O(1) per time, like every other Gram matrix.  Scans drive the
 chosen gaps toward zero and report whether the defining limits are reached
 at a stated tolerance.
 """
@@ -15,7 +16,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateConfigurationError, ValidationError
-from .function_space import GridFunction, inner
+from .function_space import GridFunction
 from .gram import TimeTuple
 from .process_models import ProcessModel
 
@@ -31,21 +32,23 @@ class SLNDReport:
     limit_reached: bool
 
 
-def _normalized_increments(model: ProcessModel, times: Sequence[float]) -> np.ndarray:
-    E = model.embedded_factors(np.asarray(times, dtype=float))
-    inc = np.diff(E, axis=0)
-    norms = np.linalg.norm(inc, axis=1)
-    if np.any(norms == 0):
-        raise DegenerateConfigurationError("zero-norm increment in tuple")
-    return inc / norms[:, None]
+def _normalized_gram(model: ProcessModel, times: Sequence[float]) -> np.ndarray:
+    """Gram matrix of the normalized increments of consecutive times, O(1) per time."""
+    times = np.asarray(times, dtype=float)
+    A = model.increment_gram(model.increments(times[None]))[0]
+    d = np.sqrt(np.diag(A))
+    if not np.all(d > 0):
+        raise DegenerateConfigurationError(
+            f"zero-norm increment in tuple {tuple(float(t) for t in times)}"
+        )
+    return A / np.outer(d, d)
 
 
-def _gram_det(rows: np.ndarray) -> float:
-    if rows.shape[0] == 0:
+def _gram_det(G: np.ndarray) -> float:
+    if G.shape[0] == 0:
         return 1.0
-    G = rows @ rows.T
     try:
-        c = np.linalg.cholesky((G + G.T) / 2.0)
+        c = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         raise DegenerateConfigurationError(
             "Gram matrix of normalized vectors is numerically singular"
@@ -66,14 +69,9 @@ def slnd_ratio(model: ProcessModel, tt: TimeTuple, M: Iterable[int]) -> float:
         raise ValidationError(f"subset {M} out of range 1..{k1}")
     if not M:
         return 1.0
-    U = _normalized_increments(model, tt.times)
+    G = _normalized_gram(model, tt.times)
     comp = [i - 1 for i in range(1, k1 + 1) if i not in M]
-    return _gram_det(U) / _gram_det(U[comp])
-
-
-def conditional_variance_ratio(model: ProcessModel, tt: TimeTuple, i: int) -> float:
-    """Var(dx(t_i) | other increments) / Var(dx(t_i)); identical to slnd_ratio({i})."""
-    return slnd_ratio(model, tt, {i})
+    return _gram_det(G) / _gram_det(G[np.ix_(comp, comp)])
 
 
 def _scan_times(base_tt: TimeTuple, M: Sequence[int], gap: float) -> np.ndarray:
@@ -112,19 +110,11 @@ def slnd_scan(
 
 
 def berman_stat(model: ProcessModel, tt: TimeTuple) -> float:
-    """Gram determinant of the normalized value x(t_1) and normalized increments."""
-    times = np.asarray(tt.times)
-    E = model.embedded_factors(times)
-    first = E[0]
-    n0 = np.linalg.norm(first)
-    if n0 == 0:
-        raise DegenerateConfigurationError("Var x(t_1) = 0; choose t_1 > 0")
-    inc = np.diff(E, axis=0)
-    norms = np.linalg.norm(inc, axis=1)
-    if np.any(norms == 0):
-        raise DegenerateConfigurationError("zero-variance increment in tuple")
-    rows = np.vstack([first / n0, inc / norms[:, None]])
-    return _gram_det(rows)
+    """Gram determinant of the normalized value x(t_1) and normalized increments.
+
+    x(t_1) is the increment over [0, t_1], since g(0) = 0 in every model.
+    """
+    return _gram_det(_normalized_gram(model, (0.0,) + tt.times))
 
 
 def berman_scan(
@@ -154,23 +144,24 @@ def berman_scan(
     return SLNDReport(tuple(window_sequence), tuple(stats), limit)
 
 
+def _projection_sq(model: ProcessModel, a: float, b: float, h: GridFunction) -> float:
+    """(h, dg)^2 / ||dg||^2 for the increment dg = g(b) - g(a)."""
+    inc = model.increments(np.array([[a, b]], dtype=float))
+    nsq = model.increment_gram(inc)[0, 0, 0]
+    if not nsq > 0:
+        raise DegenerateConfigurationError(f"zero-norm increment on [{a}, {b}]")
+    return float(model.pairing(h)(inc)[0, 0] ** 2 / nsq)
+
+
 def projection_decay(
     model: ProcessModel, t1: float, t2: float, h: GridFunction
 ) -> float:
     """|(h, dg)| / ||dg|| for the increment on [t1, t2] (= ||P_{t1 t2} h||)."""
     if not t1 < t2:
         raise ValidationError("need t1 < t2")
-    dg = model.factor(t2) - model.factor(t1)
-    nrm = dg.norm()
-    if nrm == 0:
-        raise DegenerateConfigurationError(f"zero increment on [{t1}, {t2}]")
-    return abs(inner(h, dg)) / nrm
+    return math.sqrt(_projection_sq(model, t1, t2, h))
 
 
 def point_projection_norm_sq(model: ProcessModel, t1: float, h: GridFunction) -> float:
     """||projection of h on g(t1)||^2 = (h, g(t1))^2 / ||g(t1)||^2."""
-    g = model.factor(t1)
-    nsq = g.norm_sq()
-    if nsq == 0:
-        raise DegenerateConfigurationError("g(t1) = 0; choose t1 > 0")
-    return inner(h, g) ** 2 / nsq
+    return _projection_sq(model, 0.0, t1, h)

@@ -4,15 +4,16 @@ Every process is represented through its factor map: x(t) = ((g(t),xi1),
 (g(t),xi2)) for white noises xi, so covariances and all Gram machinery
 reduce to inner products of factors.
 
-Each model answers these inner products in two ways.  ``factor_values``
-builds the dense grid rows of g(t); the scalar Gram route, the Monte Carlo
-sampler and the tests use them.  The structured primitives
-(``increments``, ``increment_gram``, ``pairing`` and ``covariance``) give
-the same discrete inner products in O(1) per time from the two-cell
-parameters of the indicators and O(n) prefix sums built once per model
-or shift; the batched quadrature uses only these.  All are computed on
-increments g(b) - g(a), the quantities the Gram matrices need, so that
-the large common part of g(a) and g(b) never enters a difference.
+Each model answers these inner products in two ways.  The structured
+primitives (``increments``, ``increment_gram``, ``pairing`` and
+``covariance``) give the discrete inner products in O(1) per time from the
+two-cell parameters of the indicators and O(n) prefix sums built once per
+model or shift; every Gram matrix, projection and ratio the package
+computes comes from them.  ``factor_values`` builds the dense grid rows of
+g(t); only the Monte Carlo sampler, the Wiener oracles, ``silt selftest``
+and the tests use them.  The structured primitives are computed on increments g(b) - g(a),
+the quantities the Gram matrices need, so that the large common part of
+g(a) and g(b) never enters a difference.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The regularized integrand is Gamma^{-1} times the alternating sum over
 subsets M of exp(-||P_M h||^2 terms); because subset projection norms are
 additive over the orthonormalized increments, the alternating sum telescopes
-into a product, which both the scalar and the batched quadrature paths
-evaluate in the numerically stable expm1 form.  The Wiener product form,
+into a product, evaluated in the numerically stable expm1 form by the
+batched integrand; the scalar integrand is its B=1 call.  The Wiener product form,
 built from per-interval projections without any Gram matrix, provides an
 independent oracle.
 """
@@ -18,17 +18,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .function_space import GridFunction, Grid, GridMismatchError, inner
-from .gram import (
-    TimeTuple,
-    batch_decompose,
-    batch_ortho_coeffs,
-    decompose,
-    single_interval_projection,
-)
+from .function_space import GridFunction, Grid, inner
+from .gram import TimeTuple, batch_decompose, batch_ortho_coeffs, single_interval_projection
 from .process_models import ProcessModel, wiener_model
 from .quadrature import integrate_simplex_level, level_schedule
-from .transform import NORMALIZATIONS
+from .transform import batch_fw_limit
 
 _BASE_CELLS = {2: 12.0, 3: 4.0, 4: 1.6}
 
@@ -77,25 +71,6 @@ class RegularizedValue:
     converged: bool
 
 
-def regularized_integrand(
-    model: ProcessModel, tt: TimeTuple, h1: GridFunction, h2: GridFunction
-) -> float:
-    """Gamma^{-1} sum over subsets M of (-1)^|M| exp(-||P_M h||^2 terms / 2).
-
-    The 2^{k-1}-term alternating sum is evaluated by recursively pairing the
-    subsets that differ in one index: each pairing step factors out
-    (1 - e^{-a_i}) exactly, so the result is a rearrangement of the literal
-    sum that avoids its catastrophic cancellation (the literal sum has O(1)
-    terms but a result that can be many orders of magnitude smaller).
-    """
-    dec = decompose(model, tt)
-    a = 0.5 * (dec.ortho_coeffs(h1) ** 2 + dec.ortho_coeffs(h2) ** 2)
-    total = 1.0
-    for ai in a:
-        total *= -math.expm1(-ai)
-    return total / dec.gamma
-
-
 def product_form_wiener(tt: TimeTuple, h1: GridFunction, h2: GridFunction) -> float:
     """Factorized Wiener form: prod_i (1 - e^{-(per-interval projections)/2}) / prod gaps."""
     model = wiener_model(h1.grid)
@@ -109,14 +84,20 @@ def product_form_wiener(tt: TimeTuple, h1: GridFunction, h2: GridFunction) -> fl
 
 
 def batch_regularized_integrand(model: ProcessModel, h1: GridFunction, h2: GridFunction):
-    """Vectorized integrand over arrays of time tuples (B, k) -> (B,).
+    """Vectorized regularized integrand over arrays of time tuples (B, k) -> (B,).
 
-    Works from the model's structured primitives; no factor rows are built.
+    The 2^{k-1}-term alternating sum over subsets is evaluated by recursively
+    pairing the subsets that differ in one index: each pairing step factors
+    out (1 - e^{-a_i}) exactly, so the result is a rearrangement of the
+    literal sum that avoids its catastrophic cancellation (the literal sum
+    has O(1) terms but a result that can be many orders of magnitude
+    smaller).  Works from the model's structured primitives; no factor rows
+    are built.
     """
     pair1, pair2 = model.pairing(h1), model.pairing(h2)
 
     def f(times: np.ndarray) -> np.ndarray:
-        inc, L, gamma = batch_decompose(model, times)
+        inc, _, L, gamma = batch_decompose(model, times)
         q = 0.5 * (
             batch_ortho_coeffs(L, pair1(inc)) ** 2 + batch_ortho_coeffs(L, pair2(inc)) ** 2
         )
@@ -125,36 +106,15 @@ def batch_regularized_integrand(model: ProcessModel, h1: GridFunction, h2: GridF
     return f
 
 
-def batch_fw_limit(
-    model: ProcessModel,
-    h1: GridFunction,
-    h2: GridFunction,
-    normalization: str = "paper",
-):
-    """Vectorized unregularized limit integrand (the divergent one)."""
-    if normalization not in NORMALIZATIONS:
-        raise ValidationError(f"unknown normalization '{normalization}'")
-    pair1, pair2 = model.pairing(h1), model.pairing(h2)
+def regularized_integrand(
+    model: ProcessModel, tt: TimeTuple, h1: GridFunction, h2: GridFunction
+) -> float:
+    """Gamma^{-1} sum over subsets M of (-1)^|M| exp(-||P_M h||^2 terms / 2).
 
-    def f(times: np.ndarray) -> np.ndarray:
-        inc, L, gamma = batch_decompose(model, times)
-        proj = (batch_ortho_coeffs(L, pair1(inc)) ** 2).sum(axis=1) + (
-            batch_ortho_coeffs(L, pair2(inc)) ** 2
-        ).sum(axis=1)
-        factor = (
-            1.0
-            if normalization == "paper"
-            else (2.0 * math.pi) ** (-(times.shape[1] - 1))
-        )
-        return factor * np.exp(-0.5 * proj) / gamma
-
-    return f
-
-
-def _check_pair(model: ProcessModel, h1: GridFunction, h2: GridFunction):
-    for h in (h1, h2):
-        if h.grid != model.grid or h.aux_dim != model.aux_dim:
-            raise GridMismatchError("shift functions must live on the model's space")
+    The B=1 call of ``batch_regularized_integrand``.
+    """
+    f = batch_regularized_integrand(model, h1, h2)
+    return float(f(np.asarray(tt.times)[None])[0])
 
 
 def _run_levels(grid_T, k, integrand, spec: QuadratureSpec, min_gap, base, tcells):
@@ -197,7 +157,6 @@ def regularized_integral(
     spec = spec if spec is not None else QuadratureSpec(k=k)
     if spec.k != k:
         raise ValidationError(f"spec.k={spec.k} does not match k={k}")
-    _check_pair(model, h1, h2)
     min_gap, base, tcells = spec.resolve(model.grid)
     integrand = batch_regularized_integrand(model, h1, h2)
     return _run_levels(model.grid.T, k, integrand, spec, min_gap, base, tcells)
@@ -224,7 +183,6 @@ def divergence_probe(
         raise ValidationError("deltas must be strictly decreasing")
     if deltas[-1] <= 0:
         raise ValidationError("deltas must be positive")
-    _check_pair(model, h1, h2)
     integrand = batch_fw_limit(model, h1, h2, normalization)
     out = []
     for d in deltas:

@@ -79,7 +79,7 @@ def test_indicator_norm_exact_for_arbitrary_t():
 
 def test_indicator_cross_products_exact_when_separated():
     grid = make_grid(1.0, 128)
-    # boundary cells at least two cells apart: (1I_[0,s], 1I_[0,t]) = min(s,t)
+    # disjoint boundary cell pairs {p, p+1}: (1I_[0,s], 1I_[0,t]) = min(s,t)
     for s, t in [(0.2, 0.7), (0.111, 0.555), (0.05, 0.95)]:
         assert inner(indicator(grid, s), indicator(grid, t)) == pytest.approx(
             min(s, t), abs=1e-14

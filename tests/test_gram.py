@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from silt import (
-    ConsistencyError,
     DegenerateConfigurationError,
     TimeTuple,
     ValidationError,
     counterexample_model,
     decompose,
-    inner,
     make_grid,
     parse_function,
     projection_norm_sq,
@@ -19,7 +17,9 @@ from silt import (
     subset_projection_norm_sq,
     wiener_model,
 )
-from silt.gram import _first_non_spd, batch_decompose, batch_ortho_coeffs
+from silt.cli import main
+from silt.gram import COND_CUTOFF, batch_decompose, batch_ortho_coeffs
+from silt.process_models import ProcessModel
 
 
 def random_tuple(rng, T, k, min_gap):
@@ -36,6 +36,8 @@ def test_time_tuple_validation():
         TimeTuple([0.5, 0.5])
     with pytest.raises(ValidationError):
         TimeTuple([-0.1, 0.5])
+    with pytest.raises(ValidationError, match="finite"):
+        TimeTuple([math.nan, 0.5])
     tt = TimeTuple([0.1, 0.4, 1.0])
     assert tt.k == 3
     assert np.allclose(tt.gaps, [0.3, 0.6])
@@ -48,10 +50,17 @@ def test_wiener_gram_is_diagonal_of_gaps():
     assert dec.gamma == pytest.approx(0.12, abs=1e-12)
 
 
+def dense_projection_norm_sq(model, tt, h):
+    """||P h||^2 from an orthonormal basis of the dense increment rows."""
+    E = np.diff(model.embedded_factors(tt.times), axis=0)
+    Q = np.linalg.qr(E.T)[0]
+    return float(np.sum((Q.T @ h.embedded()) ** 2))
+
+
 def test_identity_quadratic_form_equals_projection():
     """A^{-1}(u,u) computed from the Gram matrix equals the squared norm of
-    the projection on the increment span (sum over the orthonormalized
-    basis) for all three models."""
+    the projection on the increment span (sum over an orthonormal basis of
+    the dense increment rows) for all three models."""
     grid = make_grid(1.0, 512)
     gpi = make_grid(math.pi / 2, 512)
     models = [wiener_model(grid), counterexample_model(grid), sturm_liouville_model(gpi)]
@@ -64,9 +73,8 @@ def test_identity_quadratic_form_equals_projection():
         dec = decompose(m, tt)
         u = dec.coeffs(h)
         quad = float(u @ np.linalg.solve(dec.A, u))
-        basis = sum(inner(h, e) ** 2 for e in dec.ortho)
+        basis = dense_projection_norm_sq(m, tt, h)
         assert abs(quad - basis) <= 1e-8 * (1.0 + h.norm_sq())
-        # projection_norm_sq runs the same dual-route check internally
         assert projection_norm_sq(dec, h) == pytest.approx(quad, abs=1e-10)
 
 
@@ -127,7 +135,7 @@ def test_batch_decompose_matches_scalar():
     rng = np.random.default_rng(11)
     times = np.sort(rng.uniform(0.05, 1.0, size=(40, 3)), axis=1)
     times = times[np.min(np.diff(times, axis=1), axis=1) > 0.02]
-    inc, L, gamma = batch_decompose(m, times)
+    inc, _, L, gamma = batch_decompose(m, times)
     c = batch_ortho_coeffs(L, m.pairing(h)(inc))
     for row, g, ci in zip(times, gamma, c):
         dec = decompose(m, TimeTuple(row))
@@ -142,10 +150,39 @@ def test_batch_decompose_names_the_degenerate_tuple():
         batch_decompose(m, times)
 
 
-def test_first_non_spd_never_blames_an_innocent_row():
+def test_ill_conditioned_tuple_is_rejected_on_every_path(capsys):
+    """A positive definite Gram matrix with condition number above 1e12 in the
+    middle of a batch: the batched kernel, its B=1 call and the CLI reject it
+    by name."""
+    m = wiener_model(make_grid(1.0, 64))
+    bad = [0.3, 0.30000001, 0.7]
+    times = np.array([[0.1, 0.4, 0.8], bad, [0.2, 0.5, 0.9]])
+    A = m.increment_gram(m.increments(np.array([bad])))
+    np.linalg.cholesky(A)
+    assert np.linalg.cond(A[0]) > COND_CUTOFF
+    named = (
+        r"tuple \(0\.3, 0\.30000001, 0\.7\): condition number \d\.\d\de\+\d\d "
+        r"\(smallest gap 1\.000e-08\)"
+    )
+    with pytest.raises(DegenerateConfigurationError, match=named):
+        batch_decompose(m, times)
+    with pytest.raises(DegenerateConfigurationError, match=named):
+        decompose(m, TimeTuple(bad))
+    assert main(["gram", "--grid-n", "64", "--times", "0.3,0.30000001,0.7"]) == 3
+    assert "0.30000001" in capsys.readouterr().err
+
+
+def test_batch_decompose_never_blames_an_innocent_row(monkeypatch):
+    m = wiener_model(make_grid(1.0, 64))
+    times = np.array(
+        [[0.1, 0.2, 0.3, 0.4], [0.2, 0.3, 0.4, 0.5], [0.3, 0.4, 0.5, 0.6], [0.4, 0.5, 0.6, 0.7]]
+    )
     A = np.repeat(np.eye(3)[None], 4, axis=0)
+    monkeypatch.setattr(ProcessModel, "increment_gram", lambda self, inc: A)
+    assert np.allclose(batch_decompose(m, times)[3], 1.0)
     A[2, 1, 1] = np.nan
-    assert _first_non_spd(A) == 2
-    A[2, 1, 1] = 1.0
-    with pytest.raises(ConsistencyError):
-        _first_non_spd(A)
+    with pytest.raises(DegenerateConfigurationError, match=r"tuple \(0\.3, .*condition number inf"):
+        batch_decompose(m, times)
+    A[1, 2, 2] = -1.0
+    with pytest.raises(DegenerateConfigurationError, match=r"tuple \(0\.2, "):
+        batch_decompose(m, times)

@@ -8,7 +8,6 @@ from silt import (
     ValidationError,
     berman_scan,
     berman_stat,
-    conditional_variance_ratio,
     counterexample_model,
     make_grid,
     point_projection_norm_sq,
@@ -39,16 +38,6 @@ def test_empty_subset_is_one_and_validation():
     assert slnd_ratio(m, tt, []) == 1.0
     with pytest.raises(ValidationError):
         slnd_ratio(m, tt, {5})
-
-
-def test_conditional_variance_equals_single_subset():
-    grid = make_grid(math.pi / 2, 2048)
-    m = sturm_liouville_model(grid)
-    tt = TimeTuple([0.3, 0.6, 1.1])
-    for i in (1, 2):
-        assert conditional_variance_ratio(m, tt, i) == pytest.approx(
-            slnd_ratio(m, tt, {i}), abs=1e-12
-        )
 
 
 def test_sl_scan_approaches_one():

@@ -11,18 +11,30 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from silt import (
     QuadratureSpec,
+    TimeTuple,
+    TransformPoint,
+    berman_stat,
     counterexample_model,
+    decompose,
     divergence_probe,
+    fw_eps,
+    fw_limit,
     make_grid,
     parse_function,
     perturbed_model,
+    point_projection_norm_sq,
+    projection_decay,
+    projection_norm_sq,
     regularized_integral,
+    regularized_integrand,
+    slnd_ratio,
     sturm_liouville_model,
+    subset_projection_norm_sq,
     wiener_model,
 )
 from silt import function_space, process_models, regularization
@@ -63,6 +75,12 @@ def dense_decompose(model, times, hs):
     gamma = np.prod(np.einsum("bii->bi", L), axis=1) ** 2
     ys = [np.linalg.solve(L, (inc @ h.embedded())[..., None])[..., 0] for h in hs]
     return A, gamma, ys
+
+
+def dense_normalized(rows):
+    """Gram matrix of the rows scaled to unit norm."""
+    U = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return U @ U.T
 
 
 def dense_regularized_integrand(model, h1, h2):
@@ -160,7 +178,7 @@ def test_structured_route_matches_dense_factor_rows(name, data):
     cov = (E @ E.T).ravel()
     assert np.max(np.abs(model.covariance(s, t) - cov)) <= rtol * np.max(cov)
 
-    inc, L, gamma = batch_decompose(model, times)
+    inc, _, L, gamma = batch_decompose(model, times)
     assert _rel(gamma, gamma_d) <= tol
     for h, y_d in ((h1, y1_d), (h2, y2_d)):
         y = batch_ortho_coeffs(L, model.pairing(h)(inc))
@@ -171,6 +189,29 @@ def test_structured_route_matches_dense_factor_rows(name, data):
         (batch_fw_limit, dense_fw_limit),
     ):
         assert _rel(structured(model, h1, h2)(times), dense(model, h1, h2)(times)) <= tol
+
+    # the scalar route: B=1 calls into the same kernel
+    tt = TimeTuple(times[0])
+    inc_d = np.diff(E, axis=0)
+    M = sorted(data.draw(st.sets(st.integers(1, k - 1), min_size=1)))
+    comp = [i - 1 for i in range(1, k) if i not in M]
+    G = dense_normalized(inc_d)
+    want = np.linalg.det(G) / (np.linalg.det(G[np.ix_(comp, comp)]) if comp else 1.0)
+    assert abs(slnd_ratio(model, tt, M) / want - 1.0) <= tol
+
+    # a dense row of g(t_1) with subnormal entries has no accurate norm
+    if times[0, 0] >= np.finfo(float).tiny:
+        G = dense_normalized(np.vstack([E[:1], inc_d]))
+        assert abs(berman_stat(model, tt) / np.linalg.det(G) - 1.0) <= rtol * np.linalg.cond(G)
+
+    eps = 0.1 * np.mean(np.diag(A[0]))
+    Ae = A[0] + eps * np.eye(k - 1)
+    us = (inc_d @ h1.embedded(), inc_d @ h2.embedded())
+    want = np.exp(-0.5 * sum(u @ np.linalg.solve(Ae, u) for u in us)) / np.linalg.det(Ae)
+    assert abs(fw_eps(TransformPoint(model, tt, h1, h2), eps) / want - 1.0) <= tol
+
+    got = [projection_decay(model, a, b, h1) for a, b in zip(times[0, :-1], times[0, 1:])]
+    assert _rel(np.array(got), np.abs(us[0]) / np.linalg.norm(inc_d, axis=1)) <= tol
 
 
 @pytest.mark.parametrize("frac", [0.1, 0.3, 0.6, 0.9])
@@ -187,7 +228,7 @@ def test_sub_cell_gap_around_a_node_keeps_its_digits(frac):
     rows = [[node[j] - half, node[j] + half, node[j] + half + 0.3] for j in (17, 2900, 6000)]
     times = np.array(rows + [[0.2, node[4000] - half, node[4000] + half]])
     A, gamma_d, _ = dense_decompose(model, times, ())
-    _, _, gamma = batch_decompose(model, times)
+    gamma = batch_decompose(model, times)[3]
     assert _rel(gamma, gamma_d) <= 1e-12
 
 
@@ -228,21 +269,91 @@ def test_divergence_probe_matches_dense_integrand(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the batched route builds no dense factor rows
+# the separation rule of the two-cell indicators
 
 
-def test_batched_route_builds_no_factor_rows(monkeypatch):
+@st.composite
+def boundary_times(draw, grid):
+    """2 to 4 sorted times, each free, on a cell edge, in the last cell, 0 or T."""
+    T, w = grid.T, grid.weight
+    one = st.one_of(
+        st.floats(0.0, T),
+        st.integers(0, grid.n).map(lambda j: min(j * w, T)),
+        st.floats(0.0, 1.0, exclude_max=True).map(lambda f: T - f * w),
+        st.just(T),
+        st.just(0.0),
+    )
+    return np.sort([draw(one) for _ in range(draw(st.integers(2, 4)))])
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_separated_increments_have_exact_gram_entries(n, data):
+    """(1I_[0,s], 1I_[0,t]) = min(s, t) when the boundary cell pairs {p, p+1}
+    of s and t, p = min(floor(t/w), n-2), are disjoint.  So the Gram entries
+    of increments are exact when those pairs of their distinct times are.
+
+    Boundary cells two cells apart are not enough: a time in the last cell
+    has p = n-2, the pair of a time in cell n-3.
+    """
+    grid = make_grid(1.0, n)
+    model = wiener_model(grid)
+    times = data.draw(boundary_times(grid))
+    p = function_space.indicator_params(grid, times)[0]
+    same = times[:, None] == times[None, :]
+    assume(np.all(same | (np.abs(p[:, None] - p[None, :]) >= 2)))
+    a, b = times[:-1], times[1:]
+    exact = np.maximum(np.minimum(b[:, None], b) - np.maximum(a[:, None], a), 0.0)
+    A = model.increment_gram(model.increments(times[None]))[0]
+    assert np.max(np.abs(A - exact)) <= 1e-14
+    E = np.diff(model.embedded_factors(times), axis=0)
+    assert np.max(np.abs(E @ E.T - exact)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# neither route builds dense factor rows
+
+
+@pytest.fixture
+def no_dense_rows(monkeypatch):
+    """The four models with a shift each; building a dense factor row raises."""
     models = [m for m, _ in MODELS.values()]
     shifts = [parse_function("sin:1", m.grid, m.aux_dim) for m in models]
 
     def dense_row_built(*args, **kwargs):
-        raise AssertionError("dense factor rows built on the batched route")
+        raise AssertionError("dense factor rows built")
 
     monkeypatch.setattr(ProcessModel, "factor_values", dense_row_built)
     monkeypatch.setattr(function_space, "indicator_values", dense_row_built)
     monkeypatch.setattr(process_models, "indicator_values", dense_row_built)
-    for model, h in zip(models, shifts):
+    return list(zip(models, shifts))
+
+
+def test_batched_route_builds_no_factor_rows(no_dense_rows):
+    for model, h in no_dense_rows:
         rv = regularized_integral(model, 2, h, h, QuadratureSpec(k=2, levels=2))
         assert np.isfinite(rv.value)
         rows = divergence_probe(model, 2, h, h, (1e-1, 1e-2), gap_cells=16, t_cells=8)
         assert all(np.isfinite(v) for _, v in rows)
+
+
+def test_scalar_route_builds_no_factor_rows(no_dense_rows):
+    for model, h in no_dense_rows:
+        t = [f * model.grid.T for f in (0.2, 0.5, 0.9)]
+        tt = TimeTuple(t)
+        dec = decompose(model, tt)
+        pt = TransformPoint(model, tt, h, h)
+        values = [
+            dec.gamma,
+            projection_norm_sq(dec, h),
+            subset_projection_norm_sq(dec, {1}, h),
+            fw_limit(pt),
+            fw_eps(pt, 0.1),
+            regularized_integrand(model, tt, h, h),
+            slnd_ratio(model, tt, {1}),
+            berman_stat(model, tt),
+            projection_decay(model, t[0], t[1], h),
+            point_projection_norm_sq(model, t[1], h),
+        ]
+        assert np.all(np.isfinite(values))
