@@ -1,9 +1,10 @@
 """Single command-line entry point wiring all modules.
 
-Subcommands: gram, transform, regularize, diverge, schur, slnd, berman,
-pdecay, mc, selftest.  Scalar results are emitted as JSON, scans as CSV;
-every artifact embeds the effective run configuration and tool version, so
-identical configurations produce byte-identical bodies.  Exit codes: 0 ok,
+Subcommands: gram, transform (``--mc`` for the Monte Carlo estimate),
+regularize, diverge, schur, slnd, berman, pdecay, selftest.  Scalar results
+are emitted as JSON, scans as CSV; every artifact embeds the effective run
+configuration and tool version, so identical configurations produce
+byte-identical bodies.  Exit codes: 0 ok,
 2 validation error, 3 numerical failure (non-convergence, degenerate Gram).
 """
 
@@ -166,15 +167,6 @@ def _build(cfg: RunConfig):
     return grid, model
 
 
-def _quad_spec(cfg: RunConfig, k: int, closure: bool = True) -> QuadratureSpec:
-    return QuadratureSpec(
-        k=k,
-        levels=cfg.levels,
-        min_gap=cfg.min_gap,
-        diagonal_closure=closure,
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -202,9 +194,10 @@ def _cmd_transform(cfg: RunConfig, args) -> int:
     h2 = parse_function(args.h2, grid, model.aux_dim)
     point = TransformPoint(model, tt, h1, h2, cfg.normalization)
     result = {"convention": cfg.normalization}
-    if args.mc:
-        mean, stderr = mc_fw_estimate(point, args.eps or 0.5, args.mc, cfg.seed)
-        result.update(value=mean, stderr=stderr, eps=args.eps or 0.5, mode="mc")
+    if args.mc is not None:
+        eps = 0.5 if args.eps is None else args.eps
+        mean, stderr = mc_fw_estimate(point, eps, args.mc, cfg.seed)
+        result.update(value=mean, stderr=stderr, eps=eps, mode="mc")
     elif args.eps is not None:
         result.update(value=fw_eps(point, args.eps), eps=args.eps, mode="eps")
     else:
@@ -219,7 +212,8 @@ def _cmd_regularize(cfg: RunConfig, args) -> int:
     grid, model = _build(cfg)
     h1 = parse_function(args.h1, grid, model.aux_dim)
     h2 = parse_function(args.h2, grid, model.aux_dim)
-    rv = regularized_integral(model, args.k, h1, h2, _quad_spec(cfg, args.k))
+    spec = QuadratureSpec(k=args.k, levels=cfg.levels, min_gap=cfg.min_gap)
+    rv = regularized_integral(model, args.k, h1, h2, spec)
     _emit_json(
         cfg,
         {
@@ -255,7 +249,10 @@ def _cmd_schur(cfg: RunConfig, args) -> int:
 def _cmd_slnd(cfg: RunConfig, args) -> int:
     grid, model = _build(cfg)
     tt = TimeTuple(_parse_times(args.times))
-    M = [int(tok) for tok in args.subset.split(",") if tok.strip() != ""]
+    try:
+        M = [int(tok) for tok in args.subset.split(",") if tok.strip() != ""]
+    except ValueError as exc:
+        raise ValidationError(f"malformed subset '{args.subset}'") from exc
     if args.scan:
         report = slnd_scan(model, tt, M, _parse_floats(args.scan))
         _emit_csv(cfg, ["gap", "value"], list(zip(report.gaps, report.ratios)))
@@ -284,11 +281,6 @@ def _cmd_pdecay(cfg: RunConfig, args) -> int:
         value = projection_decay(model, args.t1, args.t2, h)
     _emit_csv(cfg, ["gap", "value"], [(args.t2 - args.t1, value)])
     return 0
-
-
-def _cmd_mc(cfg: RunConfig, args) -> int:
-    args.mc = args.samples
-    return _cmd_transform(cfg, args)
 
 
 def _cmd_selftest(cfg: RunConfig, args) -> int:
@@ -372,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", required=True)
     p.add_argument("--h1", required=True)
     p.add_argument("--h2", required=True)
-    p.add_argument("--eps", type=float)
+    p.add_argument("--eps", type=float, help="smoothing eps (default 0.5 with --mc)")
     p.add_argument("--mc", type=int, help="Monte Carlo sample count")
     p.set_defaults(handler=_cmd_transform)
 
@@ -417,15 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True)
     p.add_argument("--point", action="store_true", help="project on g(t1) itself")
     p.set_defaults(handler=_cmd_pdecay)
-
-    p = sub.add_parser("mc", help="Monte Carlo transform estimate")
-    _common(p)
-    p.add_argument("--times", required=True)
-    p.add_argument("--h1", required=True)
-    p.add_argument("--h2", required=True)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--samples", type=int, required=True)
-    p.set_defaults(handler=_cmd_mc)
 
     p = sub.add_parser("selftest", help="run built-in smoke tests")
     _common(p)

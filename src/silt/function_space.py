@@ -35,8 +35,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValidationError(f"grid endpoint must be positive, got T={self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValidationError(f"grid endpoint must be positive and finite, got T={self.T}")
         if self.n < 2:
             raise ValidationError(f"grid needs at least 2 cells, got n={self.n}")
 
@@ -71,6 +71,8 @@ class GridFunction:
             )
         if aux.ndim != 1:
             raise ValidationError("aux must be a 1-d array")
+        if not (np.isfinite(values).all() and np.isfinite(aux).all()):
+            raise ValidationError("grid function values and aux must be finite")
         values.setflags(write=False)
         aux.setflags(write=False)
         object.__setattr__(self, "values", values)

@@ -1,10 +1,12 @@
 """Gram matrices, determinants and projections of process increments.
 
 One kernel, ``batch_decompose``, builds the Gram matrices of a batch of time
-tuples from the models' structured increments, checks their conditioning
-and factors them; ``decompose`` is its B=1 call.  Projections on the
-increment span are forward substitutions of the shift coefficients through
-the Cholesky factor.
+tuples from the models' structured increments and factors them with
+``batch_cholesky``, the one conditioning check of the package; ``decompose``
+is its B=1 call.  Every other factorization (SLND and Berman ratios,
+single-increment projections, the eps-smoothed transform) goes through
+``batch_cholesky`` too.  Projections on the increment span are forward
+substitutions of the shift coefficients through the Cholesky factor.
 """
 
 from __future__ import annotations
@@ -128,32 +130,42 @@ def single_interval_projection(
 
 
 def batch_decompose(model: ProcessModel, times: np.ndarray):
-    """Gram data for a batch of time tuples, and the one degeneracy check.
+    """Gram data for a batch of time tuples.
 
     times: (B, k) with strictly increasing rows.  Returns (inc, A, L, gamma):
     the model's structured increments (B, k-1), Gram matrices and their lower
     Cholesky factors (B, k-1, k-1), and Gram determinants (B,).  The Gram
     matrices come from the structured increments in O(1) per tuple; no factor
-    rows are built.  A tuple whose Gram matrix is not finite or has condition
-    number above COND_CUTOFF raises DegenerateConfigurationError naming the
-    first such tuple.
+    rows are built.  ``batch_cholesky`` checks and factors them.
     """
     inc = model.increments(times)
     A = model.increment_gram(inc)
+    L, gamma = batch_cholesky(A, times)
+    return inc, A, L, gamma
+
+
+def batch_cholesky(A: np.ndarray, times: np.ndarray):
+    """The one degeneracy check, then lower Cholesky factors and determinants.
+
+    A: (B, m, m) symmetric matrices built from the time tuples ``times``
+    (B, k).  A matrix that is not finite, not positive definite or has
+    condition number above COND_CUTOFF raises DegenerateConfigurationError
+    naming the tuple of the first such matrix.  A Cholesky factorization that
+    passes the check cannot fail in double precision.
+    """
     finite = np.isfinite(A).all(axis=(1, 2))
     eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], A, np.eye(A.shape[1])))
-    bad = np.flatnonzero(~(finite & (eigs[:, -1] <= COND_CUTOFF * eigs[:, 0])))
+    lo, hi = eigs[:, 0], eigs[:, -1]
+    bad = np.flatnonzero(~(finite & (lo > 0) & (hi <= COND_CUTOFF * lo)))
     if bad.size:
         i = int(bad[0])
-        lo, hi = eigs[i, 0], eigs[i, -1]
-        cond = f"{hi / lo:.2e}" if finite[i] and lo > 0 else "inf"
+        cond = f"{hi[i] / lo[i]:.2e}" if finite[i] and lo[i] > 0 else "inf"
         raise DegenerateConfigurationError(
             f"degenerate tuple {tuple(float(t) for t in times[i])}: condition number "
             f"{cond} (smallest gap {np.diff(times[i]).min():.3e})"
         )
     L = np.linalg.cholesky(A)
-    gamma = np.prod(np.einsum("bii->bi", L), axis=1) ** 2
-    return inc, A, L, gamma
+    return L, np.prod(np.einsum("bii->bi", L), axis=1) ** 2
 
 
 def batch_ortho_coeffs(L: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Ratios are Gram determinants of normalized increments, which stay well
 conditioned at small gaps; they come from the models' structured Gram
-entries in O(1) per time, like every other Gram matrix.  Scans drive the
-chosen gaps toward zero and report whether the defining limits are reached
-at a stated tolerance.
+entries in O(1) per time, like every other Gram matrix, and are factored
+by the Gram kernel's ``batch_cholesky`` with its one conditioning check.
+Scans drive the chosen gaps toward zero and report whether the defining
+limits are reached at a stated tolerance.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, ValidationError
+from .errors import ValidationError
 from .function_space import GridFunction
-from .gram import TimeTuple
+from .gram import TimeTuple, batch_cholesky, batch_decompose, batch_ortho_coeffs
 from .process_models import ProcessModel
 
 DEFAULT_SCAN_TOL = 0.05
@@ -32,35 +33,26 @@ class SLNDReport:
     limit_reached: bool
 
 
-def _normalized_gram(model: ProcessModel, times: Sequence[float]) -> np.ndarray:
-    """Gram matrix of the normalized increments of consecutive times, O(1) per time."""
-    times = np.asarray(times, dtype=float)
-    A = model.increment_gram(model.increments(times[None]))[0]
-    d = np.sqrt(np.diag(A))
-    if not np.all(d > 0):
-        raise DegenerateConfigurationError(
-            f"zero-norm increment in tuple {tuple(float(t) for t in times)}"
-        )
-    return A / np.outer(d, d)
+def _normalized_gram(model: ProcessModel, times: Sequence[float]):
+    """Times (1, k) and the Gram matrix (1, k-1, k-1) of the normalized increments
+    of consecutive times, O(1) per time.
 
-
-def _gram_det(G: np.ndarray) -> float:
-    if G.shape[0] == 0:
-        return 1.0
-    try:
-        c = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        raise DegenerateConfigurationError(
-            "Gram matrix of normalized vectors is numerically singular"
-        ) from None
-    return float(np.prod(np.diag(c)) ** 2)
+    A zero-norm increment makes its row non-finite, which ``batch_cholesky``
+    rejects by name.
+    """
+    times = np.asarray(times, dtype=float)[None]
+    A = model.increment_gram(model.increments(times))
+    d = np.sqrt(np.einsum("bii->bi", A))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return times, A / (d[:, :, None] * d[:, None, :])
 
 
 def slnd_ratio(model: ProcessModel, tt: TimeTuple, M: Iterable[int]) -> float:
     """Gamma / (complement Gram determinant * product of squared norms over M).
 
-    Computed as G(all normalized) / G(complement normalized); the Gram
-    determinant of an empty family is 1, so M = full set is allowed and
+    Computed as G(all normalized) / G(complement normalized): with the
+    complement ordered first, that quotient is the product of the squared
+    Cholesky pivots of the indices in M.  M = full set is allowed and
     M = empty set returns 1 by convention.
     """
     k1 = tt.k - 1
@@ -69,9 +61,10 @@ def slnd_ratio(model: ProcessModel, tt: TimeTuple, M: Iterable[int]) -> float:
         raise ValidationError(f"subset {M} out of range 1..{k1}")
     if not M:
         return 1.0
-    G = _normalized_gram(model, tt.times)
-    comp = [i - 1 for i in range(1, k1 + 1) if i not in M]
-    return _gram_det(G) / _gram_det(G[np.ix_(comp, comp)])
+    times, G = _normalized_gram(model, tt.times)
+    order = [i - 1 for i in range(1, k1 + 1) if i not in M] + [i - 1 for i in M]
+    L, _ = batch_cholesky(G[:, order][:, :, order], times)
+    return float(np.prod(np.diag(L[0])[k1 - len(M):]) ** 2)
 
 
 def _scan_times(base_tt: TimeTuple, M: Sequence[int], gap: float) -> np.ndarray:
@@ -114,7 +107,8 @@ def berman_stat(model: ProcessModel, tt: TimeTuple) -> float:
 
     x(t_1) is the increment over [0, t_1], since g(0) = 0 in every model.
     """
-    return _gram_det(_normalized_gram(model, (0.0,) + tt.times))
+    times, G = _normalized_gram(model, (0.0,) + tt.times)
+    return float(batch_cholesky(G, times)[1][0])
 
 
 def berman_scan(
@@ -146,11 +140,8 @@ def berman_scan(
 
 def _projection_sq(model: ProcessModel, a: float, b: float, h: GridFunction) -> float:
     """(h, dg)^2 / ||dg||^2 for the increment dg = g(b) - g(a)."""
-    inc = model.increments(np.array([[a, b]], dtype=float))
-    nsq = model.increment_gram(inc)[0, 0, 0]
-    if not nsq > 0:
-        raise DegenerateConfigurationError(f"zero-norm increment on [{a}, {b}]")
-    return float(model.pairing(h)(inc)[0, 0] ** 2 / nsq)
+    inc, _, L, _ = batch_decompose(model, np.array([[a, b]], dtype=float))
+    return float(batch_ortho_coeffs(L, model.pairing(h)(inc))[0, 0] ** 2)
 
 
 def projection_decay(

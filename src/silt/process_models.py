@@ -437,6 +437,8 @@ def load_kernel_csv(grid: Grid, path: str) -> KernelOperator:
                 s, u, v = float(row[0]), float(row[1]), float(row[2])
             except (ValueError, IndexError) as exc:
                 raise ValidationError(f"bad kernel CSV row {row!r}") from exc
+            if not all(map(math.isfinite, (s, u, v))):
+                raise ValidationError(f"non-finite entry in kernel CSV row {row!r}")
             i = int(round(s / w - 0.5))
             j = int(round(u / w - 0.5))
             if not (0 <= i < grid.n and abs(nodes[i] - s) < 1e-9 * max(1, grid.T)):

@@ -27,7 +27,7 @@ def gap_lattice(
     closure: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Gap tuples (B, k-1) and weights (B,) covering the simplex gap region."""
-    if min_gap <= 0 or min_gap >= T:
+    if not 0 < min_gap < T:
         raise ValidationError(f"min_gap {min_gap} must lie in (0, T)")
     gaps = np.zeros((1, 0))
     wts = np.ones(1)

@@ -21,10 +21,12 @@ from .errors import ValidationError
 from .function_space import GridFunction, Grid, inner
 from .gram import TimeTuple, batch_decompose, batch_ortho_coeffs, single_interval_projection
 from .process_models import ProcessModel, wiener_model
-from .quadrature import integrate_simplex_level, level_schedule
+from .quadrature import gap_lattice, integrate_simplex_level, level_schedule
 from .transform import batch_fw_limit
 
+# level-1 cells per gap and in t_1, per k; each level multiplies them by _GRADING
 _BASE_CELLS = {2: 12.0, 3: 4.0, 4: 1.6}
+_GRADING = 2.0
 
 
 def default_min_gap(grid: Grid) -> float:
@@ -34,31 +36,18 @@ def default_min_gap(grid: Grid) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Parameters of the graded simplex quadrature."""
+    """Parameters of the graded simplex quadrature (with its diagonal closure)."""
 
     k: int
     levels: int = 6
-    grading: float = 2.0
     min_gap: Optional[float] = None
     tol: float = 1e-3
-    base_cells: Optional[float] = None
-    t_cells: Optional[float] = None
-    diagonal_closure: bool = True
-    chunk: int = 4096
 
     def __post_init__(self):
         if self.k not in (2, 3, 4):
             raise ValidationError(f"multiplicity k must be 2, 3 or 4, got {self.k}")
         if self.levels < 2:
             raise ValidationError("need at least 2 refinement levels")
-        if self.grading <= 1:
-            raise ValidationError("grading factor must exceed 1")
-
-    def resolve(self, grid: Grid) -> Tuple[float, float, float]:
-        gap = self.min_gap if self.min_gap is not None else default_min_gap(grid)
-        base = self.base_cells if self.base_cells is not None else _BASE_CELLS[self.k]
-        tc = self.t_cells if self.t_cells is not None else base
-        return gap, base, tc
 
 
 @dataclass(frozen=True)
@@ -117,35 +106,6 @@ def regularized_integrand(
     return float(f(np.asarray(tt.times)[None])[0])
 
 
-def _run_levels(grid_T, k, integrand, spec: QuadratureSpec, min_gap, base, tcells):
-    gap_cells = level_schedule(base, spec.grading, spec.levels)
-    t_cells = level_schedule(tcells, spec.grading, spec.levels)
-    estimates = [
-        integrate_simplex_level(
-            grid_T,
-            k,
-            integrand,
-            min_gap,
-            gc,
-            tc,
-            spec.diagonal_closure,
-            chunk=spec.chunk,
-        )
-        for gc, tc in zip(gap_cells, t_cells)
-    ]
-    diffs = np.abs(np.diff(estimates))
-    ratios = [
-        float(diffs[i] / diffs[i + 1]) if diffs[i + 1] > 0 else math.inf
-        for i in range(len(diffs) - 1)
-    ]
-    converged = bool(diffs[-1] <= spec.tol * (1.0 + abs(estimates[-1]))) if len(
-        diffs
-    ) else False
-    return RegularizedValue(
-        float(estimates[-1]), tuple(float(e) for e in estimates), tuple(ratios), converged
-    )
-
-
 def regularized_integral(
     model: ProcessModel,
     k: int,
@@ -157,9 +117,21 @@ def regularized_integral(
     spec = spec if spec is not None else QuadratureSpec(k=k)
     if spec.k != k:
         raise ValidationError(f"spec.k={spec.k} does not match k={k}")
-    min_gap, base, tcells = spec.resolve(model.grid)
+    min_gap = spec.min_gap if spec.min_gap is not None else default_min_gap(model.grid)
     integrand = batch_regularized_integrand(model, h1, h2)
-    return _run_levels(model.grid.T, k, integrand, spec, min_gap, base, tcells)
+    estimates = [
+        integrate_simplex_level(model.grid.T, k, integrand, min_gap, cells, cells, closure=True)
+        for cells in level_schedule(_BASE_CELLS[k], _GRADING, spec.levels)
+    ]
+    diffs = np.abs(np.diff(estimates))
+    ratios = [
+        float(diffs[i] / diffs[i + 1]) if diffs[i + 1] > 0 else math.inf
+        for i in range(len(diffs) - 1)
+    ]
+    converged = bool(diffs[-1] <= spec.tol * (1.0 + abs(estimates[-1])))
+    return RegularizedValue(
+        float(estimates[-1]), tuple(float(e) for e in estimates), tuple(ratios), converged
+    )
 
 
 def divergence_probe(
@@ -181,7 +153,7 @@ def divergence_probe(
     deltas = [float(d) for d in deltas]
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValidationError("deltas must be strictly decreasing")
-    if deltas[-1] <= 0:
+    if not deltas[-1] > 0:
         raise ValidationError("deltas must be positive")
     integrand = batch_fw_limit(model, h1, h2, normalization)
     out = []
@@ -256,13 +228,8 @@ def schur_bound_check(
     if not a < T:
         raise ValidationError(f"left endpoint a={a} must be below T={T}")
     edges, cum = _cumulative(h)
-    span = T - a
-    floor = span * 1e-10
-    v = (np.arange(cells) + 0.5) / cells
-    x = floor * (span / floor) ** v            # t - a, log-graded
-    wts = x * math.log(span / floor) / cells
-    x = np.concatenate([[floor], x])
-    wts = np.concatenate([[floor], wts])
+    x, wts = gap_lattice(T - a, 2, (T - a) * 1e-10, cells, closure=True)
+    x = x[:, 0]                                # t - a, log-graded
     H = np.interp(a + x, edges, cum) - np.interp(a, edges, cum)
     lhs = float(np.sum((H / x) ** 2 * wts))
     rhs = 8.0 * _norm_sq_on(h, a)

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
 
 from .errors import ValidationError
 from .function_space import GridFunction
 from .gram import (
     TimeTuple,
+    batch_cholesky,
     batch_decompose,
     batch_ortho_coeffs,
     decompose,
@@ -62,17 +62,17 @@ def fw_eps(point: TransformPoint, eps: float) -> float:
     det(A + eps I)^{-1} exp(-[(A+eps I)^{-1} quadratic forms of u1, u2] / 2)
     times the normalization factor.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
     dec = decompose(point.model, point.tt)
-    B = dec.A + eps * np.eye(dec.A.shape[0])
-    c = cholesky(B, lower=True)
-    det = float(np.prod(np.diag(c)) ** 2)
-    expo = 0.0
-    for h in (point.h1, point.h2):
-        u = dec.coeffs(h)
-        expo += float(u @ cho_solve((c, True), u))
-    return point.norm_factor * math.exp(-0.5 * expo) / det
+    L, det = batch_cholesky(
+        (dec.A + eps * np.eye(dec.A.shape[0]))[None], np.asarray(point.tt.times)[None]
+    )
+    expo = sum(
+        float(np.sum(batch_ortho_coeffs(L, dec.coeffs(h)[None]) ** 2))
+        for h in (point.h1, point.h2)
+    )
+    return point.norm_factor * math.exp(-0.5 * expo) / float(det[0])
 
 
 def batch_fw_limit(
@@ -136,7 +136,7 @@ def mc_fw_estimate(
     a fixed internal batch size make the estimate reproducible.  Converges
     to fw_eps with the analytic normalization.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
     if n_samples < 1000:
         raise ValidationError("need at least 1000 samples")

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import silt
 from silt.cli import main
 
 
@@ -104,6 +108,36 @@ def test_validation_errors_exit_2(capsys):
     assert "validation error" in err
     code, out, err = run(capsys, "gram", "--times", "0.5,0.2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "regularize --k 2 --h1 const1 --h2 const1 --levels 2 --min-gap nan",
+        "diverge --k 2 --h1 zero --h2 zero --deltas nan",
+        "gram --grid-T nan --times 0.2,0.5",
+        "gram --times 0.2,0.5 --h hat:0.5:nan",
+        "gram --grid-n 2 --times 0.2,0.5 --h {dir}/h_nan.csv",
+        "gram --grid-n 2 --model perturbed:file={dir}/kernel_nan.csv --times 0.2,0.9",
+        "gram --grid-n 2 --model perturbed:file={dir}/node_nan.csv --times 0.2,0.9",
+        "slnd --times 0.2,0.5,0.9 --subset x",
+        "transform --times 0.25,0.75 --h1 zero --h2 zero --mc 1000 --eps 0",
+    ],
+)
+def test_non_finite_or_malformed_input_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "h_nan.csv").write_text("node,value\n0.25,1.0\n0.75,nan\n")
+    (tmp_path / "kernel_nan.csv").write_text("0.25,0.25,nan\n")
+    (tmp_path / "node_nan.csv").write_text("nan,0.25,0.5\n")
+    code, out, err = run(capsys, *argv.format(dir=tmp_path).split())
+    assert code == 2, err
+    assert "validation error" in err
+
+
+def test_import_needs_only_numpy():
+    src = str(Path(silt.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import silt; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

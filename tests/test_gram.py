@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,10 @@ def test_batch_decompose_names_the_degenerate_tuple():
     times = np.array([[0.1, 0.4, 0.8], [0.2, 0.5, 0.9], [0.3, 0.3, 0.7], [0.15, 0.6, 0.95]])
     with pytest.raises(DegenerateConfigurationError, match=r"tuple \(0\.3, 0\.3, 0\.7\)"):
         batch_decompose(m, times)
+    # all-equal tuples: a zero Gram matrix has condition number 0/0
+    for tup in ((0.5, 0.5), (0.5, 0.5, 0.5)):
+        with pytest.raises(DegenerateConfigurationError, match=re.escape(f"tuple {tup}")):
+            batch_decompose(m, np.array([tup]))
 
 
 def test_ill_conditioned_tuple_is_rejected_on_every_path(capsys):

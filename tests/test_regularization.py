@@ -158,8 +158,6 @@ def test_spec_validation():
         QuadratureSpec(k=5)
     with pytest.raises(ValidationError):
         QuadratureSpec(k=2, levels=1)
-    with pytest.raises(ValidationError):
-        QuadratureSpec(k=2, grading=1.0)
 
 
 def test_spec_k_mismatch_rejected(grid, model):

@@ -192,6 +192,14 @@ def test_structured_route_matches_dense_factor_rows(name, data):
 
     # the scalar route: B=1 calls into the same kernel
     tt = TimeTuple(times[0])
+    dec = decompose(model, tt)
+    for h in (h1, h2):
+        assert 0.0 <= projection_norm_sq(dec, h) <= h.norm_sq() * (1.0 + tol)
+    reg = regularized_integrand(model, tt, h1, h2)
+    assert 0.0 <= reg <= 1.0 / dec.gamma
+    assert reg == regularized_integrand(model, tt, h2, h1)
+    swapped = TransformPoint(model, tt, h2, h1)
+    assert fw_limit(TransformPoint(model, tt, h1, h2)) == fw_limit(swapped)
     inc_d = np.diff(E, axis=0)
     M = sorted(data.draw(st.sets(st.integers(1, k - 1), min_size=1)))
     comp = [i - 1 for i in range(1, k) if i not in M]
