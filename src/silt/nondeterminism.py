@@ -107,6 +107,8 @@ def berman_stat(model: ProcessModel, tt: TimeTuple) -> float:
 
     x(t_1) is the increment over [0, t_1], since g(0) = 0 in every model.
     """
+    if not tt.times[0] > 0:
+        raise ValidationError(f"t1 = {tt.times[0]}: x(0) = 0 in every model, need t1 > 0")
     times, G = _normalized_gram(model, (0.0,) + tt.times)
     return float(batch_cholesky(G, times)[1][0])
 
@@ -155,4 +157,6 @@ def projection_decay(
 
 def point_projection_norm_sq(model: ProcessModel, t1: float, h: GridFunction) -> float:
     """||projection of h on g(t1)||^2 = (h, g(t1))^2 / ||g(t1)||^2."""
+    if not t1 > 0:
+        raise ValidationError(f"t1 = {t1}: x(0) = 0 in every model, need t1 > 0")
     return _projection_sq(model, 0.0, t1, h)

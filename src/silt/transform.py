@@ -27,6 +27,7 @@ from .gram import (
 from .process_models import ProcessModel, wiener_model
 
 NORMALIZATIONS = ("paper", "analytic")
+MC_CHUNK = 1 << 16  # Monte Carlo samples drawn at once: bounds the sampler's memory
 
 
 def _norm_factor(normalization: str, k: int) -> float:
@@ -126,15 +127,15 @@ def mc_fw_estimate(
     eps: float,
     n_samples: int,
     seed: int,
-    batch: int = 8192,
 ) -> Tuple[float, float]:
     """Direct sampling estimate of E[prod f_eps(dx(t_i)) E(h1, h2)].
 
-    White noise is sampled as iid standard normals per grid cell (scaled so
-    that E (h, xi)^2 = ||h||^2 exactly on the grid) plus iid normals on the
-    aux coordinates.  Counter-based generator (Philox) keyed by the seed and
-    a fixed internal batch size make the estimate reproducible.  Converges
-    to fw_eps with the analytic normalization.
+    Exact k-dimensional draws from a thin QR of the dense increment and shift
+    columns C = [dg_1 .. dg_{k-1}, h1, h2] = QR: white noise Z enters only
+    through Z.C, which has the law of xi R for xi ~ N(0, I), also when C is
+    rank-deficient.  A counter-based generator (Philox) keyed by the seed and
+    a fixed chunk size make the estimate reproducible.  Converges to fw_eps
+    with the analytic normalization.
     """
     if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
@@ -142,24 +143,19 @@ def mc_fw_estimate(
         raise ValidationError("need at least 1000 samples")
     # dense increments, so that the sampler stays independent of the Gram kernel
     E_inc = np.diff(point.model.embedded_factors(point.tt.times), axis=0)  # (k-1, D)
-    h1e = point.h1.embedded()
-    h2e = point.h2.embedded()
-    offset = -0.5 * (point.h1.norm_sq() + point.h2.norm_sq())
+    C = np.column_stack([E_inc.T, point.h1.embedded(), point.h2.embedded()])
+    R = np.linalg.qr(C, mode="r")
     k1 = E_inc.shape[0]
-    prefactor = (2.0 * math.pi * eps) ** (-k1)
+    # log of the density constant (2 pi eps)^{-(k-1)} and of the tilt's normalization
+    log_c = -k1 * math.log(2.0 * math.pi * eps)
+    log_c -= 0.5 * (point.h1.norm_sq() + point.h2.norm_sq())
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     vals = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        Z1 = rng.standard_normal((b, h1e.shape[0]))
-        Z2 = rng.standard_normal((b, h1e.shape[0]))
-        Q = (Z1 @ E_inc.T) ** 2 + (Z2 @ E_inc.T) ** 2
-        dens = prefactor * np.exp(-Q.sum(axis=1) / (2.0 * eps))
-        tilt = np.exp(Z1 @ h1e + Z2 @ h2e + offset)
-        vals[done : done + b] = dens * tilt
-        done += b
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-    return mean, stderr
+    for done in range(0, n_samples, MC_CHUNK):
+        b = min(MC_CHUNK, n_samples - done)
+        Y1 = rng.standard_normal((b, R.shape[0])) @ R
+        Y2 = rng.standard_normal((b, R.shape[0])) @ R
+        Q = (Y1[:, :k1] ** 2 + Y2[:, :k1] ** 2).sum(axis=1)
+        vals[done : done + b] = np.exp(log_c - Q / (2.0 * eps) + Y1[:, k1] + Y2[:, k1 + 1])
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_samples))

@@ -133,6 +133,15 @@ def test_non_finite_or_malformed_input_exits_2(tmp_path, capsys, argv):
     assert "validation error" in err
 
 
+@pytest.mark.parametrize(
+    "argv", ["berman --times 0,0.5", "pdecay --point --t1 0 --t2 0.5 --h const1"]
+)
+def test_t1_zero_exits_2_naming_t1(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2, err
+    assert "validation error: t1 = 0.0" in err
+
+
 def test_import_needs_only_numpy():
     src = str(Path(silt.__file__).resolve().parents[1])
     code = f"import sys; sys.path.insert(0, {src!r}); import silt; print('scipy' in sys.modules)"

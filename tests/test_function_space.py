@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from silt import (
     GridMismatchError,
@@ -75,6 +77,33 @@ def test_indicator_norm_exact_for_arbitrary_t():
     for t in [0.0, 0.013, 0.25, 1 / 3, 0.5, 0.731, 0.999, 1.0]:
         ind = indicator(grid, t)
         assert ind.norm_sq() == pytest.approx(t, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 8, 512])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_indicator_norm_and_mass_are_exact(n, data):
+    """||1I_[0,t]||^2 = t and the mass sum(values) w = t to a few ulp of t, for
+    t anywhere in [0, T]: 0, T, cell edges, last-cell and first-cell times.
+
+    In the first cell the two boundary values are about +-sqrt(t w / 2), so
+    their sum, the mass, is exact only to a few ulp of sqrt(t w).
+    """
+    grid = make_grid(1.0, n)
+    T, w = grid.T, grid.weight
+    t = data.draw(
+        st.one_of(
+            st.floats(0.0, T),
+            st.floats(0.0, w),
+            st.integers(0, n).map(lambda j: min(j * w, T)),
+            st.floats(0.0, 1.0, exclude_max=True).map(lambda f: T - f * w),
+            st.just(0.0),
+            st.just(T),
+        )
+    )
+    ind = indicator(grid, t)
+    assert abs(ind.norm_sq() - t) <= 4 * np.spacing(t)
+    assert abs(ind.values.sum() * w - t) <= 4 * np.spacing(max(t, math.sqrt(t * w)))
 
 
 def test_indicator_cross_products_exact_when_separated():

@@ -87,3 +87,17 @@ def test_scan_validates_interval():
     m = wiener_model(grid)
     with pytest.raises(ValidationError):
         berman_scan(m, 0.99, 3, [0.5, 0.1])
+
+
+def test_t1_zero_is_a_validation_error():
+    # x(0) = 0 in every model: the statistic and the point projection are
+    # undefined there, and the error names t1
+    m = wiener_model(make_grid(1.0, 64))
+    h = parse_function("const1", m.grid)
+    for call in (
+        lambda: berman_stat(m, TimeTuple([0.0, 0.5])),
+        lambda: berman_scan(m, 0.0, 3, [0.1, 0.01]),
+        lambda: point_projection_norm_sq(m, 0.0, h),
+    ):
+        with pytest.raises(ValidationError, match="t1 = 0.0"):
+            call()
