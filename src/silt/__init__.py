@@ -14,7 +14,6 @@ from .function_space import (
     Grid,
     GridFunction,
     KernelOperator,
-    apply_operator,
     indicator,
     inner,
     make_grid,
@@ -27,7 +26,6 @@ from .gram import (
     decompose,
     projection_norm_sq,
     single_interval_projection,
-    subset_projection_norm_sq,
 )
 from .nondeterminism import (
     SLNDReport,
@@ -41,10 +39,8 @@ from .nondeterminism import (
 from .process_models import (
     ProcessModel,
     counterexample_model,
-    covariance,
     parse_model,
     perturbed_model,
-    sturm_liouville_green,
     sturm_liouville_model,
     sturm_liouville_operator,
     wiener_model,

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConsistencyError, DegenerateConfigurationError, SiltError, ValidationError
+from .errors import DegenerateConfigurationError, SiltError, ValidationError
 from .function_space import inner, make_grid, parse_function
 from .gram import TimeTuple, decompose, projection_norm_sq
 from .nondeterminism import (
@@ -33,7 +33,7 @@ from .nondeterminism import (
     slnd_ratio,
     slnd_scan,
 )
-from .process_models import covariance, parse_model, wiener_model
+from .process_models import parse_model, wiener_model
 from .regularization import (
     QuadratureSpec,
     divergence_probe,
@@ -41,31 +41,36 @@ from .regularization import (
     regularized_integrand,
     schur_bound_check,
 )
-from .transform import TransformPoint, fw_eps, fw_limit, fw_wiener, mc_fw_estimate
+from .transform import NORMALIZATIONS, TransformPoint, fw_eps, fw_limit, fw_wiener, mc_fw_estimate
 
-DEFAULTS = {
-    "T": 1.0,
-    "n": 512,
-    "model": "wiener",
-    "seed": 0,
-    "normalization": "paper",
-    "levels": 6,
-    "min_gap": None,  # resolved per grid: max(1e-6, 2T/n)
-}
+
+def _setting(default, ini: str, flag: str, conv=str, **arg):
+    """A run setting: default, INI ``section.key``, converter, flag and argparse options."""
+    return dataclasses.field(default=default, metadata=dict(ini=ini, flag=flag, conv=conv, arg=arg))
 
 
 @dataclass
 class RunConfig:
     """Effective configuration, serialized into every output artifact."""
 
-    model: str = DEFAULTS["model"]
-    T: float = DEFAULTS["T"]
-    n: int = DEFAULTS["n"]
-    seed: int = DEFAULTS["seed"]
-    normalization: str = DEFAULTS["normalization"]
-    levels: int = DEFAULTS["levels"]
-    min_gap: Optional[float] = DEFAULTS["min_gap"]
-    out: Optional[str] = None
+    model: str = _setting(
+        "wiener", "model.spec", "--model",
+        help="wiener | perturbed:sl | perturbed:file=<csv> | counterexample",
+    )
+    T: float = _setting(1.0, "grid.T", "--grid-T", float, help="interval endpoint")
+    n: int = _setting(512, "grid.n", "--grid-n", int, help="number of grid cells")
+    seed: int = _setting(0, "run.seed", "--seed", int, help="random seed")
+    normalization: str = _setting(
+        "paper", "run.normalization", "--normalization", choices=NORMALIZATIONS
+    )
+    levels: int = _setting(
+        QuadratureSpec.levels, "run.levels", "--levels", int, help="quadrature refinement levels"
+    )
+    # None resolves per grid: max(1e-6, 2T/n)
+    min_gap: Optional[float] = _setting(
+        None, "run.min_gap", "--min-gap", float, help="diagonal exclusion floor"
+    )
+    out: Optional[str] = _setting(None, "run.out", "--out", help="output path (default stdout)")
 
     def as_dict(self):
         d = dataclasses.asdict(self)
@@ -73,20 +78,12 @@ class RunConfig:
         return d
 
 
-_CONFIG_KEYS = {
-    ("grid", "T"): ("T", float),
-    ("grid", "n"): ("n", int),
-    ("model", "spec"): ("model", str),
-    ("run", "seed"): ("seed", int),
-    ("run", "normalization"): ("normalization", str),
-    ("run", "levels"): ("levels", int),
-    ("run", "min_gap"): ("min_gap", float),
-    ("run", "out"): ("out", str),
-}
-
-
 def load_config(path: str) -> RunConfig:
-    """INI-style config with sections [grid] [model] [run]; flags override it."""
+    """INI-style config with sections [grid] [model] [run]; flags override it.
+
+    Keys are case-insensitive and section names case-sensitive, as configparser
+    reads them.
+    """
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -95,18 +92,20 @@ def load_config(path: str) -> RunConfig:
         raise ValidationError(f"cannot read config file '{path}': {exc}") from exc
     except configparser.Error as exc:
         raise ValidationError(f"config parse error in '{path}': {exc}") from exc
+    settings = {}
+    for f in dataclasses.fields(RunConfig):
+        section, _, key = f.metadata["ini"].partition(".")
+        settings[section, key.lower()] = f
     cfg = RunConfig()
     for section in parser.sections():
         for key, raw in parser.items(section):
-            # configparser lowercases keys; map grid.t back to grid.T
-            canonical = (section, "T" if (section, key) == ("grid", "t") else key)
-            if canonical not in _CONFIG_KEYS:
+            f = settings.get((section, key.lower()))
+            if f is None:
                 raise ValidationError(
                     f"unknown config key '{key}' in section [{section}] of '{path}'"
                 )
-            attr, conv = _CONFIG_KEYS[canonical]
             try:
-                setattr(cfg, attr, conv(raw))
+                setattr(cfg, f.name, f.metadata["conv"](raw))
             except ValueError as exc:
                 raise ValidationError(
                     f"bad value '{raw}' for {section}.{key} in '{path}'"
@@ -114,21 +113,18 @@ def load_config(path: str) -> RunConfig:
     return cfg
 
 
-def _parse_times(text: str) -> List[float]:
-    try:
-        times = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ValidationError(f"malformed times '{text}'") from exc
-    if len(times) < 2:
-        raise ValidationError(f"need at least two times, got '{text}'")
-    return times
-
-
-def _parse_floats(text: str) -> List[float]:
+def _parse_floats(text: str, what: str = "float list") -> List[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise ValidationError(f"malformed float list '{text}'") from exc
+        raise ValidationError(f"malformed {what} '{text}'") from exc
+
+
+def _parse_times(text: str) -> List[float]:
+    times = _parse_floats(text, "times")
+    if len(times) < 2:
+        raise ValidationError(f"need at least two times, got '{text}'")
+    return times
 
 
 def _emit_json(cfg: RunConfig, result: dict) -> None:
@@ -297,7 +293,7 @@ def _cmd_selftest(cfg: RunConfig, args) -> int:
     model = wiener_model(grid)
     one = parse_function("const1", grid)
     check("inner(const1, const1) = 1", inner(one, one), 1.0)
-    check("wiener covariance(0.2, 0.9) = 0.2", covariance(model, 0.2, 0.9), 0.2, 1e-12)
+    check("wiener covariance(0.2, 0.9) = 0.2", float(model.covariance(0.2, 0.9)), 0.2, 1e-12)
     tt = TimeTuple([0.2, 0.5, 0.9])
     check("wiener Gamma(0.2,0.5,0.9) = 0.12", decompose(model, tt).gamma, 0.12, 1e-12)
     point = TransformPoint(model, TimeTuple([0.25, 0.75]), 0.0 * one, 0.0 * one)
@@ -333,18 +329,6 @@ def _cmd_selftest(cfg: RunConfig, args) -> int:
 # argument parsing
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="INI config file ([grid] [model] [run])")
-    parser.add_argument("--model", help="wiener | perturbed:sl | perturbed:file=<csv> | counterexample")
-    parser.add_argument("--grid-T", type=float, dest="T", help="interval endpoint")
-    parser.add_argument("--grid-n", type=int, dest="n", help="number of grid cells")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--normalization", choices=["paper", "analytic"])
-    parser.add_argument("--levels", type=int, help="quadrature refinement levels")
-    parser.add_argument("--min-gap", type=float, dest="min_gap", help="diagonal exclusion floor")
-    parser.add_argument("--out", help="output path (default stdout)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="silt",
@@ -353,76 +337,69 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"silt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gram", help="Gram determinant, matrix and projections")
-    _common(p)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="INI config file ([grid] [model] [run])")
+    for f in dataclasses.fields(RunConfig):
+        m = f.metadata
+        common.add_argument(m["flag"], dest=f.name, type=m["conv"], **m["arg"])
+
+    def command(name, handler, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("gram", _cmd_gram, "Gram determinant, matrix and projections")
     p.add_argument("--times", required=True)
     p.add_argument("--h")
-    p.set_defaults(handler=_cmd_gram)
 
-    p = sub.add_parser("transform", help="Fourier-Wiener transform values")
-    _common(p)
+    p = command("transform", _cmd_transform, "Fourier-Wiener transform values")
     p.add_argument("--times", required=True)
     p.add_argument("--h1", required=True)
     p.add_argument("--h2", required=True)
     p.add_argument("--eps", type=float, help="smoothing eps (default 0.5 with --mc)")
     p.add_argument("--mc", type=int, help="Monte Carlo sample count")
-    p.set_defaults(handler=_cmd_transform)
 
-    p = sub.add_parser("regularize", help="regularized simplex integral")
-    _common(p)
+    p = command("regularize", _cmd_regularize, "regularized simplex integral")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h1", required=True)
     p.add_argument("--h2", required=True)
-    p.set_defaults(handler=_cmd_regularize)
 
-    p = sub.add_parser("diverge", help="divergence probe of the unregularized integral")
-    _common(p)
+    p = command("diverge", _cmd_diverge, "divergence probe of the unregularized integral")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h1", required=True)
     p.add_argument("--h2", required=True)
     p.add_argument("--deltas", required=True, help="decreasing truncation levels")
-    p.set_defaults(handler=_cmd_diverge)
 
-    p = sub.add_parser("schur", help="Schur-test bound verification")
-    _common(p)
+    p = command("schur", _cmd_schur, "Schur-test bound verification")
     p.add_argument("--h", required=True)
     p.add_argument("--a", type=float, default=0.0)
-    p.set_defaults(handler=_cmd_schur)
 
-    p = sub.add_parser("slnd", help="strong local nondeterminism ratio / scan")
-    _common(p)
+    p = command("slnd", _cmd_slnd, "strong local nondeterminism ratio / scan")
     p.add_argument("--times", required=True)
     p.add_argument("--subset", required=True, help="comma list of 1-based gap indices")
     p.add_argument("--scan", help="decreasing gap values")
-    p.set_defaults(handler=_cmd_slnd)
 
-    p = sub.add_parser("berman", help="Berman local nondeterminism statistic / scan")
-    _common(p)
+    p = command("berman", _cmd_berman, "Berman local nondeterminism statistic / scan")
     p.add_argument("--times", required=True)
     p.add_argument("--scan", help="decreasing window sizes")
-    p.set_defaults(handler=_cmd_berman)
 
-    p = sub.add_parser("pdecay", help="projection on a single increment")
-    _common(p)
+    p = command("pdecay", _cmd_pdecay, "projection on a single increment")
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--t2", type=float, required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--point", action="store_true", help="project on g(t1) itself")
-    p.set_defaults(handler=_cmd_pdecay)
 
-    p = sub.add_parser("selftest", help="run built-in smoke tests")
-    _common(p)
-    p.set_defaults(handler=_cmd_selftest)
+    command("selftest", _cmd_selftest, "run built-in smoke tests")
 
     return parser
 
 
 def _merge_config(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    for attr in ("model", "T", "n", "seed", "normalization", "levels", "min_gap", "out"):
-        val = getattr(args, attr, None)
+    cfg = load_config(args.config) if args.config else RunConfig()
+    for f in dataclasses.fields(RunConfig):
+        val = getattr(args, f.name)
         if val is not None:
-            setattr(cfg, attr, val)
+            setattr(cfg, f.name, val)
     return cfg
 
 
@@ -435,7 +412,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidationError as exc:
         print(f"silt: validation error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateConfigurationError, ConsistencyError) as exc:
+    except DegenerateConfigurationError as exc:
         print(f"silt: numerical failure: {exc}", file=sys.stderr)
         return 3
     except SiltError as exc:

@@ -6,25 +6,28 @@ finite-dimensional directions such as the e+0 direction of the
 counterexample process.
 
 Indicator elements 1I_[0,t] use a two-cell boundary construction: the two
-cells around t carry values chosen so that both the mass and the squared
-norm of the cell representation are exact.  As a consequence
-||1I_[0,t]||^2 = t holds to machine precision for every t, and
-(1I_[0,s], 1I_[0,t]) = min(s, t) is exact when the boundary cell pairs
-{p, p+1} of s and t, with p = min(floor(t/w), n-2), are disjoint.  Near T
-that takes more than two cells between the times: a time in the last cell
-uses the cells n-2 and n-1.
+cells around t carry values chosen so that ||1I_[0,t]||^2 = t holds to
+machine precision for every t, and so does the mass past the first cell; in
+the first cell the mass is exact only to about eps*sqrt(t*w) (see
+``indicator_params``).  (1I_[0,s], 1I_[0,t]) = min(s, t) is exact when the
+boundary cell pairs {p, p+1} of s and t, with p = min(floor(t/w), n-2), are
+disjoint.  Near T that takes more than two cells between the times: a time
+in the last cell uses the cells n-2 and n-1.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
+
+# power iteration in operator_norm: relative tolerance and iteration cap
+_POWER_TOL = 1e-8
+_POWER_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,13 @@ def indicator_params(grid: Grid, t):
 
     The cell representation is one on cells [0, p), alpha on cell p, beta on
     cell p + 1 and zero beyond, with alpha + beta and alpha^2 + beta^2 chosen
-    so that both the mass and the squared norm are exact.  A time in the last
-    cell, and t = T (alpha = beta = 1), use the cells n-2 and n-1, so p <= n-2.
+    so that the mass and the squared norm are t.  The norm holds to machine
+    precision, the mass too except in the first cell: there alpha and -beta
+    are about sqrt(t*w/2), so the mass is exact only to about eps*sqrt(t*w).
+    On [0, 1] with n=512, t = 3.35e-248 has mass 0, and the shift pairing
+    inherits the error: point_projection_norm_sq(wiener, t1, const1) = t1 is
+    off by 6.3e-8 relative at t1 = 1e-20.  A time in the last cell, and
+    t = T (alpha = beta = 1), use the cells n-2 and n-1, so p <= n-2.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-12) or np.any(t > grid.T + 1e-12):
@@ -247,16 +255,7 @@ class KernelOperator:
         return cls(grid, kernel(nodes[:, None], nodes[None, :]) * grid.weight)
 
 
-def apply_operator(K: KernelOperator, f: GridFunction) -> GridFunction:
-    """(Kf)(node_i) = sum_j matrix(i,j) f(node_j)."""
-    if K.grid != f.grid:
-        raise GridMismatchError("operator and function live on different grids")
-    if f.aux_dim != 0:
-        raise GridMismatchError("kernel operators act on grid-only functions")
-    return GridFunction(K.grid, K.matrix @ f.values)
-
-
-def operator_norm(K: KernelOperator, tol: float = 1e-8, max_iter: int = 200) -> float:
+def operator_norm(K: KernelOperator) -> float:
     """Largest singular value via power iteration on K*K.
 
     Deterministic start vector (normalized constant); relative tolerance on
@@ -265,13 +264,13 @@ def operator_norm(K: KernelOperator, tol: float = 1e-8, max_iter: int = 200) -> 
     M = K.matrix
     v = np.ones(K.grid.n) / math.sqrt(K.grid.n)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         u = M.T @ (M @ v)
         new = float(np.linalg.norm(u))
         if new == 0.0:
             return 0.0
         v = u / new
-        if abs(new - lam) <= tol * new:
+        if abs(new - lam) <= _POWER_TOL * new:
             lam = new
             break
         lam = new
@@ -329,22 +328,11 @@ def parse_function(spec: str, grid: Grid, aux_dim: int = 0) -> GridFunction:
         raise ValidationError(f"unknown function name or unreadable file '{spec}'") from exc
 
 
-def write_grid_function(f: GridFunction, fh) -> None:
-    """CSV with header node,value; aux coordinates in a trailing aux,value block."""
-    writer = csv.writer(fh)
-    writer.writerow(["node", "value"])
-    for x, v in zip(f.grid.nodes, f.values):
-        writer.writerow([repr(float(x)), repr(float(v))])
-    if f.aux_dim:
-        writer.writerow(["aux", "value"])
-        for i, v in enumerate(f.aux):
-            writer.writerow([i, repr(float(v))])
-
-
 def read_grid_function(grid: Grid, fh) -> GridFunction:
-    """Read the CSV format written by write_grid_function."""
-    if isinstance(fh, str):
-        fh = io.StringIO(fh)
+    """Read a grid function from an open CSV file: a node,value header, n rows
+    node,value in grid order (nodes are not matched to the grid), then optionally
+    a row starting with aux and index,value rows of the aux coordinates.
+    Blank rows are skipped."""
     reader = csv.reader(fh)
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:2]] != ["node", "value"]:

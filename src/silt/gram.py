@@ -95,21 +95,6 @@ def projection_norm_sq(dec: GramDecomposition, h: GridFunction) -> float:
     return float(np.sum(dec.ortho_coeffs(h) ** 2))
 
 
-def subset_projection_norm_sq(dec: GramDecomposition, M, h: GridFunction) -> float:
-    """||P_M h||^2 = sum over i in M of (h, orthonormalized dg(t_i))^2.
-
-    Indices in M are 1-based, matching the increment labels 1..k-1.
-    """
-    k1 = dec.tt.k - 1
-    M = sorted(set(int(i) for i in M))
-    if any(i < 1 or i > k1 for i in M):
-        raise ValidationError(f"subset {M} out of range 1..{k1}")
-    if not M:
-        return 0.0
-    c = dec.ortho_coeffs(h)
-    return float(sum(c[i - 1] ** 2 for i in M))
-
-
 def single_interval_projection(
     model: ProcessModel, t_lo: float, t_hi: float, h: GridFunction
 ) -> float:

@@ -21,7 +21,8 @@ from .function_space import GridFunction
 from .gram import TimeTuple, batch_cholesky, batch_decompose, batch_ortho_coeffs
 from .process_models import ProcessModel
 
-DEFAULT_SCAN_TOL = 0.05
+# a scan reaches its limit when its last ratio is within SCAN_TOL of 1
+SCAN_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,6 @@ def slnd_scan(
     base_tt: TimeTuple,
     M: Iterable[int],
     gap_sequence: Sequence[float],
-    tol: float = DEFAULT_SCAN_TOL,
 ) -> SLNDReport:
     """Shrink the M-indexed gaps toward their left endpoints and record ratios."""
     M = sorted(set(int(i) for i in M))
@@ -98,7 +98,7 @@ def slnd_scan(
             )
         tt = TimeTuple(times, min_gap=min(g / 2, 1e-9))
         ratios.append(slnd_ratio(model, tt, M))
-    limit = abs(ratios[-1] - 1.0) < tol
+    limit = abs(ratios[-1] - 1.0) < SCAN_TOL
     return SLNDReport(tuple(gap_sequence), tuple(ratios), limit)
 
 
@@ -118,11 +118,10 @@ def berman_scan(
     t1: float,
     m: int,
     window_sequence: Sequence[float],
-    tol: float = DEFAULT_SCAN_TOL,
 ) -> SLNDReport:
     """Berman statistic for m equispaced points in a shrinking window after t_1.
 
-    ``passes at tolerance tol`` means the statistic is within tol of its
+    ``limit_reached`` means the statistic is within SCAN_TOL of its
     limit 1 at the smallest window; the infimum over all tuples in Berman's
     definition is not computable and is not claimed.
     """
@@ -136,7 +135,7 @@ def berman_scan(
             raise ValidationError("window leaves the model interval")
         tt = TimeTuple(times, min_gap=min(wdw / (2 * m), 1e-9))
         stats.append(berman_stat(model, tt))
-    limit = abs(stats[-1] - 1.0) < tol
+    limit = abs(stats[-1] - 1.0) < SCAN_TOL
     return SLNDReport(tuple(window_sequence), tuple(stats), limit)
 
 

@@ -18,9 +18,10 @@ g(a) and g(b) never enters a difference.
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import math
 import warnings
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Tuple
 
@@ -240,19 +241,6 @@ def sturm_liouville_operator(grid: Grid) -> KernelOperator:
     return KernelOperator.from_kernel(grid, kernel)
 
 
-def sturm_liouville_green(grid: Grid) -> KernelOperator:
-    """Green operator of u'' + u = f, u(0) = u(pi/2) = 0 (symmetric kernel)."""
-    if abs(grid.T - math.pi / 2) > _SL_ENDPOINT_TOL:
-        raise ValidationError(
-            f"Green operator needs the interval [0, pi/2], got T={grid.T}"
-        )
-
-    def kernel(t, s):
-        return np.where(s < t, -np.cos(t) * np.sin(s), -np.sin(t) * np.cos(s))
-
-    return KernelOperator.from_kernel(grid, kernel)
-
-
 def sl_factor_correction(grid: Grid, ts: np.ndarray) -> np.ndarray:
     """(S 1I_[0,t]) evaluated in closed form on the grid nodes, shape (B, n)."""
     u = grid.nodes[None, :]
@@ -416,21 +404,13 @@ def counterexample_model(grid: Grid) -> ProcessModel:
     return ProcessModel("counterexample", grid, 1, values, extra, inner_, pairing)
 
 
-def covariance(model: ProcessModel, s: float, t: float) -> float:
-    """Cov(x(s), x(t)) per planar coordinate = (g(s), g(t))."""
-    return float(model.covariance(s, t))
-
-
 def load_kernel_csv(grid: Grid, path: str) -> KernelOperator:
     """Kernel CSV: rows s,u,value on grid nodes; missing entries are zero."""
     nodes = grid.nodes
     w = grid.weight
     M = np.zeros((grid.n, grid.n))
     with open(path, newline="") as fh:
-        import csv as _csv
-
-        reader = _csv.reader(fh)
-        for row in reader:
+        for row in csv.reader(fh):
             if not row or row[0].strip() in ("s", ""):
                 continue
             try:

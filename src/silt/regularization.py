@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .function_space import GridFunction, Grid, inner
+from .function_space import Grid, GridFunction, KernelOperator, inner, make_grid, operator_norm
 from .gram import TimeTuple, batch_decompose, batch_ortho_coeffs, single_interval_projection
 from .process_models import ProcessModel, wiener_model
 from .quadrature import gap_lattice, integrate_simplex_level, level_schedule
@@ -27,6 +27,13 @@ from .transform import batch_fw_limit
 # level-1 cells per gap and in t_1, per k; each level multiplies them by _GRADING
 _BASE_CELLS = {2: 12.0, 3: 4.0, 4: 1.6}
 _GRADING = 2.0
+# lattice sizes of the Schur-test checks, and truncation and lattice of the
+# iterated-product bound check
+_SCHUR_CELLS = 4096
+_SCHUR_KERNEL_CELLS = 512
+_ITERATED_MIN_GAP = 1e-6
+_ITERATED_GAP_CELLS = 192
+_ITERATED_T_CELLS = 128
 
 
 def default_min_gap(grid: Grid) -> float:
@@ -214,9 +221,7 @@ def _norm_sq_on(h: GridFunction, a: float) -> float:
     return float(np.sum(h.values**2 * cover) * w)
 
 
-def schur_bound_check(
-    h: GridFunction, a: float = 0.0, cells: int = 4096
-) -> Tuple[float, float, bool]:
+def schur_bound_check(h: GridFunction, a: float = 0.0) -> Tuple[float, float, bool]:
     """Check int_a^T (int_a^t h)^2 / (t-a)^2 dt <= 8 ||h||^2 on [a, T].
 
     The left side is integrated on a logarithmically graded lattice toward
@@ -228,7 +233,7 @@ def schur_bound_check(
     if not a < T:
         raise ValidationError(f"left endpoint a={a} must be below T={T}")
     edges, cum = _cumulative(h)
-    x, wts = gap_lattice(T - a, 2, (T - a) * 1e-10, cells, closure=True)
+    x, wts = gap_lattice(T - a, 2, (T - a) * 1e-10, _SCHUR_CELLS, closure=True)
     x = x[:, 0]                                # t - a, log-graded
     H = np.interp(a + x, edges, cum) - np.interp(a, edges, cum)
     lhs = float(np.sum((H / x) ** 2 * wts))
@@ -236,11 +241,9 @@ def schur_bound_check(
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-6)
 
 
-def schur_kernel_norm(a: float = 0.0, T: float = 1.0, cells: int = 512) -> float:
+def schur_kernel_norm(a: float = 0.0, T: float = 1.0) -> float:
     """Power-iteration norm of the discretized kernel 1/(s2-a) on {s2 > s1}."""
-    from .function_space import KernelOperator, make_grid, operator_norm
-
-    grid = make_grid(T - a, cells)
+    grid = make_grid(T - a, _SCHUR_KERNEL_CELLS)
 
     def kernel(s1, s2):
         return np.where(s2 > s1, 1.0 / s2, 0.0)
@@ -248,17 +251,11 @@ def schur_kernel_norm(a: float = 0.0, T: float = 1.0, cells: int = 512) -> float
     return operator_norm(KernelOperator.from_kernel(grid, kernel))
 
 
-def iterated_bound_check(
-    h: GridFunction,
-    k: int,
-    min_gap: float = 1e-6,
-    gap_cells: int = 192,
-    t_cells: int = 128,
-) -> Tuple[float, float, bool]:
+def iterated_bound_check(h: GridFunction, k: int) -> Tuple[float, float, bool]:
     """Compare the iterated-product integral against (8 ||h||^2)^{k-1}.
 
     Integrates prod_i (int_{t_i}^{t_{i+1}} h)^2 / gap_i^2 over the simplex
-    truncated at min_gap (the integral is monotone in the truncation).
+    truncated at _ITERATED_MIN_GAP (the integral is monotone in the truncation).
     """
     if k not in (2, 3):
         raise ValidationError(f"iterated bound check supports k in {{2, 3}}, got {k}")
@@ -277,6 +274,7 @@ def iterated_bound_check(
         return np.prod((dH / g) ** 2, axis=1)
 
     val = integrate_simplex_level(
-        h.grid.T, k, integrand, min_gap, gap_cells, t_cells, closure=False
+        h.grid.T, k, integrand, _ITERATED_MIN_GAP, _ITERATED_GAP_CELLS, _ITERATED_T_CELLS,
+        closure=False,
     )
     return float(val), bound, val <= bound * (1.0 + 1e-6)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -195,3 +196,108 @@ def test_selftest_passes(capsys):
     code, out, err = run(capsys, "selftest")
     assert code == 0
     assert "selftest checks passed" in out
+
+
+# one row per run setting: INI section and key, config field, INI value and the
+# value it gives, flag, flag value and the value it gives, and a value the
+# setting's converter rejects (None for text settings, which take any string)
+SETTINGS = [
+    ("grid", "T", "T", "2.0", 2.0, "--grid-T", "1.5", 1.5, "abc"),
+    ("grid", "n", "n", "64", 64, "--grid-n", "32", 32, "1.5"),
+    ("model", "spec", "model", "counterexample", "counterexample", "--model", "wiener", "wiener", None),
+    ("run", "seed", "seed", "7", 7, "--seed", "9", 9, "x"),
+    ("run", "normalization", "normalization", "analytic", "analytic",
+     "--normalization", "paper", "paper", None),
+    ("run", "levels", "levels", "3", 3, "--levels", "4", 4, "two"),
+    ("run", "min_gap", "min_gap", "0.05", 0.05, "--min-gap", "0.01", 0.01, "small"),
+    ("run", "out", "out", "ini.json", "ini.json", "--out", "flag.json", "flag.json", None),
+]
+GRAM = ("gram", "--times", "0.2,0.5,0.9")
+
+
+def _setting_value(capsys, tmp_path, attr, *argv):
+    """The value of one setting in the effective configuration of a gram run."""
+    code, out, err = run(capsys, *GRAM, *argv)
+    assert code == 0, err
+    if attr != "out":
+        return json.loads(out)["config"][attr]
+    assert out == ""
+    (written,) = tmp_path.glob("*.json")
+    written.unlink()
+    return written.name
+
+
+@pytest.mark.parametrize("row", SETTINGS, ids=[f"{r[0]}.{r[1]}" for r in SETTINGS])
+def test_every_config_setting(tmp_path, capsys, monkeypatch, row):
+    section, key, attr, ini, ini_value, flag, flag_arg, flag_value, bad = row
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{key} = {ini}\n")
+    assert _setting_value(capsys, tmp_path, attr, "--config", str(cfg)) == ini_value
+    assert _setting_value(capsys, tmp_path, attr, "--config", str(cfg), flag, flag_arg) == flag_value
+    # keys are case-insensitive
+    cfg.write_text(f"[{section}]\n{key.swapcase()} = {ini}\n")
+    assert _setting_value(capsys, tmp_path, attr, "--config", str(cfg)) == ini_value
+    # section names are not
+    cfg.write_text(f"[{section.upper()}]\n{key} = {ini}\n")
+    code, out, err = run(capsys, *GRAM, "--config", str(cfg))
+    assert code == 2
+    assert f"unknown config key '{key.lower()}' in section [{section.upper()}]" in err
+    if bad is not None:
+        cfg.write_text(f"[{section}]\n{key} = {bad}\n")
+        code, out, err = run(capsys, *GRAM, "--config", str(cfg))
+        assert code == 2
+        assert f"validation error: bad value '{bad}' for {section}.{key.lower()} in" in err
+
+
+def run_csv(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == f"# silt {silt.__version__}"
+    assert lines[1].startswith("# config {")
+    return lines[2], [[float(x) for x in line.split(",")] for line in lines[3:]]
+
+
+def test_berman_stat_and_scan(capsys):
+    doc = run_json(capsys, "berman", "--times", "0.3,0.5,0.7")
+    assert set(doc) == {"tool", "version", "config", "result"}
+    assert set(doc["result"]) == {"stat"}
+    assert 0.0 < doc["result"]["stat"] <= 1.0
+    header, rows = run_csv(capsys, "berman", "--times", "0.3,0.5,0.7", "--scan", "0.01,0.001")
+    assert header == "gap,value"
+    assert [r[0] for r in rows] == [0.01, 0.001]
+    assert all(0.0 < r[1] <= 1.0 for r in rows)
+
+
+def test_slnd_scan(capsys):
+    header, rows = run_csv(
+        capsys, "slnd", "--times", "0.2,0.5,0.9", "--subset", "1", "--scan", "0.05,0.01"
+    )
+    assert header == "gap,value"
+    assert [r[0] for r in rows] == [0.05, 0.01]
+    # Wiener increments are independent: the ratio is 1 at gaps of several cells
+    assert all(r[1] == pytest.approx(1.0, abs=1e-12) for r in rows)
+
+
+@pytest.mark.parametrize("point", [False, True])
+def test_pdecay_both_modes(capsys, point):
+    argv = ["pdecay", "--t1", "0.3", "--t2", "0.5", "--h", "const1"] + ["--point"] * point
+    header, rows = run_csv(capsys, *argv)
+    assert header == "gap,value"
+    assert len(rows) == 1
+    assert rows[0][0] == pytest.approx(0.2, abs=1e-15)
+    # Wiener, h = 1: |(1, dg)| / ||dg|| = sqrt(t2 - t1), and sqrt(t1) on g(t1)
+    assert rows[0][1] == pytest.approx(math.sqrt(0.3 if point else 0.2), rel=1e-12)
+
+
+def test_transform_mc(capsys):
+    doc = run_json(
+        capsys, "transform", "--times", "0.3,0.8", "--h1", "sin:1", "--h2", "zero",
+        "--mc", "20000", "--seed", "3",
+    )
+    result = doc["result"]
+    assert set(result) == {"convention", "value", "stderr", "eps", "mode", "wiener_form"}
+    assert result["mode"] == "mc" and result["eps"] == 0.5 and result["convention"] == "paper"
+    assert doc["config"]["seed"] == 3
+    assert result["stderr"] > 0.0

@@ -15,7 +15,6 @@ from silt import (
     projection_norm_sq,
     single_interval_projection,
     sturm_liouville_model,
-    subset_projection_norm_sq,
     wiener_model,
 )
 from silt.cli import main
@@ -79,19 +78,6 @@ def test_identity_quadratic_form_equals_projection():
         assert projection_norm_sq(dec, h) == pytest.approx(quad, abs=1e-10)
 
 
-def test_projection_monotone_in_subset():
-    grid = make_grid(1.0, 512)
-    dec = decompose(wiener_model(grid), TimeTuple([0.1, 0.3, 0.6, 0.95]))
-    h = parse_function("hat:0.5:0.4", grid)
-    full = projection_norm_sq(dec, h)
-    p1 = subset_projection_norm_sq(dec, {1}, h)
-    p12 = subset_projection_norm_sq(dec, {1, 2}, h)
-    assert 0.0 <= p1 <= p12 <= full + 1e-12
-    assert subset_projection_norm_sq(dec, {1, 2, 3}, h) == pytest.approx(full)
-    assert subset_projection_norm_sq(dec, [], h) == 0.0
-    assert full <= h.norm_sq() + 1e-12
-
-
 def test_projection_hadamard_inequality():
     # Gamma <= product of squared increment norms (diagonal of A)
     grid = make_grid(1.0, 512)
@@ -108,16 +94,6 @@ def test_degenerate_tuple_raises_with_gap_location():
     m = wiener_model(grid)
     with pytest.raises(DegenerateConfigurationError, match="gap"):
         decompose(m, TimeTuple([0.5, 0.5 + 1e-14, 0.9], min_gap=1e-15))
-
-
-def test_subset_validation():
-    grid = make_grid(1.0, 128)
-    dec = decompose(wiener_model(grid), TimeTuple([0.2, 0.5, 0.9]))
-    h = parse_function("const1", grid)
-    with pytest.raises(ValidationError):
-        subset_projection_norm_sq(dec, {0}, h)
-    with pytest.raises(ValidationError):
-        subset_projection_norm_sq(dec, {3}, h)
 
 
 def test_single_interval_projection_wiener():

@@ -6,18 +6,16 @@ import pytest
 from silt import (
     ValidationError,
     counterexample_model,
-    covariance,
     inner,
     make_grid,
     operator_norm,
     parse_model,
     perturbed_model,
-    sturm_liouville_green,
     sturm_liouville_model,
     sturm_liouville_operator,
     wiener_model,
 )
-from silt.function_space import GridFunction, KernelOperator, apply_operator, indicator
+from silt.function_space import KernelOperator, indicator
 from silt.process_models import sl_factor_correction
 
 
@@ -25,7 +23,7 @@ def test_wiener_covariance_is_min():
     grid = make_grid(1.0, 512)
     m = wiener_model(grid)
     for s, t in [(0.2, 0.9), (0.5, 0.5), (0.7, 0.3)]:
-        assert covariance(m, s, t) == pytest.approx(min(s, t), abs=1e-12)
+        assert float(m.covariance(s, t)) == pytest.approx(min(s, t), abs=1e-12)
 
 
 def test_sl_kernel_point_value():
@@ -41,10 +39,10 @@ def test_sl_operator_action_on_indicator_matches_closed_form():
     grid = make_grid(math.pi / 2, 2000)
     S = sturm_liouville_operator(grid)
     t = 0.8
-    out = apply_operator(S, indicator(grid, t))
+    out = S.matrix @ indicator(grid, t).values
     exact = sl_factor_correction(grid, np.array([t]))[0]
     # midpoint-rule error of a piecewise-smooth kernel
-    assert np.max(np.abs(out.values - exact)) < 5e-4
+    assert np.max(np.abs(out - exact)) < 5e-4
 
 
 def test_sl_operator_norm_below_one():
@@ -52,27 +50,6 @@ def test_sl_operator_norm_below_one():
     n1000 = operator_norm(sturm_liouville_operator(make_grid(math.pi / 2, 1000)))
     assert n500 < 1.0 and n1000 < 1.0
     assert abs(n500 - n1000) < 1e-3
-
-
-def test_green_operator_solves_boundary_value_problem():
-    # v = G f solves v'' + v = f with v(0) = v(pi/2) = 0
-    grid = make_grid(math.pi / 2, 4000)
-    G = sturm_liouville_green(grid)
-    f = GridFunction(grid, np.cos(3.0 * grid.nodes))
-    v = apply_operator(G, f).values
-    w = grid.weight
-    second = (v[2:] - 2 * v[1:-1] + v[:-2]) / w**2
-    resid = second + v[1:-1] - f.values[1:-1]
-    assert np.max(np.abs(resid)) < 5e-3
-    # boundary values (extrapolated to the endpoints)
-    assert abs(1.5 * v[0] - 0.5 * v[1]) < 1e-3
-    assert abs(1.5 * v[-1] - 0.5 * v[-2]) < 1e-3
-
-
-def test_green_kernel_is_symmetric():
-    grid = make_grid(math.pi / 2, 128)
-    M = sturm_liouville_green(grid).matrix
-    assert np.allclose(M, M.T, atol=1e-14)
 
 
 def test_perturbed_with_zero_kernel_equals_wiener():
@@ -113,7 +90,7 @@ def test_counterexample_covariance_and_increments():
     m = counterexample_model(grid)
     # Cov x(s) x(t) = min(s,t) + sqrt(st)
     for s, t in [(0.2, 0.8), (0.5, 0.5)]:
-        assert covariance(m, s, t) == pytest.approx(
+        assert float(m.covariance(s, t)) == pytest.approx(
             min(s, t) + math.sqrt(s * t), abs=1e-10
         )
     # normalized-increment correlation of x(t) = w(t) + sqrt(t) xi:

@@ -37,7 +37,6 @@ from silt import (
     regularized_integrand,
     slnd_ratio,
     sturm_liouville_model,
-    subset_projection_norm_sq,
     wiener_model,
 )
 from silt import function_space, gram, process_models, regularization, transform
@@ -359,7 +358,6 @@ def test_scalar_route_builds_no_factor_rows(no_dense_rows):
         values = [
             dec.gamma,
             projection_norm_sq(dec, h),
-            subset_projection_norm_sq(dec, {1}, h),
             fw_limit(pt),
             fw_eps(pt, 0.1),
             regularized_integrand(model, tt, h, h),
