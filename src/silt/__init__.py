@@ -25,7 +25,6 @@ from .gram import (
     TimeTuple,
     decompose,
     projection_norm_sq,
-    single_interval_projection,
 )
 from .nondeterminism import (
     SLNDReport,

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateConfigurationError, SiltError, ValidationError
+from .errors import SiltError, ValidationError
 from .function_space import inner, make_grid, parse_function
 from .gram import TimeTuple, decompose, projection_norm_sq
 from .nondeterminism import (
@@ -105,7 +105,11 @@ def load_config(path: str) -> RunConfig:
                     f"unknown config key '{key}' in section [{section}] of '{path}'"
                 )
             try:
-                setattr(cfg, f.name, f.metadata["conv"](raw))
+                value = f.metadata["conv"](raw)
+                choices = f.metadata["arg"].get("choices")
+                if choices is not None and value not in choices:
+                    raise ValueError(raw)
+                setattr(cfg, f.name, value)
             except ValueError as exc:
                 raise ValidationError(
                     f"bad value '{raw}' for {section}.{key} in '{path}'"
@@ -151,8 +155,11 @@ def _emit_csv(cfg: RunConfig, header: Sequence[str], rows: Sequence[Sequence]) -
 
 def _write(out: Optional[str], text: str) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output file '{out}': {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -221,7 +228,12 @@ def _cmd_regularize(cfg: RunConfig, args) -> int:
             "converged": rv.converged,
         },
     )
-    return 0 if rv.converged else 3
+    if not rv.converged:
+        diff, bound = abs(np.diff(rv.level_estimates)[-1]), spec.tol * (1.0 + abs(rv.value))
+        raise SiltError(
+            f"not converged: last level difference {diff:.3e} > tol*(1+|value|) = {bound:.3e}"
+        )
+    return 0
 
 
 def _cmd_diverge(cfg: RunConfig, args) -> int:
@@ -239,7 +251,9 @@ def _cmd_schur(cfg: RunConfig, args) -> int:
     h = parse_function(args.h, grid)
     lhs, rhs, ok = schur_bound_check(h, args.a)
     _emit_json(cfg, {"lhs": lhs, "rhs": rhs, "pass": ok})
-    return 0 if ok else 3
+    if not ok:
+        raise SiltError(f"Schur bound check failed: lhs {lhs!r} > rhs {rhs!r}")
+    return 0
 
 
 def _cmd_slnd(cfg: RunConfig, args) -> int:
@@ -412,11 +426,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidationError as exc:
         print(f"silt: validation error: {exc}", file=sys.stderr)
         return 2
-    except DegenerateConfigurationError as exc:
-        print(f"silt: numerical failure: {exc}", file=sys.stderr)
-        return 3
     except SiltError as exc:
-        print(f"silt: error: {exc}", file=sys.stderr)
+        print(f"silt: numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

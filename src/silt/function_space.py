@@ -165,12 +165,8 @@ def indicator_values(grid: Grid, t) -> np.ndarray:
 
     Built from ``indicator_params``: norm^2 = t exactly.
     """
-    p, alpha, beta = indicator_params(grid, np.atleast_1d(t))
-    V = (np.arange(grid.n)[None, :] < p[:, None]).astype(float)
-    rows = np.arange(p.shape[0])
-    V[rows, p] = alpha
-    V[rows, p + 1] = beta
-    return V
+    p, alpha, beta = (x[:, None] for x in indicator_params(grid, np.atleast_1d(t)))
+    return _indicator_cells(np.arange(grid.n), p, alpha, beta)
 
 
 @dataclass(frozen=True)

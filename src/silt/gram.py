@@ -3,9 +3,9 @@
 One kernel, ``batch_decompose``, builds the Gram matrices of a batch of time
 tuples from the models' structured increments and factors them with
 ``batch_cholesky``, the one conditioning check of the package; ``decompose``
-is its B=1 call.  Every other factorization (SLND and Berman ratios,
-single-increment projections, the eps-smoothed transform) goes through
-``batch_cholesky`` too.  Projections on the increment span are forward
+is its B=1 call.  Every other factorization (SLND and Berman ratios, the
+eps-smoothed transform) goes through ``batch_cholesky`` too.  Projections on
+the increment span, batched in ``batch_projections``, are forward
 substitutions of the shift coefficients through the Cholesky factor.
 """
 
@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateConfigurationError, ValidationError
-from .function_space import GridFunction, inner
+from .function_space import GridFunction, indicator, inner
 from .process_models import Increments, ProcessModel
 
 COND_CUTOFF = 1e12
@@ -40,7 +40,7 @@ class TimeTuple:
             raise ValidationError(f"times must be finite, got {times}")
         if min_gap <= 0:
             raise ValidationError("min_gap must be positive")
-        gaps = np.diff(times)
+        gaps = np.diff(np.asarray(times, dtype=float))
         if np.any(gaps < min_gap):
             i = int(np.argmin(gaps))
             raise ValidationError(
@@ -58,6 +58,31 @@ class TimeTuple:
     @property
     def gaps(self) -> np.ndarray:
         return np.diff(np.asarray(self.times))
+
+
+def decreasing_values(values: Sequence[float], what: str) -> List[float]:
+    """A scan or probe sequence as floats, checked nonempty, finite, positive and
+    strictly decreasing; the error names ``what`` and the values."""
+    v = [float(x) for x in values]
+    decreasing = all(a > b for a, b in zip(v, v[1:]))
+    if not (v and decreasing and all(math.isfinite(x) and x > 0 for x in v)):
+        raise ValidationError(
+            f"{what} must be finite, positive and strictly decreasing, got {tuple(v)}"
+        )
+    return v
+
+
+def gap_scan_tuple(times: Sequence[float], indices: Sequence[int], gap: float, T: float):
+    """``times`` with the gaps at the 1-based ``indices`` set to ``gap`` and the
+    later times shifted to keep the other gaps; it must stay inside [0, T]."""
+    gaps = np.diff(np.asarray(times, dtype=float))
+    if not all(1 <= i <= len(gaps) for i in indices):
+        raise ValidationError(f"gap indices {list(indices)} out of range 1..{len(gaps)}")
+    gaps[np.asarray(indices, dtype=int) - 1] = gap
+    times = np.concatenate([[times[0]], times[0] + np.cumsum(gaps)])
+    if times[-1] > T + 1e-12:
+        raise ValidationError(f"scanned tuple at gap {gap} leaves the interval [0, {T}]")
+    return TimeTuple(times, min_gap=min(gap / 2, 1e-9))
 
 
 @dataclass(frozen=True)
@@ -95,19 +120,17 @@ def projection_norm_sq(dec: GramDecomposition, h: GridFunction) -> float:
     return float(np.sum(dec.ortho_coeffs(h) ** 2))
 
 
-def single_interval_projection(
-    model: ProcessModel, t_lo: float, t_hi: float, h: GridFunction
-) -> float:
-    """||P_{[t_lo, t_hi]} h||^2 = (h, dg)^2 / ||dg||^2 for one increment."""
-    if not t_lo < t_hi:
-        raise ValidationError("interval endpoints must be increasing")
-    dg = model.factor(t_hi) - model.factor(t_lo)
-    nsq = dg.norm_sq()
-    if nsq <= 0:
-        raise DegenerateConfigurationError(
-            f"zero-norm increment on [{t_lo}, {t_hi}]"
-        )
-    return inner(h, dg) ** 2 / nsq
+def wiener_projections(tt: TimeTuple, *hs: GridFunction) -> np.ndarray:
+    """(h, dg)^2 / ||dg||^2 for each Wiener increment dg = 1I_[0,t_{i+1}] - 1I_[0,t_i] and
+    shift h, shape (k-1, len(hs)): the Wiener oracle, from dense indicator rows alone."""
+    out = []
+    for lo, hi in zip(tt.times[:-1], tt.times[1:]):
+        dg = indicator(hs[0].grid, hi) - indicator(hs[0].grid, lo)
+        nsq = dg.norm_sq()
+        if nsq <= 0:
+            raise DegenerateConfigurationError(f"zero-norm increment on [{lo}, {hi}]")
+        out.append([inner(h, dg) ** 2 / nsq for h in hs])
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +150,18 @@ def batch_decompose(model: ProcessModel, times: np.ndarray):
     A = model.increment_gram(inc)
     L, gamma = batch_cholesky(A, times)
     return inc, A, L, gamma
+
+
+def batch_projections(model: ProcessModel, *hs: GridFunction):
+    """Times (B, k) -> (gamma (B,), [y_h (B, k-1)]): each shift's coefficients on the
+    orthonormalized increments, ||P h||^2 = sum y_h^2, from pairings built once."""
+    pairs = [model.pairing(h) for h in hs]
+
+    def f(times: np.ndarray):
+        inc, _, L, gamma = batch_decompose(model, times)
+        return gamma, [batch_ortho_coeffs(L, pair(inc)) for pair in pairs]
+
+    return f
 
 
 def batch_cholesky(A: np.ndarray, times: np.ndarray):

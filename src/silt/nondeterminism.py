@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .function_space import GridFunction
-from .gram import TimeTuple, batch_cholesky, batch_decompose, batch_ortho_coeffs
+from .gram import TimeTuple, batch_cholesky, batch_projections, decreasing_values, gap_scan_tuple
 from .process_models import ProcessModel
 
 # a scan reaches its limit when its last ratio is within SCAN_TOL of 1
@@ -68,16 +68,6 @@ def slnd_ratio(model: ProcessModel, tt: TimeTuple, M: Iterable[int]) -> float:
     return float(np.prod(np.diag(L[0])[k1 - len(M):]) ** 2)
 
 
-def _scan_times(base_tt: TimeTuple, M: Sequence[int], gap: float) -> np.ndarray:
-    base_gaps = np.diff(np.asarray(base_tt.times))
-    new_gaps = base_gaps.copy()
-    for i in M:
-        new_gaps[i - 1] = gap
-    return np.concatenate(
-        [[base_tt.times[0]], base_tt.times[0] + np.cumsum(new_gaps)]
-    )
-
-
 def slnd_scan(
     model: ProcessModel,
     base_tt: TimeTuple,
@@ -86,18 +76,11 @@ def slnd_scan(
 ) -> SLNDReport:
     """Shrink the M-indexed gaps toward their left endpoints and record ratios."""
     M = sorted(set(int(i) for i in M))
-    gap_sequence = [float(g) for g in gap_sequence]
-    if any(g2 >= g1 for g1, g2 in zip(gap_sequence, gap_sequence[1:])):
-        raise ValidationError("gap sequence must be strictly decreasing")
-    ratios = []
-    for g in gap_sequence:
-        times = _scan_times(base_tt, M, g)
-        if times[-1] > model.grid.T + 1e-12:
-            raise ValidationError(
-                f"scanned tuple at gap {g} leaves the interval [0, {model.grid.T}]"
-            )
-        tt = TimeTuple(times, min_gap=min(g / 2, 1e-9))
-        ratios.append(slnd_ratio(model, tt, M))
+    gap_sequence = decreasing_values(gap_sequence, "scan gaps")
+    ratios = [
+        slnd_ratio(model, gap_scan_tuple(base_tt.times, M, g, model.grid.T), M)
+        for g in gap_sequence
+    ]
     limit = abs(ratios[-1] - 1.0) < SCAN_TOL
     return SLNDReport(tuple(gap_sequence), tuple(ratios), limit)
 
@@ -125,24 +108,21 @@ def berman_scan(
     limit 1 at the smallest window; the infimum over all tuples in Berman's
     definition is not computable and is not claimed.
     """
-    window_sequence = [float(wdw) for wdw in window_sequence]
-    if any(w2 >= w1 for w1, w2 in zip(window_sequence, window_sequence[1:])):
-        raise ValidationError("window sequence must be strictly decreasing")
+    window_sequence = decreasing_values(window_sequence, "scan windows")
     stats = []
     for wdw in window_sequence:
         times = t1 + np.linspace(0.0, wdw, m)
         if times[-1] > model.grid.T + 1e-12:
-            raise ValidationError("window leaves the model interval")
-        tt = TimeTuple(times, min_gap=min(wdw / (2 * m), 1e-9))
-        stats.append(berman_stat(model, tt))
+            raise ValidationError(f"window {wdw} leaves the interval [0, {model.grid.T}]")
+        stats.append(berman_stat(model, TimeTuple(times, min_gap=min(wdw / (2 * m), 1e-9))))
     limit = abs(stats[-1] - 1.0) < SCAN_TOL
     return SLNDReport(tuple(window_sequence), tuple(stats), limit)
 
 
 def _projection_sq(model: ProcessModel, a: float, b: float, h: GridFunction) -> float:
     """(h, dg)^2 / ||dg||^2 for the increment dg = g(b) - g(a)."""
-    inc, _, L, _ = batch_decompose(model, np.array([[a, b]], dtype=float))
-    return float(batch_ortho_coeffs(L, model.pairing(h)(inc))[0, 0] ** 2)
+    _, (y,) = batch_projections(model, h)(np.array([[a, b]], dtype=float))
+    return float(y[0, 0] ** 2)
 
 
 def projection_decay(

@@ -10,10 +10,10 @@ primitives (``increments``, ``increment_gram``, ``pairing`` and
 two-cell parameters of the indicators and O(n) prefix sums built once per
 model or shift; every Gram matrix, projection and ratio the package
 computes comes from them.  ``factor_values`` builds the dense grid rows of
-g(t); only the Monte Carlo sampler, the Wiener oracles, ``silt selftest``
-and the tests use them.  The structured primitives are computed on increments g(b) - g(a),
-the quantities the Gram matrices need, so that the large common part of
-g(a) and g(b) never enters a difference.
+g(t); only the Monte Carlo sampler, ``silt selftest`` and the tests use them.
+The structured primitives are computed on increments g(b) - g(a), the
+quantities the Gram matrices need, so that the large common part of g(a) and
+g(b) never enters a difference.
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ class ProcessModel:
     def factor_values(self, times) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized factor map: (B,) times -> grid values (B,n), aux (B,m)."""
         return self._values(self._times(np.atleast_1d(times)))
-
-    def factor(self, t: float) -> GridFunction:
-        V, X = self.factor_values([t])
-        return GridFunction(self.grid, V[0], X[0])
 
     def embedded_factors(self, times) -> np.ndarray:
         """Euclidean embeddings of g(t) for an array of times, shape (B, n+m)."""

@@ -19,8 +19,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .function_space import Grid, GridFunction, KernelOperator, inner, make_grid, operator_norm
-from .gram import TimeTuple, batch_decompose, batch_ortho_coeffs, single_interval_projection
-from .process_models import ProcessModel, wiener_model
+from .gram import (
+    TimeTuple,
+    batch_projections,
+    decreasing_values,
+    gap_scan_tuple,
+    wiener_projections,
+)
+from .process_models import ProcessModel
 from .quadrature import gap_lattice, integrate_simplex_level, level_schedule
 from .transform import batch_fw_limit
 
@@ -69,14 +75,10 @@ class RegularizedValue:
 
 def product_form_wiener(tt: TimeTuple, h1: GridFunction, h2: GridFunction) -> float:
     """Factorized Wiener form: prod_i (1 - e^{-(per-interval projections)/2}) / prod gaps."""
-    model = wiener_model(h1.grid)
     out = 1.0
-    for lo, hi in zip(tt.times[:-1], tt.times[1:]):
-        p = single_interval_projection(model, lo, hi, h1) + single_interval_projection(
-            model, lo, hi, h2
-        )
-        out *= -math.expm1(-0.5 * p) / (hi - lo)
-    return out
+    for (p1, p2), gap in zip(wiener_projections(tt, h1, h2), tt.gaps):
+        out *= -math.expm1(-0.5 * (p1 + p2)) / gap
+    return float(out)
 
 
 def batch_regularized_integrand(model: ProcessModel, h1: GridFunction, h2: GridFunction):
@@ -90,14 +92,11 @@ def batch_regularized_integrand(model: ProcessModel, h1: GridFunction, h2: GridF
     smaller).  Works from the model's structured primitives; no factor rows
     are built.
     """
-    pair1, pair2 = model.pairing(h1), model.pairing(h2)
+    projections = batch_projections(model, h1, h2)
 
     def f(times: np.ndarray) -> np.ndarray:
-        inc, _, L, gamma = batch_decompose(model, times)
-        q = 0.5 * (
-            batch_ortho_coeffs(L, pair1(inc)) ** 2 + batch_ortho_coeffs(L, pair2(inc)) ** 2
-        )
-        return np.prod(-np.expm1(-q), axis=1) / gamma
+        gamma, (y1, y2) = projections(times)
+        return np.prod(-np.expm1(-0.5 * (y1**2 + y2**2)), axis=1) / gamma
 
     return f
 
@@ -157,11 +156,7 @@ def divergence_probe(
     No diagonal closure: the point is to watch the truncated values grow
     without bound as delta decreases.
     """
-    deltas = [float(d) for d in deltas]
-    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise ValidationError("deltas must be strictly decreasing")
-    if not deltas[-1] > 0:
-        raise ValidationError("deltas must be positive")
+    deltas = decreasing_values(deltas, "deltas")
     integrand = batch_fw_limit(model, h1, h2, normalization)
     out = []
     for d in deltas:
@@ -185,20 +180,9 @@ def integrand_diagonal_scan(
     Gap ``index`` (1-based) of the base tuple is replaced by each value in
     ``gaps``; later times shift to keep the remaining gaps unchanged.
     """
-    base = list(float(t) for t in base_times)
-    base_gaps = np.diff(base)
-    if not 1 <= index <= len(base_gaps):
-        raise ValidationError(f"gap index {index} out of range")
-    out = []
-    for g in gaps:
-        new_gaps = base_gaps.copy()
-        new_gaps[index - 1] = g
-        times = np.concatenate([[base[0]], base[0] + np.cumsum(new_gaps)])
-        if times[-1] > model.grid.T:
-            raise ValidationError("scanned tuple leaves the model interval")
-        tt = TimeTuple(times, min_gap=min(1e-12 + g / 2, 1e-9))
-        out.append((float(g), abs(regularized_integrand(model, tt, h1, h2))))
-    return out
+    gaps = decreasing_values(gaps, "scan gaps")
+    tts = [gap_scan_tuple(base_times, [index], g, model.grid.T) for g in gaps]
+    return [(g, abs(regularized_integrand(model, tt, h1, h2))) for g, tt in zip(gaps, tts)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +225,12 @@ def schur_bound_check(h: GridFunction, a: float = 0.0) -> Tuple[float, float, bo
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-6)
 
 
-def schur_kernel_norm(a: float = 0.0, T: float = 1.0) -> float:
-    """Power-iteration norm of the discretized kernel 1/(s2-a) on {s2 > s1}."""
-    grid = make_grid(T - a, _SCHUR_KERNEL_CELLS)
+def schur_kernel_norm() -> float:
+    """Power-iteration norm of the discretized kernel 1/(s2-a) on {s2 > s1}.
+
+    On every interval [a, T] the matrix is 1/(j + 1/2) for j > i, so [0, 1] serves all.
+    """
+    grid = make_grid(1.0, _SCHUR_KERNEL_CELLS)
 
     def kernel(s1, s2):
         return np.where(s2 > s1, 1.0 / s2, 0.0)

@@ -19,12 +19,12 @@ from .function_space import GridFunction
 from .gram import (
     TimeTuple,
     batch_cholesky,
-    batch_decompose,
     batch_ortho_coeffs,
+    batch_projections,
     decompose,
-    single_interval_projection,
+    wiener_projections,
 )
-from .process_models import ProcessModel, wiener_model
+from .process_models import ProcessModel
 
 NORMALIZATIONS = ("paper", "analytic")
 MC_CHUNK = 1 << 16  # Monte Carlo samples drawn at once: bounds the sampler's memory
@@ -88,13 +88,11 @@ def batch_fw_limit(
     the unregularized integrand, whose simplex integral diverges.  Works from
     the model's structured primitives; no factor rows are built.
     """
-    pair1, pair2 = model.pairing(h1), model.pairing(h2)
+    projections = batch_projections(model, h1, h2)
 
     def f(times: np.ndarray) -> np.ndarray:
-        inc, _, L, gamma = batch_decompose(model, times)
-        proj = (batch_ortho_coeffs(L, pair1(inc)) ** 2).sum(axis=1) + (
-            batch_ortho_coeffs(L, pair2(inc)) ** 2
-        ).sum(axis=1)
+        gamma, (y1, y2) = projections(times)
+        proj = (y1**2).sum(axis=1) + (y2**2).sum(axis=1)
         return _norm_factor(normalization, times.shape[1]) * np.exp(-0.5 * proj) / gamma
 
     return f
@@ -114,11 +112,7 @@ def fw_wiener(
 ) -> float:
     """Wiener specialization: per-interval projections over the product of gaps."""
     factor = _norm_factor(normalization, tt.k)
-    model = wiener_model(h1.grid)
-    expo = 0.0
-    for lo, hi in zip(tt.times[:-1], tt.times[1:]):
-        for h in (h1, h2):
-            expo += single_interval_projection(model, lo, hi, h)
+    expo = sum(wiener_projections(tt, h1, h2).flat)
     return factor * math.exp(-0.5 * expo) / float(np.prod(tt.gaps))
 
 

@@ -111,6 +111,18 @@ def test_validation_errors_exit_2(capsys):
     assert code == 2
 
 
+# what the error must name, for the cases that give a scan or probe sequence
+NAMED_VALUES = {
+    "diverge --k 2 --h1 zero --h2 zero --deltas nan": "deltas must be finite, positive and "
+    "strictly decreasing, got (nan,)",
+    "slnd --times 0.2,0.5,0.9 --subset 1 --scan 0.1,0": "scan gaps must be finite, positive "
+    "and strictly decreasing, got (0.1, 0.0)",
+    "slnd --times 0.2,0.5,0.9 --subset 5 --scan 0.1,0.01": "gap indices [5] out of range 1..2",
+    "berman --times 0.3,0.35,0.4 --scan 0.1,nan": "scan windows must be finite, positive and "
+    "strictly decreasing, got (0.1, nan)",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -123,6 +135,9 @@ def test_validation_errors_exit_2(capsys):
         "gram --grid-n 2 --model perturbed:file={dir}/node_nan.csv --times 0.2,0.9",
         "slnd --times 0.2,0.5,0.9 --subset x",
         "transform --times 0.25,0.75 --h1 zero --h2 zero --mc 1000 --eps 0",
+        "slnd --times 0.2,0.5,0.9 --subset 1 --scan 0.1,0",
+        "slnd --times 0.2,0.5,0.9 --subset 5 --scan 0.1,0.01",
+        "berman --times 0.3,0.35,0.4 --scan 0.1,nan",
     ],
 )
 def test_non_finite_or_malformed_input_exits_2(tmp_path, capsys, argv):
@@ -132,6 +147,30 @@ def test_non_finite_or_malformed_input_exits_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv.format(dir=tmp_path).split())
     assert code == 2, err
     assert "validation error" in err
+    assert NAMED_VALUES.get(argv, "") in err
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "gram", "--times", "0.2,0.5", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"validation error: cannot write output file '{path}'" in err
+
+
+def test_exit_3_says_why(capsys, monkeypatch):
+    argv = ("regularize", "--k", "3", "--h1", "const1", "--h2", "const1", "--levels", "2")
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["result"]["converged"] is False
+    (line,) = err.splitlines()
+    assert line.startswith("silt: numerical failure: not converged: last level difference ")
+    assert "> tol*(1+|value|) = " in line
+    monkeypatch.setattr(silt.cli, "schur_bound_check", lambda h, a: (2.0, 1.0, False))
+    code, out, err = run(capsys, "schur", "--h", "const1")
+    assert code == 3
+    assert json.loads(out)["result"] == {"lhs": 2.0, "rhs": 1.0, "pass": False}
+    assert err == "silt: numerical failure: Schur bound check failed: lhs 2.0 > rhs 1.0\n"
 
 
 @pytest.mark.parametrize(
@@ -200,14 +239,14 @@ def test_selftest_passes(capsys):
 
 # one row per run setting: INI section and key, config field, INI value and the
 # value it gives, flag, flag value and the value it gives, and a value the
-# setting's converter rejects (None for text settings, which take any string)
+# setting's converter or choices reject (None for text settings, which take any string)
 SETTINGS = [
     ("grid", "T", "T", "2.0", 2.0, "--grid-T", "1.5", 1.5, "abc"),
     ("grid", "n", "n", "64", 64, "--grid-n", "32", 32, "1.5"),
     ("model", "spec", "model", "counterexample", "counterexample", "--model", "wiener", "wiener", None),
     ("run", "seed", "seed", "7", 7, "--seed", "9", 9, "x"),
     ("run", "normalization", "normalization", "analytic", "analytic",
-     "--normalization", "paper", "paper", None),
+     "--normalization", "paper", "paper", "weird"),
     ("run", "levels", "levels", "3", 3, "--levels", "4", 4, "two"),
     ("run", "min_gap", "min_gap", "0.05", 0.05, "--min-gap", "0.01", 0.01, "small"),
     ("run", "out", "out", "ini.json", "ini.json", "--out", "flag.json", "flag.json", None),

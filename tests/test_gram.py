@@ -13,12 +13,11 @@ from silt import (
     make_grid,
     parse_function,
     projection_norm_sq,
-    single_interval_projection,
     sturm_liouville_model,
     wiener_model,
 )
 from silt.cli import main
-from silt.gram import COND_CUTOFF, batch_decompose, batch_ortho_coeffs
+from silt.gram import COND_CUTOFF, batch_decompose, batch_ortho_coeffs, wiener_projections
 from silt.process_models import ProcessModel
 
 
@@ -98,11 +97,10 @@ def test_degenerate_tuple_raises_with_gap_location():
 
 def test_single_interval_projection_wiener():
     grid = make_grid(1.0, 512)
-    m = wiener_model(grid)
     h = parse_function("const1", grid)
     # projection of const1 on the normalized increment over [a,b]:
     # (int_a^b 1)^2 / (b-a) = b-a
-    assert single_interval_projection(m, 0.2, 0.7, h) == pytest.approx(0.5, abs=1e-10)
+    assert wiener_projections(TimeTuple([0.2, 0.7]), h)[0, 0] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_batch_decompose_matches_scalar():

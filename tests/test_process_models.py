@@ -6,7 +6,6 @@ import pytest
 from silt import (
     ValidationError,
     counterexample_model,
-    inner,
     make_grid,
     operator_norm,
     parse_model,
@@ -96,9 +95,9 @@ def test_counterexample_covariance_and_increments():
     # normalized-increment correlation of x(t) = w(t) + sqrt(t) xi:
     # corr = (1/2) (1-sqrt(t0/t1))^{1/2} (1-sqrt(t2/t3))^{1/2} for disjoint intervals
     t0, t1, t2, t3 = 0.2, 0.4, 0.6, 0.9
-    d1 = m.factor(t1) - m.factor(t0)
-    d2 = m.factor(t3) - m.factor(t2)
-    got = inner(d1, d2) / (d1.norm() * d2.norm())
+    E = m.embedded_factors([t0, t1, t2, t3])
+    d1, d2 = E[1] - E[0], E[3] - E[2]
+    got = float(d1 @ d2) / (np.linalg.norm(d1) * np.linalg.norm(d2))
     want = 0.5 * math.sqrt(1 - math.sqrt(t0 / t1)) * math.sqrt(1 - math.sqrt(t2 / t3))
     assert got == pytest.approx(want, abs=1e-10)
 
@@ -114,4 +113,4 @@ def test_parse_model_strings():
 def test_model_rejects_times_outside_interval():
     m = wiener_model(make_grid(1.0, 64))
     with pytest.raises(ValidationError):
-        m.factor(1.5)
+        m.factor_values([1.5])

@@ -209,6 +209,17 @@ def test_integrand_diagonal_scan_validates_index(grid, model):
         integrand_diagonal_scan(model, [0.2, 0.5], 2, [1e-2], one, one)
 
 
+def test_integrand_diagonal_scan_names_the_gap(grid, model):
+    one = parse_function("const1", grid)
+    with pytest.raises(ValidationError, match=r"at gap 0.6 leaves the interval \[0, 1.0\]"):
+        integrand_diagonal_scan(model, [0.2, 0.5, 0.9], 2, [0.6], one, one)
+    with pytest.raises(ValidationError, match=r"strictly decreasing, got \(0.01, 0.01\)"):
+        integrand_diagonal_scan(model, [0.2, 0.5, 0.9], 2, [1e-2, 1e-2], one, one)
+    # the upper end is T up to 1e-12, as in the SLND and Berman scans
+    rows = integrand_diagonal_scan(model, [0.2, 0.5, 0.9], 2, [0.5 + 5e-13], one, one)
+    assert len(rows) == 1 and rows[0][1] > 0
+
+
 # ---------------------------------------------------------------------------
 # Schur machinery
 

@@ -26,11 +26,13 @@ from silt import (
     divergence_probe,
     fw_eps,
     fw_limit,
+    fw_wiener,
     make_grid,
     mc_fw_estimate,
     parse_function,
     perturbed_model,
     point_projection_norm_sq,
+    product_form_wiener,
     projection_decay,
     projection_norm_sq,
     regularized_integral,
@@ -414,13 +416,33 @@ def test_mc_sampler_calls_no_gram_kernel(monkeypatch):
 
     monkeypatch.setattr(ProcessModel, "increment_gram", kernel_called)
     monkeypatch.setattr(ProcessModel, "pairing", kernel_called)
+    monkeypatch.setattr(gram, "batch_decompose", kernel_called)
     for module in (gram, transform):
-        monkeypatch.setattr(module, "batch_decompose", kernel_called)
         monkeypatch.setattr(module, "batch_cholesky", kernel_called)
     for model, _ in MODELS.values():
         pt = _mc_point(model, np.random.default_rng(1), 3)
         mean, stderr = mc_fw_estimate(pt, 0.5, 2000, seed=0)
         assert np.isfinite(mean) and stderr > 0
+
+
+def test_wiener_oracles_call_no_model_or_kernel(monkeypatch):
+    """fw_wiener and product_form_wiener build their own indicator rows: with
+    the models' primitives and the Gram kernel raising, they give the same values."""
+    model = wiener_model(make_grid(1.0, N))
+    h1 = 0.7 * parse_function("sin:1", model.grid) - parse_function("sin:2", model.grid)
+    h2 = parse_function("hat:0.4:0.3", model.grid)
+    tts = [TimeTuple(t) for t in ([0.1, 0.45], [0.2, 0.5, 0.9], [0.05, 0.3, 0.31, 0.7, 1.0])]
+    want = [(fw_wiener(tt, h1, h2), product_form_wiener(tt, h1, h2)) for tt in tts]
+
+    def called(*args, **kwargs):
+        raise AssertionError("the Wiener oracle called a model or the Gram kernel")
+
+    for name in ("factor_values", "increments", "increment_gram", "pairing"):
+        monkeypatch.setattr(ProcessModel, name, called)
+    monkeypatch.setattr(gram, "batch_decompose", called)
+    monkeypatch.setattr(gram, "batch_cholesky", called)
+    got = [(fw_wiener(tt, h1, h2), product_form_wiener(tt, h1, h2)) for tt in tts]
+    assert got == want
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
