@@ -41,7 +41,7 @@ from .regularization import (
     regularized_integrand,
     schur_bound_check,
 )
-from .transform import NORMALIZATIONS, TransformPoint, fw_eps, fw_limit, fw_wiener, mc_fw_estimate
+from .transform import NORMALIZATIONS, TransformPoint, fw_eps, fw_limit, mc_fw_estimate
 
 
 def _setting(default, ini: str, flag: str, conv=str, **arg):
@@ -185,7 +185,7 @@ def _cmd_gram(cfg: RunConfig, args) -> int:
     }
     if args.h is not None:
         h = parse_function(args.h, grid, model.aux_dim)
-        result["projection_norm_sq"] = projection_norm_sq(dec, h)
+        result["projection_norm_sq"] = projection_norm_sq(model, tt.times, h)
     _emit_json(cfg, result)
     return 0
 
@@ -205,8 +205,6 @@ def _cmd_transform(cfg: RunConfig, args) -> int:
         result.update(value=fw_eps(point, args.eps), eps=args.eps, mode="eps")
     else:
         result.update(value=fw_limit(point), mode="limit")
-    if cfg.model == "wiener":
-        result["wiener_form"] = fw_wiener(tt, h1, h2, cfg.normalization)
     _emit_json(cfg, result)
     return 0
 
@@ -323,14 +321,13 @@ def _cmd_selftest(cfg: RunConfig, args) -> int:
     msl = parse_model("perturbed:sl", make_grid(math.pi / 2, 256))
     tsl = TimeTuple([0.2, 0.5, 0.9, 1.3])
     h = parse_function("sin:1", msl.grid)
-    dec = decompose(msl, tsl)
     E = np.diff(msl.embedded_factors(tsl.times), axis=0)
     Q = np.linalg.qr(E.T)[0]
-    ratio = dec.gamma / float(np.linalg.det(E @ E.T))
+    ratio = decompose(msl, tsl).gamma / float(np.linalg.det(E @ E.T))
     check("perturbed:sl Gamma / dense Gram determinant = 1", ratio, 1.0, 1e-10)
     check(
         "perturbed:sl ||Ph||^2 = dense projection",
-        projection_norm_sq(dec, h),
+        projection_norm_sq(msl, tsl.times, h),
         float(np.sum((Q.T @ h.embedded()) ** 2)),
         1e-10,
     )

@@ -6,20 +6,21 @@ tuples from the models' structured increments and factors them with
 is its B=1 call.  Every other factorization (SLND and Berman ratios, the
 eps-smoothed transform) goes through ``batch_cholesky`` too.  Projections on
 the increment span, batched in ``batch_projections``, are forward
-substitutions of the shift coefficients through the Cholesky factor.
+substitutions of the shift coefficients through the Cholesky factor;
+``projection_norm_sq`` is its B=1 row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateConfigurationError, ValidationError
 from .function_space import GridFunction, indicator, inner
-from .process_models import Increments, ProcessModel
+from .process_models import ProcessModel
 
 COND_CUTOFF = 1e12
 DEFAULT_MIN_GAP = 1e-9
@@ -87,37 +88,24 @@ def gap_scan_tuple(times: Sequence[float], indices: Sequence[int], gap: float, T
 
 @dataclass(frozen=True)
 class GramDecomposition:
-    """Increments, Gram matrix, determinant and Cholesky factor of one time tuple.
-
-    A B=1 result of ``batch_decompose``: the increments are the model's
-    structured ones, and shift coefficients come from ``model.pairing``.
-    """
+    """Gram matrix and determinant of one time tuple: a B=1 result of ``batch_decompose``."""
 
     tt: TimeTuple
-    model: ProcessModel = field(repr=False)
-    increments: Increments = field(repr=False)
     A: np.ndarray
     gamma: float
-    chol: np.ndarray       # lower Cholesky factor of A, in index order
-
-    def coeffs(self, h: GridFunction) -> np.ndarray:
-        """u = ((dg(t_1), h), ..., (dg(t_{k-1}), h))."""
-        return self.model.pairing(h)(self.increments)[0]
-
-    def ortho_coeffs(self, h: GridFunction) -> np.ndarray:
-        """Coefficients of h on the orthonormalized increments: L y = u."""
-        return batch_ortho_coeffs(self.chol[None], self.coeffs(h)[None])[0]
 
 
 def decompose(model: ProcessModel, tt: TimeTuple) -> GramDecomposition:
     """Gram decomposition of the increments g(t_{i+1}) - g(t_i)."""
-    inc, A, L, gamma = batch_decompose(model, np.asarray(tt.times)[None])
-    return GramDecomposition(tt, model, inc, A[0], float(gamma[0]), L[0])
+    _, A, _, gamma = batch_decompose(model, np.asarray(tt.times)[None])
+    return GramDecomposition(tt, A[0], float(gamma[0]))
 
 
-def projection_norm_sq(dec: GramDecomposition, h: GridFunction) -> float:
-    """||P h||^2 on the increment span: the quadratic form u^T A^{-1} u = |L^{-1} u|^2."""
-    return float(np.sum(dec.ortho_coeffs(h) ** 2))
+def projection_norm_sq(model: ProcessModel, times: Sequence[float], h: GridFunction) -> float:
+    """||P h||^2 on the span of the increments of ``times``: a B=1 row of
+    ``batch_projections``, the quadratic form u^T A^{-1} u = |L^{-1} u|^2."""
+    _, (y,) = batch_projections(model, h)(np.asarray(times, dtype=float)[None])
+    return float(np.sum(y[0] ** 2))
 
 
 def wiener_projections(tt: TimeTuple, *hs: GridFunction) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .function_space import GridFunction
-from .gram import TimeTuple, batch_cholesky, batch_projections, decreasing_values, gap_scan_tuple
+from .gram import TimeTuple, batch_cholesky, decreasing_values, gap_scan_tuple, projection_norm_sq
 from .process_models import ProcessModel
 
 # a scan reaches its limit when its last ratio is within SCAN_TOL of 1
@@ -119,23 +119,17 @@ def berman_scan(
     return SLNDReport(tuple(window_sequence), tuple(stats), limit)
 
 
-def _projection_sq(model: ProcessModel, a: float, b: float, h: GridFunction) -> float:
-    """(h, dg)^2 / ||dg||^2 for the increment dg = g(b) - g(a)."""
-    _, (y,) = batch_projections(model, h)(np.array([[a, b]], dtype=float))
-    return float(y[0, 0] ** 2)
-
-
 def projection_decay(
     model: ProcessModel, t1: float, t2: float, h: GridFunction
 ) -> float:
     """|(h, dg)| / ||dg|| for the increment on [t1, t2] (= ||P_{t1 t2} h||)."""
     if not t1 < t2:
         raise ValidationError("need t1 < t2")
-    return math.sqrt(_projection_sq(model, t1, t2, h))
+    return math.sqrt(projection_norm_sq(model, (t1, t2), h))
 
 
 def point_projection_norm_sq(model: ProcessModel, t1: float, h: GridFunction) -> float:
     """||projection of h on g(t1)||^2 = (h, g(t1))^2 / ||g(t1)||^2."""
     if not t1 > 0:
         raise ValidationError(f"t1 = {t1}: x(0) = 0 in every model, need t1 > 0")
-    return _projection_sq(model, 0.0, t1, h)
+    return projection_norm_sq(model, (0.0, t1), h)

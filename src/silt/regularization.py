@@ -42,6 +42,12 @@ _ITERATED_GAP_CELLS = 192
 _ITERATED_T_CELLS = 128
 
 
+def _check_k(k: int) -> None:
+    """The simplex lattices are sized for k = 2, 3, 4; a larger k would have too many nodes."""
+    if k not in _BASE_CELLS:
+        raise ValidationError(f"multiplicity k must be 2, 3 or 4, got {k}")
+
+
 def default_min_gap(grid: Grid) -> float:
     """Diagonal exclusion floor tied to grid resolution."""
     return max(1e-6, 2.0 * grid.T / grid.n)
@@ -57,8 +63,7 @@ class QuadratureSpec:
     tol: float = 1e-3
 
     def __post_init__(self):
-        if self.k not in (2, 3, 4):
-            raise ValidationError(f"multiplicity k must be 2, 3 or 4, got {self.k}")
+        _check_k(self.k)
         if self.levels < 2:
             raise ValidationError("need at least 2 refinement levels")
 
@@ -156,6 +161,7 @@ def divergence_probe(
     No diagonal closure: the point is to watch the truncated values grow
     without bound as delta decreases.
     """
+    _check_k(k)
     deltas = decreasing_values(deltas, "deltas")
     integrand = batch_fw_limit(model, h1, h2, normalization)
     out = []
@@ -214,8 +220,8 @@ def schur_bound_check(h: GridFunction, a: float = 0.0) -> Tuple[float, float, bo
     if np.any(h.values < -1e-12):
         raise ValidationError("the bound applies to nonnegative h only")
     T = h.grid.T
-    if not a < T:
-        raise ValidationError(f"left endpoint a={a} must be below T={T}")
+    if not 0 <= a < T:
+        raise ValidationError(f"left endpoint a={a} must lie in [0, T={T})")
     edges, cum = _cumulative(h)
     x, wts = gap_lattice(T - a, 2, (T - a) * 1e-10, _SCHUR_CELLS, closure=True)
     x = x[:, 0]                                # t - a, log-graded

@@ -21,7 +21,6 @@ from .gram import (
     batch_cholesky,
     batch_ortho_coeffs,
     batch_projections,
-    decompose,
     wiener_projections,
 )
 from .process_models import ProcessModel
@@ -61,16 +60,17 @@ def fw_eps(point: TransformPoint, eps: float) -> float:
     """Transform of the eps-smoothed delta product (closed Gaussian form).
 
     det(A + eps I)^{-1} exp(-[(A+eps I)^{-1} quadratic forms of u1, u2] / 2)
-    times the normalization factor.
+    times the normalization factor.  Only A + eps I is checked and factored,
+    so a tuple whose Gram matrix A is singular still has a value.
     """
-    if not eps > 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    dec = decompose(point.model, point.tt)
-    L, det = batch_cholesky(
-        (dec.A + eps * np.eye(dec.A.shape[0]))[None], np.asarray(point.tt.times)[None]
-    )
+    if not 0 < eps < math.inf:
+        raise ValidationError(f"eps must be positive and finite, got {eps}")
+    model, times = point.model, np.asarray(point.tt.times)[None]
+    inc = model.increments(times)
+    A = model.increment_gram(inc)
+    L, det = batch_cholesky(A + eps * np.eye(A.shape[1]), times)
     expo = sum(
-        float(np.sum(batch_ortho_coeffs(L, dec.coeffs(h)[None]) ** 2))
+        float(np.sum(batch_ortho_coeffs(L, model.pairing(h)(inc)) ** 2))
         for h in (point.h1, point.h2)
     )
     return point.norm_factor * math.exp(-0.5 * expo) / float(det[0])
@@ -131,8 +131,10 @@ def mc_fw_estimate(
     a fixed chunk size make the estimate reproducible.  Converges to fw_eps
     with the analytic normalization.
     """
-    if not eps > 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValidationError(f"eps must be positive and finite, got {eps}")
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"seed {seed} must lie in [0, 2**128)")
     if n_samples < 1000:
         raise ValidationError("need at least 1000 samples")
     # dense increments, so that the sampler stays independent of the Gram kernel

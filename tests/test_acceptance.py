@@ -86,7 +86,7 @@ def test_criterion_01_projection_identity():
         tt = random_tuple(rng, m.grid.T, k, 0.02 * m.grid.T)
         h = random_shift(rng, m.grid, m.aux_dim)
         dec = decompose(m, tt)
-        u = dec.coeffs(h)
+        u = m.pairing(h)(m.increments(np.asarray(tt.times)[None]))[0]
         quad = float(u @ np.linalg.solve(dec.A, u))
         Q = np.linalg.qr(np.diff(m.embedded_factors(tt.times), axis=0).T)[0]
         basis = float(np.sum((Q.T @ h.embedded()) ** 2))

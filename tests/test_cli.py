@@ -111,8 +111,20 @@ def test_validation_errors_exit_2(capsys):
     assert code == 2
 
 
-# what the error must name, for the cases that give a scan or probe sequence
+# what the error must name, for the cases that give a scan or probe sequence, a
+# smoothing eps, a seed or an interval endpoint
 NAMED_VALUES = {
+    "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --eps inf":
+        "eps must be positive and finite, got inf",
+    "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --mc 2000 --eps inf":
+        "eps must be positive and finite, got inf",
+    "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --mc 2000 --seed -1":
+        "seed -1 must lie in [0, 2**128)",
+    "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --mc 2000 "
+    "--seed 340282366920938463463374607431768211456":
+        "seed 340282366920938463463374607431768211456 must lie in [0, 2**128)",
+    "schur --h const1 --a -0.5": "left endpoint a=-0.5 must lie in [0, T=1.0)",
+    "schur --h const1 --a=-inf": "left endpoint a=-inf must lie in [0, T=1.0)",
     "diverge --k 2 --h1 zero --h2 zero --deltas nan": "deltas must be finite, positive and "
     "strictly decreasing, got (nan,)",
     "slnd --times 0.2,0.5,0.9 --subset 1 --scan 0.1,0": "scan gaps must be finite, positive "
@@ -138,6 +150,13 @@ NAMED_VALUES = {
         "slnd --times 0.2,0.5,0.9 --subset 1 --scan 0.1,0",
         "slnd --times 0.2,0.5,0.9 --subset 5 --scan 0.1,0.01",
         "berman --times 0.3,0.35,0.4 --scan 0.1,nan",
+        "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --eps inf",
+        "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --mc 2000 --eps inf",
+        "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --mc 2000 --seed -1",
+        "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --mc 2000 "
+        "--seed 340282366920938463463374607431768211456",
+        "schur --h const1 --a -0.5",
+        "schur --h const1 --a=-inf",
     ],
 )
 def test_non_finite_or_malformed_input_exits_2(tmp_path, capsys, argv):
@@ -148,6 +167,19 @@ def test_non_finite_or_malformed_input_exits_2(tmp_path, capsys, argv):
     assert code == 2, err
     assert "validation error" in err
     assert NAMED_VALUES.get(argv, "") in err
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_diverge_k_outside_the_lattice_rule_exits_2(capsys, monkeypatch, k):
+    # k = 5 would build a lattice of about 384^4 rows: no lattice may be built
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("gap_lattice called")
+
+    monkeypatch.setattr(silt.quadrature, "gap_lattice", no_lattice)
+    argv = f"diverge --k {k} --h1 zero --h2 zero --deltas 0.1".split()
+    code, out, err = run(capsys, *argv)
+    assert code == 2, err
+    assert f"validation error: multiplicity k must be 2, 3 or 4, got {k}" in err
 
 
 def test_unwritable_out_path_exits_2(tmp_path, capsys):
@@ -336,7 +368,7 @@ def test_transform_mc(capsys):
         "--mc", "20000", "--seed", "3",
     )
     result = doc["result"]
-    assert set(result) == {"convention", "value", "stderr", "eps", "mode", "wiener_form"}
+    assert set(result) == {"convention", "value", "stderr", "eps", "mode"}
     assert result["mode"] == "mc" and result["eps"] == 0.5 and result["convention"] == "paper"
     assert doc["config"]["seed"] == 3
     assert result["stderr"] > 0.0

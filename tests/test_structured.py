@@ -199,7 +199,7 @@ def test_structured_route_matches_dense_factor_rows(name, data):
     tt = TimeTuple(times[0])
     dec = decompose(model, tt)
     for h in (h1, h2):
-        assert 0.0 <= projection_norm_sq(dec, h) <= h.norm_sq() * (1.0 + tol)
+        assert 0.0 <= projection_norm_sq(model, tt.times, h) <= h.norm_sq() * (1.0 + tol)
     reg = regularized_integrand(model, tt, h1, h2)
     assert 0.0 <= reg <= 1.0 / dec.gamma
     assert reg == regularized_integrand(model, tt, h2, h1)
@@ -359,7 +359,7 @@ def test_scalar_route_builds_no_factor_rows(no_dense_rows):
         pt = TransformPoint(model, tt, h, h)
         values = [
             dec.gamma,
-            projection_norm_sq(dec, h),
+            projection_norm_sq(model, tt.times, h),
             fw_limit(pt),
             fw_eps(pt, 0.1),
             regularized_integrand(model, tt, h, h),

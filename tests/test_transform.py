@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from silt import (
+    DegenerateConfigurationError,
     TimeTuple,
     TransformPoint,
     ValidationError,
@@ -116,6 +117,21 @@ def test_mc_estimate_within_three_sigma():
     # deterministic for a fixed seed
     again, _ = mc_fw_estimate(pt, 0.5, 50_000, seed=2)
     assert again == mean
+
+
+def test_fw_eps_exists_where_the_gram_matrix_is_singular(grid, model):
+    # four times inside one grid cell: the increments are parallel and cond(A)
+    # is about 1e16, but A + eps I is well conditioned and the sampler closes
+    h1 = parse_function("sin:1", grid)
+    pt = TransformPoint(
+        model, TimeTuple([0.1001, 0.1002, 0.1003, 0.1004]), h1, zero(grid), "analytic"
+    )
+    value = fw_eps(pt, 0.5)
+    mean, stderr = mc_fw_estimate(pt, 0.5, 400_000, seed=0)
+    assert math.isfinite(value)
+    assert abs(mean - value) <= 4.0 * stderr
+    with pytest.raises(DegenerateConfigurationError):
+        fw_limit(pt)
 
 
 def test_mc_exponent_tilt_has_mean_one():
