@@ -64,7 +64,7 @@ class RunConfig:
         "paper", "run.normalization", "--normalization", choices=NORMALIZATIONS
     )
     levels: int = _setting(
-        QuadratureSpec.levels, "run.levels", "--levels", int, help="quadrature refinement levels"
+        QuadratureSpec.levels, "run.levels", "--levels", int, help="most Gauss orders to try (2..6)"
     )
     # None resolves per grid: max(1e-6, 2T/n)
     min_gap: Optional[float] = _setting(
@@ -215,22 +215,16 @@ def _cmd_regularize(cfg: RunConfig, args) -> int:
     h2 = parse_function(args.h2, grid, model.aux_dim)
     spec = QuadratureSpec(k=args.k, levels=cfg.levels, min_gap=cfg.min_gap)
     rv = regularized_integral(model, args.k, h1, h2, spec)
-    _emit_json(
-        cfg,
-        {
-            "value": rv.value,
-            "level_estimates": list(rv.level_estimates),
-            "refinement_ratios": [
-                r if math.isfinite(r) else None for r in rv.refinement_ratios
-            ],
-            "converged": rv.converged,
-        },
-    )
+    _emit_json(cfg, dataclasses.asdict(rv))
     if not rv.converged:
-        diff, bound = abs(np.diff(rv.level_estimates)[-1]), spec.tol * (1.0 + abs(rv.value))
-        raise SiltError(
-            f"not converged: last level difference {diff:.3e} > tol*(1+|value|) = {bound:.3e}"
-        )
+        diff, bound = rv.error_estimate, spec.tol * (1.0 + abs(rv.value))
+        if diff > bound:
+            why = f"> tol*(1+|value|) = {bound:.3e}"
+        elif len(rv.level_estimates) == 2:
+            why = "is the only one, and a lone difference is not trusted (levels >= 3)"
+        else:
+            why = "grew from the difference before it"
+        raise SiltError(f"not converged: last level difference {diff:.3e} {why}")
     return 0
 
 

@@ -27,15 +27,14 @@ from .gram import (
     wiener_projections,
 )
 from .process_models import ProcessModel
-from .quadrature import gap_lattice, integrate_simplex_level, level_schedule
+from .quadrature import gap_lattice, integrate_simplex_level
 from .transform import batch_fw_limit
 
-# level-1 cells per gap and in t_1, per k; each level multiplies them by _GRADING
-_BASE_CELLS = {2: 12.0, 3: 4.0, 4: 1.6}
-_GRADING = 2.0
-# lattice sizes of the Schur-test checks, and truncation and lattice of the
+# Gauss points per coordinate of the orders that regularized_integral tries in turn
+_ORDERS = (4, 8, 12, 16, 24, 32)
+# Gauss orders of the Schur-test checks, and truncation and orders of the
 # iterated-product bound check
-_SCHUR_CELLS = 4096
+_SCHUR_CELLS = 1024
 _SCHUR_KERNEL_CELLS = 512
 _ITERATED_MIN_GAP = 1e-6
 _ITERATED_GAP_CELLS = 192
@@ -44,7 +43,7 @@ _ITERATED_T_CELLS = 128
 
 def _check_k(k: int) -> None:
     """The simplex lattices are sized for k = 2, 3, 4; a larger k would have too many nodes."""
-    if k not in _BASE_CELLS:
+    if k not in (2, 3, 4):
         raise ValidationError(f"multiplicity k must be 2, 3 or 4, got {k}")
 
 
@@ -55,7 +54,7 @@ def default_min_gap(grid: Grid) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Parameters of the graded simplex quadrature (with its diagonal closure)."""
+    """Parameters of the Gauss simplex quadrature; ``levels`` caps the orders tried."""
 
     k: int
     levels: int = 6
@@ -64,8 +63,8 @@ class QuadratureSpec:
 
     def __post_init__(self):
         _check_k(self.k)
-        if self.levels < 2:
-            raise ValidationError("need at least 2 refinement levels")
+        if not 2 <= self.levels <= len(_ORDERS):
+            raise ValidationError(f"levels must lie in 2..{len(_ORDERS)}, got {self.levels}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ class RegularizedValue:
 
     value: float
     level_estimates: Tuple[float, ...]
-    refinement_ratios: Tuple[float, ...]
+    error_estimate: float  # the last difference of successive level estimates
     converged: bool
 
 
@@ -124,25 +123,25 @@ def regularized_integral(
     h2: GridFunction,
     spec: Optional[QuadratureSpec] = None,
 ) -> RegularizedValue:
-    """Integral of the regularized integrand over the ordered simplex."""
+    """Integral of the regularized integrand over the ordered simplex.
+
+    Stops at the first difference of successive estimates that is at most tol (1 + |value|)
+    and no larger than the difference before it; a lone difference is never trusted.
+    """
     spec = spec if spec is not None else QuadratureSpec(k=k)
     if spec.k != k:
         raise ValidationError(f"spec.k={spec.k} does not match k={k}")
     min_gap = spec.min_gap if spec.min_gap is not None else default_min_gap(model.grid)
-    integrand = batch_regularized_integrand(model, h1, h2)
-    estimates = [
-        integrate_simplex_level(model.grid.T, k, integrand, min_gap, cells, cells, closure=True)
-        for cells in level_schedule(_BASE_CELLS[k], _GRADING, spec.levels)
-    ]
-    diffs = np.abs(np.diff(estimates))
-    ratios = [
-        float(diffs[i] / diffs[i + 1]) if diffs[i + 1] > 0 else math.inf
-        for i in range(len(diffs) - 1)
-    ]
-    converged = bool(diffs[-1] <= spec.tol * (1.0 + abs(estimates[-1])))
-    return RegularizedValue(
-        float(estimates[-1]), tuple(float(e) for e in estimates), tuple(ratios), converged
-    )
+    f = batch_regularized_integrand(model, h1, h2)
+    T, estimates = model.grid.T, []
+    for order in _ORDERS[: spec.levels]:
+        estimates.append(integrate_simplex_level(T, k, f, min_gap, order, order, closure=True))
+        last = estimates[-3:]
+        diffs = [abs(b - a) for a, b in zip(last, last[1:])]
+        converged = len(diffs) == 2 and diffs[1] <= min(diffs[0], spec.tol * (1 + abs(last[-1])))
+        if converged:
+            break
+    return RegularizedValue(estimates[-1], tuple(estimates), diffs[-1], converged)
 
 
 def divergence_probe(
@@ -163,14 +162,11 @@ def divergence_probe(
     """
     _check_k(k)
     deltas = decreasing_values(deltas, "deltas")
-    integrand = batch_fw_limit(model, h1, h2, normalization)
-    out = []
-    for d in deltas:
-        val = integrate_simplex_level(
-            model.grid.T, k, integrand, d, gap_cells, t_cells, closure=False, chunk=chunk
-        )
-        out.append((d, float(val)))
-    return out
+    T, f = model.grid.T, batch_fw_limit(model, h1, h2, normalization)
+    return [
+        (d, integrate_simplex_level(T, k, f, d, gap_cells, t_cells, closure=False, chunk=chunk))
+        for d in deltas
+    ]
 
 
 def integrand_diagonal_scan(
@@ -214,8 +210,9 @@ def _norm_sq_on(h: GridFunction, a: float) -> float:
 def schur_bound_check(h: GridFunction, a: float = 0.0) -> Tuple[float, float, bool]:
     """Check int_a^T (int_a^t h)^2 / (t-a)^2 dt <= 8 ||h||^2 on [a, T].
 
-    The left side is integrated on a logarithmically graded lattice toward
-    t = a (the integrand is bounded there, approaching h(a)^2).
+    The left side is integrated at Gauss points in log(t - a), with the
+    linear closure toward t = a (the integrand is bounded there,
+    approaching h(a)^2).
     """
     if np.any(h.values < -1e-12):
         raise ValidationError("the bound applies to nonnegative h only")

@@ -123,6 +123,7 @@ NAMED_VALUES = {
     "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --mc 2000 "
     "--seed 340282366920938463463374607431768211456":
         "seed 340282366920938463463374607431768211456 must lie in [0, 2**128)",
+    "regularize --k 2 --h1 const1 --h2 const1 --levels 7": "levels must lie in 2..6, got 7",
     "schur --h const1 --a -0.5": "left endpoint a=-0.5 must lie in [0, T=1.0)",
     "schur --h const1 --a=-inf": "left endpoint a=-inf must lie in [0, T=1.0)",
     "diverge --k 2 --h1 zero --h2 zero --deltas nan": "deltas must be finite, positive and "
@@ -157,6 +158,7 @@ NAMED_VALUES = {
         "--seed 340282366920938463463374607431768211456",
         "schur --h const1 --a -0.5",
         "schur --h const1 --a=-inf",
+        "regularize --k 2 --h1 const1 --h2 const1 --levels 7",
     ],
 )
 def test_non_finite_or_malformed_input_exits_2(tmp_path, capsys, argv):
@@ -205,6 +207,29 @@ def test_exit_3_says_why(capsys, monkeypatch):
     assert err == "silt: numerical failure: Schur bound check failed: lhs 2.0 > rhs 1.0\n"
 
 
+def test_exit_3_names_the_failed_stop_condition(capsys, monkeypatch):
+    # zero shifts: every estimate is 0, so the lone difference meets tol
+    argv = ("regularize", "--k", "2", "--h1", "zero", "--h2", "zero", "--levels", "2")
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["result"]["error_estimate"] == 0.0
+    assert err == (
+        "silt: numerical failure: not converged: last level difference 0.000e+00 is the only "
+        "one, and a lone difference is not trusted (levels >= 3)\n"
+    )
+    estimates = iter([0.0, 1e-6, 3e-6, 6e-6, 1e-5, 1.5e-5])
+    monkeypatch.setattr(
+        "silt.regularization.integrate_simplex_level", lambda *a, **kw: next(estimates)
+    )
+    code, out, err = run(capsys, "regularize", "--k", "2", "--h1", "const1", "--h2", "const1")
+    assert code == 3
+    assert json.loads(out)["result"]["converged"] is False
+    assert err == (
+        "silt: numerical failure: not converged: last level difference 5.000e-06 grew from "
+        "the difference before it\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv", ["berman --times 0,0.5", "pdecay --point --t1 0 --t2 0.5 --h const1"]
 )
@@ -215,10 +240,14 @@ def test_t1_zero_exits_2_naming_t1(capsys, argv):
 
 
 def test_import_needs_only_numpy():
+    # neither scipy nor numpy.polynomial: they would add to start-up time and memory
     src = str(Path(silt.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import silt; print('scipy' in sys.modules)"
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import silt; "
+        "print(sorted({'scipy', 'numpy.polynomial'} & set(sys.modules)))"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -22,8 +23,14 @@ from silt import (
     wiener_model,
 )
 from silt.function_space import GridFunction
-from silt.quadrature import gap_lattice, integrate_simplex_level, level_schedule
-from silt.regularization import batch_regularized_integrand
+from silt.quadrature import gap_lattice, gauss_legendre, integrate_simplex_level
+from silt.regularization import (
+    _ITERATED_GAP_CELLS,
+    _ITERATED_T_CELLS,
+    _ORDERS,
+    _SCHUR_CELLS,
+    batch_regularized_integrand,
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +69,29 @@ def test_integrate_simplex_volume_k3():
     assert val == pytest.approx(1.0 / 6.0, rel=1e-3)
 
 
-def test_level_schedule_grows_geometrically():
-    assert level_schedule(4, 2.0, 4) == [4, 8, 16, 32]
-    with pytest.raises(ValidationError):
-        level_schedule(4, 2.0, 1)
+def _probe_orders():
+    params = inspect.signature(divergence_probe).parameters
+    return params["gap_cells"].default, params["t_cells"].default
+
+
+# the regularize orders, the divergence probe's default orders and those the diverge
+# benchmark and criterion 6 pass, and the Schur and iterated-bound orders
+@pytest.mark.parametrize(
+    "n",
+    sorted(
+        {*_ORDERS, *_probe_orders(), 64, 96, 256}
+        | {_SCHUR_CELLS, _ITERATED_GAP_CELLS, _ITERATED_T_CELLS}
+    ),
+)
+def test_gauss_legendre_is_exact_to_degree_2n_minus_1(n):
+    x, w = gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(w > 0)
+    assert 0.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0)
+    power = np.ones(n)
+    for d in range(2 * n):
+        assert abs(float(np.sum(w * power)) - 1.0 / (d + 1)) <= 1e-14, d
+        power *= x
 
 
 def test_min_gap_validation():
@@ -73,6 +99,10 @@ def test_min_gap_validation():
         gap_lattice(1.0, 2, 0.0, 16, closure=False)
     with pytest.raises(ValidationError):
         gap_lattice(1.0, 2, 2.0, 16, closure=False)
+    # no second gap fits above a floor of 0.6: an empty lattice integrates to 0
+    gaps, wts = gap_lattice(1.0, 3, 0.6, 16, closure=False)
+    assert gaps.shape == (0, 2) and wts.shape == (0,)
+    assert integrate_simplex_level(1.0, 3, lambda t: np.ones(t.shape[0]), 0.6, 16, 8, False) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +183,50 @@ def test_regularized_integral_matches_quad_oracle(grid, model):
     assert rv.converged
 
 
+def _phi(g):
+    # per-gap factor of the Wiener integrand with const1 shifts
+    return -math.expm1(-g) / g if g > 0 else 1.0
+
+
+def test_wiener_default_spec_matches_oracles(grid, model):
+    # the simplex integral of prod phi(gap_i) is int_0^1 (1 - s) phi^{*(k-1)}(s) ds
+    one = parse_function("const1", grid)
+    oracle2, err2 = integrate.quad(lambda s: (1 - s) * _phi(s), 0.0, 1.0, epsabs=1e-13)
+
+    def conv(s):
+        return integrate.quad(lambda u: _phi(u) * _phi(s - u), 0.0, s, epsabs=1e-13)[0]
+
+    oracle3, err3 = integrate.quad(lambda s: (1 - s) * conv(s), 0.0, 1.0, epsabs=1e-12)
+    assert err2 < 1e-10 and err3 < 1e-10
+    assert oracle3 == pytest.approx(0.131616767, abs=1e-9)
+    for k, oracle in ((2, oracle2), (3, oracle3)):
+        rv = regularized_integral(model, k, one, one, QuadratureSpec(k=k))
+        assert rv.converged
+        assert abs(rv.value - oracle) <= 1e-6, (k, rv.value, oracle)
+        assert rv.error_estimate == abs(rv.level_estimates[-1] - rv.level_estimates[-2])
+
+
+def test_growing_differences_do_not_converge(grid, model, monkeypatch):
+    # every difference meets tol, but each is larger than the one before
+    estimates = iter([0.0, 1e-6, 3e-6, 6e-6, 1e-5, 1.5e-5])
+    monkeypatch.setattr(
+        "silt.regularization.integrate_simplex_level", lambda *a, **kw: next(estimates)
+    )
+    one = parse_function("const1", grid)
+    rv = regularized_integral(model, 2, one, one, QuadratureSpec(k=2, tol=1e-3))
+    assert rv.converged is False
+    assert rv.level_estimates == (0.0, 1e-6, 3e-6, 6e-6, 1e-5, 1.5e-5)
+    assert rv.error_estimate == pytest.approx(5e-6, rel=1e-9)
+
+
 def test_spec_validation():
     with pytest.raises(ValidationError):
         QuadratureSpec(k=5)
     with pytest.raises(ValidationError):
         QuadratureSpec(k=2, levels=1)
+    # there is no 7th Gauss order
+    with pytest.raises(ValidationError, match="levels must lie in 2..6, got 7"):
+        QuadratureSpec(k=2, levels=7)
 
 
 def test_spec_k_mismatch_rejected(grid, model):
