@@ -200,6 +200,32 @@ class IndicatorIncrements:
             + np.sum(cross * same, axis=(-2, -1))
         )
 
+    def pairs(self, rows=slice(None)):
+        """Tuples ``rows`` of a (B, m) batch as a (R, m, 1) and a (R, 1, m) view,
+        whose broadcast runs over every pair of increments."""
+        x = [a[rows] for a in (self.lo, self.hi, self.pos, self.val)]
+        return tuple(IndicatorIncrements(*(np.expand_dims(a, ax) for a in x)) for ax in (2, 1))
+
+    def gram(self) -> np.ndarray:
+        """Sums over cells of the products of every pair of differences of a (B, m)
+        batch of consecutive increments, O(m) per tuple: (B, m, m).
+
+        The diagonal is the block length plus the squared boundary values.  When
+        the boundary pairs of consecutive times lie two cells apart or more
+        (pos[2] - pos[0] >= 2), increments i and i+1 meet only at the cells of
+        their common time and increments further apart not at all; the tuples
+        that break that rule go through the pairwise ``dot``.
+        """
+        B, m = self.lo.shape
+        i, v, A = np.arange(m), self.val, np.zeros((B, m, m))
+        A[:, i, i] = np.maximum(self.hi - self.lo, 0) + np.sum(v**2, axis=-1)
+        A[:, i[1:], i[:-1]] = v[:, :-1, 2] * v[:, 1:, 0] + v[:, :-1, 3] * v[:, 1:, 1]
+        A[:, i[:-1], i[1:]] = A[:, i[1:], i[:-1]]
+        close = np.flatnonzero(np.any(self.pos[..., 2] - self.pos[..., 0] < 2, axis=-1))
+        if close.size:
+            A[close] = IndicatorIncrements.dot(*self.pairs(close))
+        return A
+
     def pair(self, x: np.ndarray, cum: np.ndarray) -> np.ndarray:
         """Sum over cells of the difference times x, given cum = [0, cumsum(x)]."""
         block = cum[np.maximum(self.hi, self.lo)] - cum[self.lo]

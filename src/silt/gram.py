@@ -162,8 +162,15 @@ def batch_cholesky(A: np.ndarray, times: np.ndarray):
     passes the check cannot fail in double precision.
     """
     finite = np.isfinite(A).all(axis=(1, 2))
-    eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], A, np.eye(A.shape[1])))
-    lo, hi = eigs[:, 0], eigs[:, -1]
+    A0 = np.where(finite[:, None, None], A, np.eye(A.shape[1]))
+    if A.shape[1] == 2:  # closed form: the larger root has no cancellation, lo = det / hi
+        a, b, d = A0[:, 0, 0], A0[:, 0, 1], A0[:, 1, 1]
+        hi = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo = (a * d - b * b) / hi
+    else:
+        eigs = A0[:, 0] if A.shape[1] == 1 else np.linalg.eigvalsh(A0)
+        lo, hi = eigs[:, 0], eigs[:, -1]
     bad = np.flatnonzero(~(finite & (lo > 0) & (hi <= COND_CUTOFF * lo)))
     if bad.size:
         i = int(bad[0])

@@ -4,22 +4,25 @@ Every process is represented through its factor map: x(t) = ((g(t),xi1),
 (g(t),xi2)) for white noises xi, so covariances and all Gram machinery
 reduce to inner products of factors.
 
-Each model answers these inner products in two ways.  The structured
-primitives (``increments``, ``increment_gram``, ``pairing`` and
-``covariance``) give the discrete inner products in O(1) per time from the
-two-cell parameters of the indicators and O(n) prefix sums built once per
-model or shift; every Gram matrix, projection and ratio the package
-computes comes from them.  ``factor_values`` builds the dense grid rows of
-g(t); only the Monte Carlo sampler, ``silt selftest`` and the tests use them.
-The structured primitives are computed on increments g(b) - g(a), the
-quantities the Gram matrices need, so that the large common part of g(a) and
-g(b) never enters a difference.
+The structured primitives (``increments``, ``increment_gram``, ``pairing``
+and ``covariance``) give every Gram matrix, projection and ratio the package
+computes, from the two-cell parameters of the indicators and O(n) prefix sums
+built once per model or shift.  They work on increments g(b) - g(a), so that
+the large common part of g(a) and g(b) never enters a difference.  A Gram
+matrix costs O(k) per tuple: the indicator steps form a band
+(``IndicatorIncrements.gram``), since only increments i and i+1 share cells
+when the boundary cells of consecutive times lie two or more apart, and the
+tuples that break that rule fall back to pairwise products.  The perturbed:sl
+corrections of a tuple live in one basis of sin u and cos u on the k+1
+segments between its times (``_SLBasis``); perturbed:file pairs the steps
+through the 2-D prefix table of its kernel.  ``factor_values`` builds the
+dense grid rows of g(t); only the Monte Carlo sampler, ``silt selftest`` and
+the tests use them.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,22 +50,11 @@ class Increments:
     """Increments g(b) - g(a) of consecutive times, in a model's structured form.
 
     ``steps`` are the indicator differences 1I_[0,b] - 1I_[0,a]; ``extra`` is
-    what the model adds to them: None, an array, or a dataclass of arrays.
+    what the model adds to them: None, an array, or a tuple of arrays.
     """
 
     steps: IndicatorIncrements
     extra: Any
-
-
-def _take(x, idx):
-    """x with every array in it (through dataclass fields) indexed by idx on axis 1."""
-    if isinstance(x, np.ndarray):
-        return x[:, idx]
-    if dataclasses.is_dataclass(x):
-        return dataclasses.replace(
-            x, **{f.name: _take(getattr(x, f.name), idx) for f in dataclasses.fields(x)}
-        )
-    return x
 
 
 @dataclass(frozen=True)
@@ -70,8 +62,8 @@ class ProcessModel:
     """A process x(t) = (g(t), xi) described by its factor map g.
 
     ``_values`` is the dense factor map.  The structured primitives are
-    ``_extra(times)``, the model's part of ``Increments``; ``_inner(x, y)``,
-    the inner products of aligned increments; and ``_pairing(h)``, which
+    ``_extra(times)``, the model's part of ``Increments``; ``_gram(inc)``, the
+    Gram matrices of a (B, m) batch of increments; and ``_pairing(h)``, which
     returns increments -> (g(b) - g(a), h).
     """
 
@@ -80,7 +72,7 @@ class ProcessModel:
     aux_dim: int
     _values: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     _extra: Callable[[np.ndarray], Any]
-    _inner: Callable[[Increments, Increments], np.ndarray]
+    _gram: Callable[[Increments], np.ndarray]
     _pairing: Callable[[GridFunction], Callable[[Increments], np.ndarray]]
 
     def _times(self, times) -> np.ndarray:
@@ -99,27 +91,22 @@ class ProcessModel:
         return np.concatenate([V * math.sqrt(self.grid.weight), X], axis=1)
 
     def increments(self, times) -> Increments:
-        """Structured increments g(b) - g(a) of consecutive times (last axis),
-        O(1) each: (..., k) nondecreasing times -> (..., k-1) increments."""
+        """Structured increments g(b) - g(a) of consecutive times, O(1) each:
+        (B, k) nondecreasing times -> (B, k-1) increments."""
         times = self._times(times)
         return Increments(indicator_increments(self.grid, times), self._extra(times))
 
     def covariance(self, s, t) -> np.ndarray:
-        """(g(s), g(t)) for broadcastable time arrays, O(1) per pair."""
+        """(g(s), g(t)) for broadcastable time arrays, O(1) per pair: A00 + A01 of the
+        Gram matrix of the increments of (0, u, v), u = min(s, t), v = max(s, t)."""
         s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-        x = self.increments(np.stack([np.zeros_like(s), s], axis=-1))
-        y = self.increments(np.stack([np.zeros_like(t), t], axis=-1))
-        return self._inner(x, y)[..., 0]
+        u, v = np.minimum(s, t).ravel(), np.maximum(s, t).ravel()
+        A = self.increment_gram(self.increments(np.stack([np.zeros_like(u), u, v], axis=-1)))
+        return (A[:, 0, 0] + A[:, 0, 1]).reshape(s.shape)
 
     def increment_gram(self, inc: Increments) -> np.ndarray:
         """Gram matrices (B, m, m) of increments of shape (B, m)."""
-        B, m = inc.steps.lo.shape
-        i, j = np.triu_indices(m)
-        upper = self._inner(_take(inc, i), _take(inc, j))
-        A = np.empty((B, m, m))
-        A[:, i, j] = upper
-        A[:, j, i] = upper
-        return A
+        return self._gram(inc)
 
     def pairing(self, h: GridFunction) -> Callable[[Increments], np.ndarray]:
         """Increments -> (g(b) - g(a), h), from prefix sums built once per shift.
@@ -133,7 +120,9 @@ class ProcessModel:
 
 def _prefix(x: np.ndarray) -> np.ndarray:
     """[0, cumsum(x)] along the last axis: range sums as differences."""
-    return np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(x, axis=-1)], axis=-1)
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x, axis=-1, out=out[..., 1:])
+    return out
 
 
 def _no_extra(times):
@@ -152,13 +141,13 @@ def wiener_model(grid: Grid) -> ProcessModel:
     def values(ts):
         return indicator_values(grid, ts), np.zeros((len(ts), 0))
 
-    def inner_(x, y):
-        return grid.weight * x.steps.dot(y.steps)
+    def gram(inc):
+        return grid.weight * inc.steps.gram()
 
     def pairing(h):
         return _steps_pairing(grid, h.values)
 
-    return ProcessModel("wiener", grid, 0, values, _no_extra, inner_, pairing)
+    return ProcessModel("wiener", grid, 0, values, _no_extra, gram, pairing)
 
 
 def _kernel_form(d1, d2, K: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -211,13 +200,13 @@ def perturbed_model(grid: Grid, S: KernelOperator, name: str = "perturbed") -> P
         ind = indicator_values(grid, ts)
         return ind + ind @ M.T, np.zeros((len(ts), 0))
 
-    def inner_(x, y):
-        return grid.weight * (x.steps.dot(y.steps) + _kernel_form(x.steps, y.steps, K, P))
+    def gram(inc):
+        return grid.weight * (inc.steps.gram() + _kernel_form(*inc.steps.pairs(), K, P))
 
     def pairing(h):
         return _steps_pairing(grid, h.values + M.T @ h.values)
 
-    return ProcessModel(name, grid, 0, values, _no_extra, inner_, pairing)
+    return ProcessModel(name, grid, 0, values, _no_extra, gram, pairing)
 
 
 def sturm_liouville_operator(grid: Grid) -> KernelOperator:
@@ -244,101 +233,93 @@ def sl_factor_correction(grid: Grid, ts: np.ndarray) -> np.ndarray:
     return np.where(u < t, -np.cos(t) * np.sin(u), -np.sin(t) * np.cos(u))
 
 
-class _SLTables:
-    """Node-sampled sin, cos and the prefix sums of sin, cos, sin^2, sin cos, cos^2."""
+def _cell_sums(r0, r1, f, F):
+    """Sums of the rows of f (X, n) over the cells [r0, r1), F = _prefix(f): (X,) + r0.shape.
 
-    def __init__(self, grid: Grid):
-        self.n, self.u = grid.n, grid.nodes
-        self.sn, self.cs = np.sin(self.u), np.cos(self.u)
-        self.S, self.C = _prefix(self.sn), _prefix(self.cs)
-        self.SS, self.SC, self.CC = (
-            _prefix(self.sn * self.sn),
-            _prefix(self.sn * self.cs),
-            _prefix(self.cs * self.cs),
-        )
+    A range of one cell is summed directly: a sub-cell increment has at most
+    one cell between its switch points, whose value is far smaller than the
+    prefix sums.
+    """
+    r1 = np.maximum(r0, r1)
+    return np.where(r1 - r0 == 1, f[:, np.minimum(r0, f.shape[1] - 1)], F[:, r1] - F[:, r0])
 
 
-@dataclass(frozen=True)
-class _SLCorrections:
-    """(S 1I_[0,b] - S 1I_[0,a]) on the nodes for times a <= b, in three pieces.
+class _SLBasis:
+    """S 1I_[0,b] - S 1I_[0,a] on the nodes, for the increments of a batch of
+    tuples (B, k), in one basis of segments per tuple.
 
     With q(t) = #{nodes u_j < t}, the switch point of ``sl_factor_correction``,
-    the difference is x[s] sin u_j + y[s] cos u_j on segment s of the cells
-    [edges[s], edges[s+1]) = [0, q(a)), [q(a), q(b)), [q(b), n).  Sums over a
-    range of cells are differences of the node-sampled prefix sums; a range
-    of one cell is summed directly, because a sub-cell increment has at most
-    one middle cell, whose value is far smaller than the prefix sums.
+    the times cut the cells into the k+1 segments [edges[s], edges[s+1]) with
+    edges = (0, q(t_0), ..., q(t_{k-1}), n).  On segment s the difference of
+    increment i (times t_i, t_{i+1}) is z[0, s, i] sin u + z[1, s, i] cos u:
+    (cos t_i - cos t_{i+1}, 0) for s <= i, (-cos t_{i+1}, sin t_i) for s = i+1
+    and (0, sin t_i - sin t_{i+1}) beyond.  Sums over segments are differences
+    of the node-sampled prefix sums of sin u, cos u and their products.
     """
 
-    tables: _SLTables
-    edges: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
+    def __init__(self, grid: Grid):
+        self.grid, self.n, self.u = grid, grid.n, grid.nodes
+        self.trig = np.stack([np.sin(self.u), np.cos(self.u)])
+        self.trig_sums = _prefix(self.trig)
+        self.product_sums = _prefix(self.trig[[0, 0, 1]] * self.trig[[0, 1, 1]])
 
-    @classmethod
-    def build(cls, tables: _SLTables, times) -> "_SLCorrections":
-        """The differences over consecutive times (last axis)."""
-        q, c, s = np.searchsorted(tables.u, times), np.cos(times), np.sin(times)
-        qa, qb = q[..., :-1], q[..., 1:]
-        ca, cb, sa, sb = c[..., :-1], c[..., 1:], s[..., :-1], s[..., 1:]
-        zero = np.zeros(ca.shape)
-        edges = np.stack([np.zeros_like(qa), qa, qb, np.full_like(qa, tables.n)], axis=-1)
-        x = np.stack([ca - cb, -cb, zero], axis=-1)
-        y = np.stack([zero, sa, sa - sb], axis=-1)
-        return cls(tables, edges, x, y)
-
-    def at(self, j):
-        """Coefficients (x, y) at cells j (last axis)."""
-        first, middle = j < self.edges[..., 1:2], j < self.edges[..., 2:3]
-        x = np.where(first, self.x[..., 0:1], np.where(middle, self.x[..., 1:2], 0.0))
-        y = np.where(first, 0.0, np.where(middle, self.y[..., 1:2], self.y[..., 2:3]))
-        return x, y
-
-    def _sum(self, r0, r1, x, y, fs, fc, Fs, Fc):
-        """Sum over cells [r0, r1) of (x sin u + y cos u) f; fs = f sin u, Fs its prefix sums."""
-        r1 = np.maximum(r0, r1)
-        j = np.minimum(r0, self.tables.n - 1)
-        one = x * fs[j] + y * fc[j]
-        many = x * (Fs[r1] - Fs[r0]) + y * (Fc[r1] - Fc[r0])
-        return np.where(r1 - r0 == 1, one, many)
-
-    def pair(self, fs, fc, Fs, Fc) -> np.ndarray:
-        """Sum over cells of the difference times f."""
-        e = self.edges
-        return np.sum(self._sum(e[..., :-1], e[..., 1:], self.x, self.y, fs, fc, Fs, Fc), axis=-1)
-
-    def with_steps(self, d: IndicatorIncrements) -> np.ndarray:
-        """Sum over cells of the difference times the indicator difference d."""
-        t = self.tables
-        r0 = np.maximum(d.lo[..., None], self.edges[..., :-1])
-        r1 = np.minimum(d.hi[..., None], self.edges[..., 1:])
-        block = np.sum(self._sum(r0, r1, self.x, self.y, t.sn, t.cs, t.S, t.C), axis=-1)
-        px, py = self.at(d.pos)
-        return block + np.sum(d.val * (px * t.sn[d.pos] + py * t.cs[d.pos]), axis=-1)
-
-    def dot(self, other: "_SLCorrections") -> np.ndarray:
-        """Sum over cells of the product of two differences.
-
-        The cells split at the four inner edges of the two into five ranges,
-        on each of which both differences keep one segment.
-        """
-        t = self.tables
-        (a0, a1), (b0, b1) = (np.split(e[..., 1:3], 2, axis=-1) for e in (self.edges, other.edges))
-        lo, hi = np.maximum(a0, b0), np.minimum(a1, b1)  # merge two sorted pairs
-        z = [np.minimum(a0, b0), np.minimum(lo, hi), np.maximum(lo, hi), np.maximum(a1, b1)]
-        r0 = np.concatenate([np.zeros_like(a0)] + z, axis=-1)
-        r1 = np.concatenate(z + [np.full_like(a0, t.n)], axis=-1)
-        ax, ay = self.at(r0)
-        bx, by = other.at(r0)
-        j = np.minimum(r0, t.n - 1)
-        sn, cs = t.sn[j], t.cs[j]
-        one = (ax * sn + ay * cs) * (bx * sn + by * cs)
-        many = (
-            ax * bx * (t.SS[r1] - t.SS[r0])
-            + (ax * by + ay * bx) * (t.SC[r1] - t.SC[r0])
-            + ay * by * (t.CC[r1] - t.CC[r0])
+    def segments(self, times):
+        """(edges (B, k+2), z (B, 2, k+1, k-1)) of a batch of tuples."""
+        q = np.searchsorted(self.u, times)
+        edges = np.concatenate([np.zeros_like(q[:, :1]), q, np.full_like(q[:, :1], self.n)], 1)
+        c, s = np.cos(times), np.sin(times)
+        cols = np.stack(
+            [c[:, :-1] - c[:, 1:], -c[:, 1:], s[:, :-1], s[:, :-1] - s[:, 1:], 0.0 * c[:, 1:]], 1
         )
-        return np.sum(np.where(r1 - r0 == 1, one, many), axis=-1)
+        seg, i = np.arange(times.shape[1] + 1)[:, None], np.arange(times.shape[1] - 1)
+        side = np.sign(seg - i - 1) + 1  # x is cols 0, 1, 4 and y 4, 2, 3 before, at, after i+1
+        return edges, cols[:, np.array([[0, 1, 4], [4, 2, 3]])[:, side], i]
+
+    def pairing(self, h: GridFunction) -> Callable[[Increments], np.ndarray]:
+        """Increments -> (g(b) - g(a), h): the steps' pairing plus the segment sums
+        of h sin u and h cos u times the correction coefficients."""
+        steps, f = _steps_pairing(self.grid, h.values), h.values * self.trig
+        F = _prefix(f)
+
+        def pair(inc):
+            (edges, z), (B, _, s1, m) = inc.extra, inc.extra[1].shape
+            sums = _cell_sums(edges[:, :-1], edges[:, 1:], f, F).transpose(1, 0, 2)
+            corrections = (sums.reshape(B, 1, 2 * s1) @ z.reshape(B, 2 * s1, m))[:, 0]
+            return steps(inc) + self.grid.weight * corrections
+
+        return pair
+
+    def gram(self, inc: Increments) -> np.ndarray:
+        """Gram matrices (B, m, m) of a batch of sl increments.
+
+        With z flattened to 2(k+1) rows, the corrections give z^T G z, G the 2x2
+        sums of the products of sin u and cos u over each segment, except that a
+        one-cell segment enters through its cell's values, which keeps their
+        digits; steps times corrections give w z, w the segment sums of each
+        increment's steps times sin u and cos u.  The block of increment i lies
+        in segment i+1 (q(t_i) <= p(t_i) + 2 and p(t_{i+1}) <= q(t_{i+1}), p of
+        ``indicator_params``); a boundary cell in the segment numbered by the
+        switch points at or below it.
+        """
+        d, (edges, z) = inc.steps, inc.extra
+        B, _, s1, m = z.shape
+        r0, r1 = edges[:, :-1], edges[:, 1:]
+        one = r1 - r0 == 1
+        G = np.where(one, 0.0, self.product_sums[:, r1] - self.product_sums[:, r0])
+        ss, sc, cc = G[..., None]
+        seg = sum(edges[:, s, None, None] <= d.pos for s in range(1, s1))
+        hot = (seg[..., None] == np.arange(s1)) * 1.0
+        w = (d.val * self.trig[:, d.pos]).transpose(1, 2, 0, 3) @ hot
+        i = np.arange(m)
+        w[:, i, :, i + 1] += _cell_sums(d.lo, d.hi, self.trig, self.trig_sums).transpose(2, 1, 0)
+        w, zf = w.reshape(B, m, 2 * s1), z.reshape(B, 2 * s1, m)
+        gz = np.concatenate([ss * z[:, 0] + sc * z[:, 1], sc * z[:, 0] + cc * z[:, 1]], axis=1)
+        A = d.gram() + zf.transpose(0, 2, 1) @ (gz + w.transpose(0, 2, 1)) + w @ zf
+        rows = np.flatnonzero(one.any(axis=1))
+        sn, cs = self.trig[:, np.minimum(r0[rows], self.n - 1), None]
+        at_one = one[rows, :, None] * (z[rows, 0] * sn + z[rows, 1] * cs)
+        A[rows] += at_one.transpose(0, 2, 1) @ at_one
+        return self.grid.weight * A
 
 
 def sturm_liouville_model(grid: Grid) -> ProcessModel:
@@ -356,7 +337,7 @@ def sturm_liouville_model(grid: Grid) -> ProcessModel:
     nrm = operator_norm(sturm_liouville_operator(probe))
     if nrm >= 1.0:
         raise ValidationError(f"perturbation norm {nrm:.6f} >= 1")
-    tables = _SLTables(grid)
+    basis = _SLBasis(grid)
 
     def values(ts):
         return (
@@ -364,21 +345,7 @@ def sturm_liouville_model(grid: Grid) -> ProcessModel:
             np.zeros((len(ts), 0)),
         )
 
-    def extra(times):
-        return _SLCorrections.build(tables, times)
-
-    def inner_(x, y):
-        c1, c2 = x.extra, y.extra
-        mixed = c2.with_steps(x.steps) + c1.with_steps(y.steps)
-        return grid.weight * (x.steps.dot(y.steps) + mixed + c1.dot(c2))
-
-    def pairing(h):
-        steps = _steps_pairing(grid, h.values)
-        fs, fc = h.values * tables.sn, h.values * tables.cs
-        Fs, Fc = _prefix(fs), _prefix(fc)
-        return lambda inc: steps(inc) + grid.weight * inc.extra.pair(fs, fc, Fs, Fc)
-
-    return ProcessModel("perturbed:sl", grid, 0, values, extra, inner_, pairing)
+    return ProcessModel("perturbed:sl", grid, 0, values, basis.segments, basis.gram, basis.pairing)
 
 
 def counterexample_model(grid: Grid) -> ProcessModel:
@@ -390,14 +357,14 @@ def counterexample_model(grid: Grid) -> ProcessModel:
     def extra(times):
         return np.diff(np.sqrt(times), axis=-1)
 
-    def inner_(x, y):
-        return grid.weight * x.steps.dot(y.steps) + x.extra * y.extra
+    def gram(inc):
+        return grid.weight * inc.steps.gram() + inc.extra[:, :, None] * inc.extra[:, None, :]
 
     def pairing(h):
         steps, e = _steps_pairing(grid, h.values), h.aux[0]
         return lambda inc: steps(inc) + e * inc.extra
 
-    return ProcessModel("counterexample", grid, 1, values, extra, inner_, pairing)
+    return ProcessModel("counterexample", grid, 1, values, extra, gram, pairing)
 
 
 def load_kernel_csv(grid: Grid, path: str) -> KernelOperator:

@@ -37,8 +37,8 @@ _ORDERS = (4, 8, 12, 16, 24, 32)
 _SCHUR_CELLS = 1024
 _SCHUR_KERNEL_CELLS = 512
 _ITERATED_MIN_GAP = 1e-6
-_ITERATED_GAP_CELLS = 192
-_ITERATED_T_CELLS = 128
+_ITERATED_GAP_CELLS = 32
+_ITERATED_T_CELLS = 32
 
 
 def _check_k(k: int) -> None:

@@ -19,6 +19,7 @@ from silt import (
 from silt.cli import main
 from silt.gram import (
     COND_CUTOFF,
+    batch_cholesky,
     batch_decompose,
     batch_ortho_coeffs,
     batch_projections,
@@ -157,6 +158,35 @@ def test_ill_conditioned_tuple_is_rejected_on_every_path(capsys):
         decompose(m, TimeTuple(bad))
     assert main(["gram", "--grid-n", "64", "--times", "0.3,0.30000001,0.7"]) == 3
     assert "0.30000001" in capsys.readouterr().err
+
+
+def test_closed_form_2x2_check_decides_like_eigvalsh():
+    """batch_cholesky finds the eigenvalues of a 2x2 matrix in closed form.  On
+    seeded SPD matrices with condition numbers 1e10 to 1e14 and norms 1e-8 to
+    10 it accepts and rejects the same matrices as the eigvalsh test does,
+    except within 1e-3 (relative) of COND_CUTOFF, where both are rounding."""
+    rng = np.random.default_rng(12)
+    B = 2000
+    cond, scale = 10.0 ** rng.uniform(10, 14, B), 10.0 ** rng.uniform(-8, 1, B)
+    theta = rng.uniform(0, np.pi, B)
+    c, s = np.cos(theta), np.sin(theta)
+    Q = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -1)
+    A = (Q * np.stack([scale, scale / cond], -1)[:, None, :]) @ Q.transpose(0, 2, 1)
+    A = 0.5 * (A + A.transpose(0, 2, 1))
+    eigs = np.linalg.eigvalsh(A)
+    by_eigvalsh = (eigs[:, 0] > 0) & (eigs[:, 1] <= COND_CUTOFF * eigs[:, 0])
+    far = np.abs(eigs[:, 1] / (COND_CUTOFF * eigs[:, 0]) - 1.0) > 1e-3
+    times = np.array([[0.1, 0.2, 0.3]])
+    accepted = []
+    for a in A:
+        try:
+            batch_cholesky(a[None], times)
+            accepted.append(True)
+        except DegenerateConfigurationError:
+            accepted.append(False)
+    accepted = np.array(accepted)
+    assert 0 < by_eigvalsh[far].sum() < far.sum() and far.sum() > 0.99 * B
+    assert np.array_equal(accepted[far], by_eigvalsh[far])
 
 
 def test_batch_decompose_never_blames_an_innocent_row(monkeypatch):

@@ -45,6 +45,7 @@ from silt import function_space, gram, process_models, regularization, transform
 from silt.function_space import KernelOperator
 from silt.gram import batch_decompose, batch_ortho_coeffs
 from silt.process_models import ProcessModel
+from silt.quadrature import integrate_simplex_level
 from silt.regularization import batch_fw_limit, batch_regularized_integrand, default_min_gap
 from silt.transform import MC_CHUNK
 
@@ -225,6 +226,83 @@ def test_structured_route_matches_dense_factor_rows(name, data):
 
     got = [projection_decay(model, a, b, h1) for a, b in zip(times[0, :-1], times[0, 1:])]
     assert _rel(np.array(got), np.abs(us[0]) / np.linalg.norm(inc_d, axis=1)) <= tol
+
+
+@st.composite
+def cell_tuples(draw, grid):
+    """k = 2..5 times (c + f) w whose cells c differ by 0 (at most once), 1, 2 or
+    more, so that the boundary cells p differ by 0, 1, 2 or more, with gaps of
+    at least w/20, starting at 0 or anywhere, or ending in the last cell or at T.
+
+    A cell difference of 0, or of 1 with a smaller fraction, is a sub-cell gap.
+    """
+    n = grid.n
+    k = draw(st.integers(2, 5))
+    sub = draw(st.integers(-1, k - 2))  # index of the gap inside one cell, -1 for none
+    steps = [0 if i == sub else draw(st.sampled_from([1, 2, 3, n // 8])) for i in range(k - 1)]
+    cells = np.concatenate([[0], np.cumsum(steps)])
+    where = draw(st.sampled_from(["zero", "free", "last_cell", "end"]))
+    if where == "zero":
+        first = 0
+    elif where == "free":
+        first = draw(st.integers(0, n - 1 - cells[-1]))
+    else:
+        first = n - 1 - cells[-1] + (where == "end")
+    fracs = [draw(st.floats(0.0, 0.9 if sub == 0 else 0.999))]
+    for i, step in enumerate(steps, 1):
+        lo = {0: fracs[-1] + 0.05, 1: max(0.0, fracs[-1] - 0.95)}.get(step, 0.0)
+        fracs.append(draw(st.floats(lo, 0.9 if i == sub else 0.999)))
+    if where == "end":
+        fracs[-1] = 0.0
+    return np.minimum((first + cells + np.array(fracs)) * grid.weight, grid.T)[None, :]
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_band_gram_matches_dense_factor_rows(name, data):
+    """``increment_gram`` (the band, its pairwise fallback and the sl segment
+    basis) against the dense factor rows, entry by entry."""
+    model, rtol = MODELS[name]
+    times = data.draw(cell_tuples(model.grid))
+    A = model.increment_gram(model.increments(times))[0]
+    E = np.diff(model.embedded_factors(times[0]), axis=0)
+    d = np.sqrt(np.diag(E @ E.T))
+    assert np.all(np.abs(A - E @ E.T) <= rtol * np.outer(d, d))
+
+
+@pytest.mark.parametrize("spec, T", [("wiener", 1.0), ("perturbed:sl", HALF_PI)])
+def test_pairwise_dot_gets_exactly_the_rows_that_break_the_separation_rule(
+    monkeypatch, spec, T
+):
+    """On the order-12, k=3 lattice of ``regularized_integral`` at n=512, the 4
+    tuples whose boundary cells p of consecutive times differ by less than 2
+    (t_3 in the last cell) go through ``IndicatorIncrements.dot``, and no other;
+    on the others the band equals the pairwise dot."""
+    grid = make_grid(T, 512)
+    model = process_models.parse_model(spec, grid)
+    lattice = []
+
+    def record(times):
+        lattice.append(times)
+        return np.zeros(len(times))
+
+    integrate_simplex_level(T, 3, record, default_min_gap(grid), 12, 12, closure=True)
+    times = np.concatenate(lattice)
+    p = function_space.indicator_params(grid, times)[0]
+    breaks = np.any(np.diff(p, axis=1) < 2, axis=1)
+    assert breaks.sum() == 4 and np.all(p[breaks, -1] == grid.n - 2)
+    inc = model.increments(times)
+    seen = []
+    dot = function_space.IndicatorIncrements.dot
+    monkeypatch.setattr(
+        function_space.IndicatorIncrements, "dot", lambda x, y: seen.append(x) or dot(x, y)
+    )
+    A = inc.steps.gram()
+    assert len(seen) == 1 and np.array_equal(seen[0].pos[:, :, 0], inc.steps.pos[breaks])
+    monkeypatch.undo()
+    pairwise = dot(*inc.steps.pairs())
+    assert np.max(np.abs(A - pairwise)) <= 1e-15 * np.max(np.abs(pairwise))
 
 
 @pytest.mark.parametrize("frac", [0.1, 0.3, 0.6, 0.9])
