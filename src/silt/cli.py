@@ -15,6 +15,7 @@ import configparser
 import dataclasses
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -408,8 +409,16 @@ def _merge_config(args) -> RunConfig:
     return cfg
 
 
+# a float that starts with "-" and that argparse, after a space, takes for a flag
+_SIGNED_FLOAT = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)", re.IGNORECASE)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # --a -inf as --a=-inf, so the checks name it
+        if argv[i - 1][:2] == "--" and "=" not in argv[i - 1] and _SIGNED_FLOAT.fullmatch(argv[i]):
+            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)

@@ -155,18 +155,14 @@ def indicator_params(grid: Grid, t):
     return np.minimum(c, n - 2), alpha, beta
 
 
-def _indicator_cells(j, p, alpha, beta):
-    """Values at cells j of the representations with parameters (p, alpha, beta)."""
-    return np.where(j < p, 1.0, np.where(j == p, alpha, np.where(j == p + 1, beta, 0.0)))
-
-
 def indicator_values(grid: Grid, t) -> np.ndarray:
     """Cell representations of 1I_[0,t] for an array of times, shape (B, n).
 
     Built from ``indicator_params``: norm^2 = t exactly.
     """
     p, alpha, beta = (x[:, None] for x in indicator_params(grid, np.atleast_1d(t)))
-    return _indicator_cells(np.arange(grid.n), p, alpha, beta)
+    j = np.arange(grid.n)
+    return np.where(j < p, 1.0, np.where(j == p, alpha, np.where(j == p + 1, beta, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -236,17 +232,18 @@ class IndicatorIncrements:
 
 
 def indicator_increments(grid: Grid, times) -> IndicatorIncrements:
-    """Differences 1I_[0,b] - 1I_[0,a] of consecutive times (last axis), a <= b."""
-    p, alpha, beta = (x[..., None] for x in indicator_params(grid, times))
-    pa, pb = p[..., :-1, :], p[..., 1:, :]
-    pos = np.concatenate([pa, pa + 1, pb, pb + 1], axis=-1)
-    val = _indicator_cells(pos, pb, alpha[..., 1:, :], beta[..., 1:, :]) - _indicator_cells(
-        pos, pa, alpha[..., :-1, :], beta[..., :-1, :]
-    )
-    pa, pb = pa[..., 0], pb[..., 0]
-    val[..., 2] = np.where(pb <= pa + 1, 0.0, val[..., 2])
-    val[..., 3] = np.where(pb == pa, 0.0, val[..., 3])
-    return IndicatorIncrements(pa + 2, pb, pos, val)
+    """Differences 1I_[0,b] - 1I_[0,a] of consecutive times (last axis), a <= b.
+
+    With d = p_b - p_a >= 0 the boundary values at cells p_a, p_a + 1, p_b,
+    p_b + 1 are those of the representation of b less those of a; a cell that
+    d < 2 lists twice carries 0 at its second listing.
+    """
+    p, alpha, beta = indicator_params(grid, times)
+    (pa, pb), (aa, ab), (ba, bb) = ((x[..., :-1], x[..., 1:]) for x in (p, alpha, beta))
+    one, two = pb - pa >= 1, pb - pa >= 2
+    a_cells = np.where(one, 1.0, ab) - aa, np.where(two, 1.0, np.where(one, ab, bb)) - ba
+    val = np.stack([*a_cells, two * ab, one * bb], axis=-1)
+    return IndicatorIncrements(pa + 2, pb, np.stack([pa, pa + 1, pb, pb + 1], axis=-1), val)
 
 
 def indicator(grid: Grid, t: float) -> GridFunction:

@@ -6,8 +6,8 @@ tuples from the models' structured increments and factors them with
 is its B=1 call.  Every other factorization (SLND and Berman ratios, the
 eps-smoothed transform) goes through ``batch_cholesky`` too.  Projections on
 the increment span, batched in ``batch_projections``, are forward
-substitutions of the shift coefficients through the Cholesky factor;
-``projection_norm_sq`` is its B=1 row.
+substitutions of the shift coefficients through the Cholesky factor, once per
+distinct shift; ``projection_norm_sq`` is its B=1 row.
 """
 
 from __future__ import annotations
@@ -142,12 +142,18 @@ def batch_decompose(model: ProcessModel, times: np.ndarray):
 
 def batch_projections(model: ProcessModel, *hs: GridFunction):
     """Times (B, k) -> (gamma (B,), [y_h (B, k-1)]): each shift's coefficients on the
-    orthonormalized increments, ||P h||^2 = sum y_h^2, from pairings built once."""
-    pairs = [model.pairing(h) for h in hs]
+    orthonormalized increments, ||P h||^2 = sum y_h^2, from pairings built once.
+
+    Shifts equal in grid, values and aux (``--h1 const1 --h2 const1`` parses
+    into two objects) share one pairing and one forward substitution.
+    """
+    keys = [(h.grid, h.values.tobytes(), h.aux.tobytes()) for h in hs]
+    pairs = {key: model.pairing(h) for key, h in dict(zip(keys, hs)).items()}
 
     def f(times: np.ndarray):
         inc, _, L, gamma = batch_decompose(model, times)
-        return gamma, [batch_ortho_coeffs(L, pair(inc)) for pair in pairs]
+        ys = {key: batch_ortho_coeffs(L, pair(inc)) for key, pair in pairs.items()}
+        return gamma, [ys[key] for key in keys]
 
     return f
 
@@ -159,7 +165,8 @@ def batch_cholesky(A: np.ndarray, times: np.ndarray):
     (B, k).  A matrix that is not finite, not positive definite or has
     condition number above COND_CUTOFF raises DegenerateConfigurationError
     naming the tuple of the first such matrix.  A Cholesky factorization that
-    passes the check cannot fail in double precision.
+    passes the check cannot fail in double precision; m <= 2 takes LAPACK's
+    steps in closed form (bitwise equal to ``np.linalg.cholesky`` on OpenBLAS).
     """
     finite = np.isfinite(A).all(axis=(1, 2))
     A0 = np.where(finite[:, None, None], A, np.eye(A.shape[1]))
@@ -179,7 +186,15 @@ def batch_cholesky(A: np.ndarray, times: np.ndarray):
             f"degenerate tuple {tuple(float(t) for t in times[i])}: condition number "
             f"{cond} (smallest gap {np.diff(times[i]).min():.3e})"
         )
-    L = np.linalg.cholesky(A)
+    if A.shape[1] == 1:
+        L = np.sqrt(A)
+    elif A.shape[1] == 2:  # LAPACK's steps: the column scaled by the reciprocal pivot
+        L = np.zeros_like(A)
+        L[:, :1, :1] = np.sqrt(A[:, :1, :1])
+        L[:, 1:, :1] = A[:, 1:, :1] * (1.0 / L[:, :1, :1])
+        L[:, 1:, 1:] = np.sqrt(A[:, 1:, 1:] - L[:, 1:, :1] ** 2)
+    else:
+        L = np.linalg.cholesky(A)
     return L, np.prod(np.einsum("bii->bi", L), axis=1) ** 2
 
 

@@ -78,7 +78,8 @@ class ProcessModel:
     def _times(self, times) -> np.ndarray:
         times = np.asarray(times, dtype=float)
         if np.any(times < -1e-12) or np.any(times > self.grid.T + 1e-12):
-            raise ValidationError(f"model time outside [0, {self.grid.T}]")
+            bad = times[(times < -1e-12) | (times > self.grid.T + 1e-12)][0]
+            raise ValidationError(f"model time {bad} outside [0, {self.grid.T}]")
         return np.clip(times, 0.0, self.grid.T)
 
     def factor_values(self, times) -> Tuple[np.ndarray, np.ndarray]:
@@ -241,7 +242,8 @@ def _cell_sums(r0, r1, f, F):
     prefix sums.
     """
     r1 = np.maximum(r0, r1)
-    return np.where(r1 - r0 == 1, f[:, np.minimum(r0, f.shape[1] - 1)], F[:, r1] - F[:, r0])
+    one = np.take(f, np.minimum(r0, f.shape[1] - 1), axis=1)
+    return np.where(r1 - r0 == 1, one, np.take(F, r1, axis=1) - np.take(F, r0, axis=1))
 
 
 class _SLBasis:
@@ -254,26 +256,30 @@ class _SLBasis:
     increment i (times t_i, t_{i+1}) is z[0, s, i] sin u + z[1, s, i] cos u:
     (cos t_i - cos t_{i+1}, 0) for s <= i, (-cos t_{i+1}, sin t_i) for s = i+1
     and (0, sin t_i - sin t_{i+1}) beyond.  Sums over segments are differences
-    of the node-sampled prefix sums of sin u, cos u and their products.
+    of the node-sampled prefix sums of sin u, cos u and their products.  The
+    tuple axis is last, so that every pass over these arrays runs over B
+    contiguous values.
     """
 
     def __init__(self, grid: Grid):
         self.grid, self.n, self.u = grid, grid.n, grid.nodes
+        self.u_ends = np.append(self.u, np.inf)
         self.trig = np.stack([np.sin(self.u), np.cos(self.u)])
         self.trig_sums = _prefix(self.trig)
-        self.product_sums = _prefix(self.trig[[0, 0, 1]] * self.trig[[0, 1, 1]])
+        self.products = self.trig[[0, 0, 1, 1]] * self.trig[[0, 1, 0, 1]]
+        self.product_sums = _prefix(self.products)
 
     def segments(self, times):
-        """(edges (B, k+2), z (B, 2, k+1, k-1)) of a batch of tuples."""
-        q = np.searchsorted(self.u, times)
-        edges = np.concatenate([np.zeros_like(q[:, :1]), q, np.full_like(q[:, :1], self.n)], 1)
+        """(edges (k+2, B), z (2, k+1, k-1, B)) of a batch of tuples (B, k)."""
+        times = times.T
+        cell = np.minimum(np.floor(times / self.grid.weight).astype(int), self.n)
+        q = cell + (np.take(self.u_ends, cell) < times)  # also where floor is one off at an edge
+        edges = np.concatenate([np.zeros_like(q[:1]), q, np.full_like(q[:1], self.n)])
         c, s = np.cos(times), np.sin(times)
-        cols = np.stack(
-            [c[:, :-1] - c[:, 1:], -c[:, 1:], s[:, :-1], s[:, :-1] - s[:, 1:], 0.0 * c[:, 1:]], 1
-        )
-        seg, i = np.arange(times.shape[1] + 1)[:, None], np.arange(times.shape[1] - 1)
+        cols = np.stack([c[:-1] - c[1:], -c[1:], s[:-1], s[:-1] - s[1:], np.zeros_like(s[1:])])
+        seg, i = np.arange(len(times) + 1)[:, None], np.arange(len(times) - 1)
         side = np.sign(seg - i - 1) + 1  # x is cols 0, 1, 4 and y 4, 2, 3 before, at, after i+1
-        return edges, cols[:, np.array([[0, 1, 4], [4, 2, 3]])[:, side], i]
+        return edges, cols[np.array([[0, 1, 4], [4, 2, 3]])[:, side], i]
 
     def pairing(self, h: GridFunction) -> Callable[[Increments], np.ndarray]:
         """Increments -> (g(b) - g(a), h): the steps' pairing plus the segment sums
@@ -282,44 +288,40 @@ class _SLBasis:
         F = _prefix(f)
 
         def pair(inc):
-            (edges, z), (B, _, s1, m) = inc.extra, inc.extra[1].shape
-            sums = _cell_sums(edges[:, :-1], edges[:, 1:], f, F).transpose(1, 0, 2)
-            corrections = (sums.reshape(B, 1, 2 * s1) @ z.reshape(B, 2 * s1, m))[:, 0]
-            return steps(inc) + self.grid.weight * corrections
+            edges, z = inc.extra
+            sums = _cell_sums(edges[:-1], edges[1:], f, F)
+            return steps(inc) + self.grid.weight * np.einsum("csb,cslb->bl", sums, z)
 
         return pair
 
     def gram(self, inc: Increments) -> np.ndarray:
         """Gram matrices (B, m, m) of a batch of sl increments.
 
-        With z flattened to 2(k+1) rows, the corrections give z^T G z, G the 2x2
-        sums of the products of sin u and cos u over each segment, except that a
-        one-cell segment enters through its cell's values, which keeps their
-        digits; steps times corrections give w z, w the segment sums of each
-        increment's steps times sin u and cos u.  The block of increment i lies
-        in segment i+1 (q(t_i) <= p(t_i) + 2 and p(t_{i+1}) <= q(t_{i+1}), p of
+        The corrections give z^T G z, G the 2x2 sums of the products of sin u
+        and cos u over each segment, except that a one-cell segment enters
+        through its cell's values, which keeps their digits; steps times
+        corrections give w^T z, w the segment sums of each increment's steps
+        times sin u and cos u.  The block of increment i lies in segment i+1
+        (q(t_i) <= p(t_i) + 2 and p(t_{i+1}) <= q(t_{i+1}), p of
         ``indicator_params``); a boundary cell in the segment numbered by the
-        switch points at or below it.
+        switch points at or below it.  w is one ``bincount`` of the boundary
+        values and the block sums into their (sin/cos, segment, increment,
+        tuple) bins.
         """
         d, (edges, z) = inc.steps, inc.extra
-        B, _, s1, m = z.shape
-        r0, r1 = edges[:, :-1], edges[:, 1:]
-        one = r1 - r0 == 1
-        G = np.where(one, 0.0, self.product_sums[:, r1] - self.product_sums[:, r0])
-        ss, sc, cc = G[..., None]
-        seg = sum(edges[:, s, None, None] <= d.pos for s in range(1, s1))
-        hot = (seg[..., None] == np.arange(s1)) * 1.0
-        w = (d.val * self.trig[:, d.pos]).transpose(1, 2, 0, 3) @ hot
-        i = np.arange(m)
-        w[:, i, :, i + 1] += _cell_sums(d.lo, d.hi, self.trig, self.trig_sums).transpose(2, 1, 0)
-        w, zf = w.reshape(B, m, 2 * s1), z.reshape(B, 2 * s1, m)
-        gz = np.concatenate([ss * z[:, 0] + sc * z[:, 1], sc * z[:, 0] + cc * z[:, 1]], axis=1)
-        A = d.gram() + zf.transpose(0, 2, 1) @ (gz + w.transpose(0, 2, 1)) + w @ zf
-        rows = np.flatnonzero(one.any(axis=1))
-        sn, cs = self.trig[:, np.minimum(r0[rows], self.n - 1), None]
-        at_one = one[rows, :, None] * (z[rows, 0] * sn + z[rows, 1] * cs)
-        A[rows] += at_one.transpose(0, 2, 1) @ at_one
-        return self.grid.weight * A
+        _, s1, m, B = z.shape
+        G = _cell_sums(edges[:-1], edges[1:], self.products, self.product_sums)[:, :, None]
+        gz = G[0::2] * z[:1] + G[1::2] * z[1:]
+        seg = sum(edges[s, :, None, None] <= d.pos for s in range(1, s1))
+        slab, cell = m * B, np.arange(m) * B + np.arange(B)[:, None]
+        b0 = np.arange(2)[:, None, None] * s1 * slab + cell  # bins of segment 0
+        bins = np.concatenate([b0[..., None] + seg * slab, b0 + np.arange(1, m + 1) * slab], None)
+        boundary = d.val * np.take(self.trig, d.pos, axis=1)
+        blocks = _cell_sums(d.lo, d.hi, self.trig, self.trig_sums)
+        values = np.concatenate([boundary, blocks], None)
+        w = np.bincount(bins, values, minlength=z.size).reshape(z.shape)
+        A = np.einsum("csib,cslb->bil", z, gz + w) + np.einsum("csib,cslb->bil", w, z)
+        return self.grid.weight * (d.gram() + A)
 
 
 def sturm_liouville_model(grid: Grid) -> ProcessModel:

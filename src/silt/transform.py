@@ -8,6 +8,7 @@ close on the analytic value.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -18,8 +19,6 @@ from .errors import ValidationError
 from .function_space import GridFunction
 from .gram import (
     TimeTuple,
-    batch_cholesky,
-    batch_ortho_coeffs,
     batch_projections,
     wiener_projections,
 )
@@ -60,20 +59,18 @@ def fw_eps(point: TransformPoint, eps: float) -> float:
     """Transform of the eps-smoothed delta product (closed Gaussian form).
 
     det(A + eps I)^{-1} exp(-[(A+eps I)^{-1} quadratic forms of u1, u2] / 2)
-    times the normalization factor.  Only A + eps I is checked and factored,
-    so a tuple whose Gram matrix A is singular still has a value.
+    times the normalization factor: the limit form of the model whose
+    increments carry independent noise of variance eps, Gram matrix A + eps I.
+    Only A + eps I is checked and factored, so a tuple whose Gram matrix A is
+    singular still has a value.
     """
     if not 0 < eps < math.inf:
         raise ValidationError(f"eps must be positive and finite, got {eps}")
     model, times = point.model, np.asarray(point.tt.times)[None]
-    inc = model.increments(times)
-    A = model.increment_gram(inc)
-    L, det = batch_cholesky(A + eps * np.eye(A.shape[1]), times)
-    expo = sum(
-        float(np.sum(batch_ortho_coeffs(L, model.pairing(h)(inc)) ** 2))
-        for h in (point.h1, point.h2)
-    )
-    return point.norm_factor * math.exp(-0.5 * expo) / float(det[0])
+    noise = eps * np.eye(point.tt.k - 1)
+    noisy = dataclasses.replace(model, _gram=lambda inc: model.increment_gram(inc) + noise)
+    det, ys = batch_projections(noisy, point.h1, point.h2)(times)
+    return point.norm_factor * math.exp(-0.5 * sum(float(np.sum(y**2)) for y in ys)) / float(det[0])
 
 
 def batch_fw_limit(

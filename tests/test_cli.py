@@ -126,6 +126,11 @@ NAMED_VALUES = {
     "regularize --k 2 --h1 const1 --h2 const1 --levels 7": "levels must lie in 2..6, got 7",
     "schur --h const1 --a -0.5": "left endpoint a=-0.5 must lie in [0, T=1.0)",
     "schur --h const1 --a=-inf": "left endpoint a=-inf must lie in [0, T=1.0)",
+    # a value after a space that starts with - and is not a plain negative number
+    "schur --h const1 --a -inf": "left endpoint a=-inf must lie in [0, T=1.0)",
+    "pdecay --t1 -1e-3 --t2 0.5 --h const1": "model time -0.001 outside [0, 1.0]",
+    "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --eps -inf":
+        "eps must be positive and finite, got -inf",
     "diverge --k 2 --h1 zero --h2 zero --deltas nan": "deltas must be finite, positive and "
     "strictly decreasing, got (nan,)",
     "slnd --times 0.2,0.5,0.9 --subset 1 --scan 0.1,0": "scan gaps must be finite, positive "
@@ -158,6 +163,9 @@ NAMED_VALUES = {
         "--seed 340282366920938463463374607431768211456",
         "schur --h const1 --a -0.5",
         "schur --h const1 --a=-inf",
+        "schur --h const1 --a -inf",
+        "pdecay --t1 -1e-3 --t2 0.5 --h const1",
+        "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --eps -inf",
         "regularize --k 2 --h1 const1 --h2 const1 --levels 7",
     ],
 )

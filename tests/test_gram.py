@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -7,9 +8,11 @@ import pytest
 from silt import (
     DegenerateConfigurationError,
     TimeTuple,
+    TransformPoint,
     ValidationError,
     counterexample_model,
     decompose,
+    fw_eps,
     make_grid,
     parse_function,
     projection_norm_sq,
@@ -25,7 +28,7 @@ from silt.gram import (
     batch_projections,
     wiener_projections,
 )
-from silt.process_models import ProcessModel
+from silt.process_models import ProcessModel, parse_model
 
 
 def random_tuple(rng, T, k, min_gap):
@@ -203,3 +206,77 @@ def test_batch_decompose_never_blames_an_innocent_row(monkeypatch):
     A[1, 2, 2] = -1.0
     with pytest.raises(DegenerateConfigurationError, match=r"tuple \(0\.2, "):
         batch_decompose(m, times)
+
+
+def _spd(rng, B, m, cond):
+    """Seeded SPD m x m matrices with the given condition numbers and norms 1e-8 to 10."""
+    scale = 10.0 ** rng.uniform(-8, 1, B)
+    Q = np.linalg.qr(rng.standard_normal((B, m, m)))[0]
+    eig = scale[:, None] * np.exp(np.linspace(0.0, -1.0, m) * np.log(cond)[:, None])
+    A = (Q * eig[:, None, :]) @ Q.transpose(0, 2, 1)
+    return 0.5 * (A + A.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_closed_form_factor_matches_lapack(m):
+    """For m <= 2 batch_cholesky factors in closed form; on seeded SPD matrices
+    with condition numbers 1 to 1e12 its factor and Gamma are within 1 ulp of
+    np.linalg.cholesky's, and the upper triangle is zero."""
+    rng = np.random.default_rng(20 + m)
+    B = 4000
+    A = _spd(rng, B, m, 10.0 ** rng.uniform(0, 12 if m == 2 else 0, B))
+    L, gamma = batch_cholesky(A, np.tile([0.1, 0.2, 0.3][: m + 1], (B, 1)))
+    ref = np.linalg.cholesky(A)
+    assert np.all(np.abs(L - ref) <= np.spacing(np.abs(ref)))
+    ref_gamma = np.prod(np.einsum("bii->bi", ref), axis=1) ** 2
+    assert np.all(np.abs(gamma - ref_gamma) <= np.spacing(ref_gamma))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_closed_form_factor_keeps_the_check(m):
+    """A non-finite, non positive definite or too ill-conditioned matrix in the
+    middle of a batch is still named by its tuple, with the same message."""
+    times = np.array([[0.1, 0.2, 0.3][: m + 1]] * 3)
+    times[1, -1] = 0.35
+    cases = [(np.full((m, m), np.nan), "inf"), (-np.eye(m), "inf")]
+    if m == 2:  # a 1x1 matrix has condition number 1
+        rng = np.random.default_rng(32)
+        cases.append((_spd(rng, 1, 2, np.array([1e13]))[0], r"\d\.\d\de\+1[23]"))
+    for bad, cond in cases:
+        A = np.stack([np.eye(m), bad, np.eye(m)])
+        named = rf"degenerate tuple \(0\.1, (0\.2, )?0\.35\): condition number {cond} "
+        with pytest.raises(DegenerateConfigurationError, match=named + r"\(smallest gap"):
+            batch_cholesky(A, times)
+
+
+@pytest.mark.parametrize(
+    "spec, T", [("wiener", 1.0), ("counterexample", 1.0), ("perturbed:sl", math.pi / 2)]
+)
+def test_equal_shifts_are_paired_once(spec, T):
+    """A shift and an equal copy (two objects, as ``--h1 const1 --h2 const1``
+    parses) share one ``pairing`` in batch_projections and fw_eps, with values
+    bitwise equal to pairing each separately; distinct shifts are paired each."""
+    grid = make_grid(T, 64)
+    model = parse_model(spec, grid)
+    h, h_copy, other = (parse_function(f, grid, model.aux_dim) for f in ("sin:1", "sin:1", "sin:2"))
+    calls = []
+    spy = dataclasses.replace(model, _pairing=lambda g: calls.append(g) or model._pairing(g))
+    times = np.array([[0.1, 0.4, 0.7], [0.2, 0.3, 0.9], [0.05, 0.5, 0.55]]) * T
+    gamma, (y1, y2) = batch_projections(spy, h, h_copy)(times)
+    assert len(calls) == 1
+    for g, y in ((h, y1), (h_copy, y2)):
+        ref_gamma, (ref,) = batch_projections(model, g)(times)
+        assert np.array_equal(gamma, ref_gamma) and np.array_equal(y, ref)
+    batch_projections(spy, h, other, h_copy)
+    assert len(calls) == 3
+
+    calls.clear()
+    eps, tt = 0.1, TimeTuple(times[0])
+    value = fw_eps(TransformPoint(spy, tt, h, h_copy), eps)
+    assert len(calls) == 1
+    inc = model.increments(times[:1])
+    A = model.increment_gram(inc)
+    L, det = batch_cholesky(A + eps * np.eye(2), times[:1])
+    ys = [batch_ortho_coeffs(L, model.pairing(g)(inc)) for g in (h, h_copy)]
+    expo = sum(float(np.sum(y**2)) for y in ys)
+    assert value == math.exp(-0.5 * expo) / float(det[0])

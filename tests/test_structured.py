@@ -402,6 +402,54 @@ def test_separated_increments_have_exact_gram_entries(n, data):
     assert np.max(np.abs(E @ E.T - exact)) <= 1e-14
 
 
+def _assert_dense_differences(grid, times):
+    """Each row of ``indicator_increments`` rebuilt from (lo, hi, pos, val) is
+    bitwise the difference of the dense rows of its two times."""
+    inc = function_space.indicator_increments(grid, times)
+    R, m = inc.lo.shape
+    rows = (np.arange(grid.n) >= inc.lo[..., None]) & (np.arange(grid.n) < inc.hi[..., None])
+    rows = rows.astype(float)
+    r, i = np.indices((R, m))
+    for j in range(4):
+        rows[r, i, inc.pos[..., j]] += inc.val[..., j]
+    dense = function_space.indicator_values(grid, times.ravel()).reshape(R, -1, grid.n)
+    np.testing.assert_array_equal(rows, dense[:, 1:] - dense[:, :-1])
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_indicator_increments_are_the_dense_differences(n, data):
+    """The closed-form boundary values of ``indicator_increments`` on times a
+    cell difference 0, 1, 2, 3 or more apart, at 0, on cell edges, in the last
+    cell and at T (``cell_tuples`` needs n >= 64)."""
+    grid = make_grid(1.0, n)
+    tuples = boundary_times(grid).map(lambda t: t[None])
+    times = data.draw(st.one_of(tuples, cell_tuples(grid)) if n >= 64 else tuples)
+    _assert_dense_differences(grid, times)
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_indicator_increments_lattice(n):
+    """Every p-difference 0..3 from a time at 0, in the middle, ending in the
+    last cell and ending at T, with cell fractions 0, 0.3 and 0.999."""
+    grid, w = make_grid(1.0, n), 1.0 / n
+    pairs = []
+    for d in range(4):
+        for fa in (0.0, 0.3, 0.999):
+            for fb in (0.0, 0.3, 0.999):
+                for ca in (0, n // 2 - 2, n - 1 - d, n - d):
+                    a, b = (ca + fa) * w, (ca + d + fb) * w
+                    if 0 <= a <= b <= 1.0:
+                        pairs.append((a, b))
+                pairs += [(0.0, (d + fb) * w), (1.0 - (d + fa) * w, 1.0)]
+    times = np.clip(np.array(pairs), 0.0, 1.0)
+    p = function_space.indicator_params(grid, times)[0]
+    assert set(np.diff(p, axis=1).ravel()) >= {0, 1, 2, 3}
+    assert np.any(times == 0.0) and np.any(times == 1.0) and np.any(times[:, 1] > 1.0 - w)
+    _assert_dense_differences(grid, times)
+
+
 # ---------------------------------------------------------------------------
 # neither route builds dense factor rows
 
@@ -495,8 +543,9 @@ def test_mc_sampler_calls_no_gram_kernel(monkeypatch):
     monkeypatch.setattr(ProcessModel, "increment_gram", kernel_called)
     monkeypatch.setattr(ProcessModel, "pairing", kernel_called)
     monkeypatch.setattr(gram, "batch_decompose", kernel_called)
+    monkeypatch.setattr(gram, "batch_cholesky", kernel_called)
     for module in (gram, transform):
-        monkeypatch.setattr(module, "batch_cholesky", kernel_called)
+        monkeypatch.setattr(module, "batch_projections", kernel_called)
     for model, _ in MODELS.values():
         pt = _mc_point(model, np.random.default_rng(1), 3)
         mean, stderr = mc_fw_estimate(pt, 0.5, 2000, seed=0)
