@@ -417,7 +417,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):  # --a -inf as --a=-inf, so the checks name it
-        if argv[i - 1][:2] == "--" and "=" not in argv[i - 1] and _SIGNED_FLOAT.fullmatch(argv[i]):
+        first = argv[i].partition(",")[0]  # a comma list such as --times -0.1,0.5 too
+        if argv[i - 1][:2] == "--" and "=" not in argv[i - 1] and _SIGNED_FLOAT.fullmatch(first):
             argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = parser.parse_args(argv)
     try:

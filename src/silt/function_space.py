@@ -12,7 +12,8 @@ the first cell the mass is exact only to about eps*sqrt(t*w) (see
 ``indicator_params``).  (1I_[0,s], 1I_[0,t]) = min(s, t) is exact when the
 boundary cell pairs {p, p+1} of s and t, with p = min(floor(t/w), n-2), are
 disjoint.  Near T that takes more than two cells between the times: a time
-in the last cell uses the cells n-2 and n-1.
+in the last cell uses the cells n-2 and n-1.  ``IndicatorIncrements`` stores
+its batches tuple-last, (4, m, B); its (B, m, 4) arrays are transposed views.
 """
 
 from __future__ import annotations
@@ -126,8 +127,20 @@ def inner(f: GridFunction, g: GridFunction) -> float:
     )
 
 
+def grid_times(grid: Grid, t) -> np.ndarray:
+    """Times in [0, T]: a time at most 1e-12 outside is clipped, any other raises
+    naming it.  For (B, k) tuples the result is the view of a tuple-last (k, B)
+    copy, which the Gram kernel runs on."""
+    t = np.asarray(t, dtype=float)
+    if t.size and (t.min() < -1e-12 or t.max() > grid.T + 1e-12):
+        bad = t[(t < -1e-12) | (t > grid.T + 1e-12)][0]
+        raise ValidationError(f"model time {bad} outside [0, {grid.T}]")
+    return np.clip(t.T, 0.0, grid.T, order="C").T
+
+
 def indicator_params(grid: Grid, t):
-    """Two-cell construction of 1I_[0,t] for an array of times: (p, alpha, beta).
+    """Two-cell construction of 1I_[0,t] for an array of times in [0, T]
+    (``grid_times``): (p, alpha, beta), each of the shape of t.
 
     The cell representation is one on cells [0, p), alpha on cell p, beta on
     cell p + 1 and zero beyond, with alpha + beta and alpha^2 + beta^2 chosen
@@ -139,20 +152,14 @@ def indicator_params(grid: Grid, t):
     off by 6.3e-8 relative at t1 = 1e-20.  A time in the last cell, and
     t = T (alpha = beta = 1), use the cells n-2 and n-1, so p <= n-2.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-12) or np.any(t > grid.T + 1e-12):
-        bad = t[(t < -1e-12) | (t > grid.T + 1e-12)][0]
-        raise ValidationError(f"time {bad} outside [0, {grid.T}]")
-    t = np.clip(t, 0.0, grid.T)
-    n, w = grid.n, grid.weight
-    c = np.minimum(np.floor(t / w).astype(int), n)
-    f = t / w - c
+    n = grid.n
+    x = np.minimum(t / grid.weight, n)  # t = T is the last cell at f = 1: alpha = beta = 1
+    c = np.minimum(np.floor(x), n - 1)
+    f = x - c
     last = c == n - 1
-    s = np.where(last, 1.0 + f, f)
-    d = np.sqrt(np.where(last, s * (1.0 - f), f * (2.0 - f)))
-    alpha = np.where(c == n, 1.0, (s + d) / 2.0)
-    beta = np.where(c == n, 1.0, (s - d) / 2.0)
-    return np.minimum(c, n - 2), alpha, beta
+    s = f + last
+    d = np.sqrt(s * ((2.0 - last) - f))  # s (1 - f) in the last cell, f (2 - f) before it
+    return np.minimum(c, n - 2).astype(int), (s + d) / 2.0, (s - d) / 2.0
 
 
 def indicator_values(grid: Grid, t) -> np.ndarray:
@@ -160,7 +167,8 @@ def indicator_values(grid: Grid, t) -> np.ndarray:
 
     Built from ``indicator_params``: norm^2 = t exactly.
     """
-    p, alpha, beta = (x[:, None] for x in indicator_params(grid, np.atleast_1d(t)))
+    t = grid_times(grid, np.atleast_1d(t))
+    p, alpha, beta = (x[:, None] for x in indicator_params(grid, t))
     j = np.arange(grid.n)
     return np.where(j < p, 1.0, np.where(j == p, alpha, np.where(j == p + 1, beta, 0.0)))
 
@@ -175,32 +183,39 @@ class IndicatorIncrements:
     twice carries value 0 at its second listing, and no listed cell lies in
     the block.  Each boundary value is a difference of two cell values, as in
     the dense rows, so sums over cells lose no digits to cancellation.
+
+    Storage is tuple-last, so every pass runs over B contiguous values:
+    ``cells`` and ``values`` are (4, m, B) for a (B, m) batch.  ``pos``, ``val``,
+    ``lo`` = pos[..., 0] + 2 and ``hi`` = pos[..., 2] are their transposed
+    views, and the methods return transposed views too.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
-    pos: np.ndarray
-    val: np.ndarray
+    cells: np.ndarray
+    values: np.ndarray
+    pos = property(lambda self: self.cells.T)
+    val = property(lambda self: self.values.T)
+    lo = property(lambda self: (self.cells[0] + 2).T)
+    hi = property(lambda self: self.cells[2].T)
 
     def dot(self, other: "IndicatorIncrements") -> np.ndarray:
         """Sum over cells of the product of two differences (broadcasting)."""
-        both = np.minimum(self.hi, other.hi) - np.maximum(self.lo, other.lo)
-        mine = self._listed_in(other.lo, other.hi)
-        theirs = other._listed_in(self.lo, self.hi)
-        same = self.pos[..., :, None] == other.pos[..., None, :]
-        cross = self.val[..., :, None] * other.val[..., None, :]
+        c, oc, v, ov = self.cells, other.cells, self.values, other.values
+        lo, hi, olo, ohi = c[0] + 2, c[2], oc[0] + 2, oc[2]
+        mine = (c >= olo) & (c < ohi)
+        theirs = (oc >= lo) & (oc < hi)
+        same = c[:, None] == oc[None, :]
         return (
-            np.maximum(both, 0)
-            + np.sum(self.val * mine, axis=-1)
-            + np.sum(other.val * theirs, axis=-1)
-            + np.sum(cross * same, axis=(-2, -1))
-        )
+            np.maximum(np.minimum(hi, ohi) - np.maximum(lo, olo), 0)
+            + np.sum(v * mine, axis=0)
+            + np.sum(ov * theirs, axis=0)
+            + cell_pair_sum(v[:, None] * ov[None, :] * same)
+        ).T
 
     def pairs(self, rows=slice(None)):
         """Tuples ``rows`` of a (B, m) batch as a (R, m, 1) and a (R, 1, m) view,
         whose broadcast runs over every pair of increments."""
-        x = [a[rows] for a in (self.lo, self.hi, self.pos, self.val)]
-        return tuple(IndicatorIncrements(*(np.expand_dims(a, ax) for a in x)) for ax in (2, 1))
+        x = self.cells[..., rows], self.values[..., rows]
+        return tuple(IndicatorIncrements(*(np.expand_dims(a, ax) for a in x)) for ax in (1, 2))
 
     def gram(self) -> np.ndarray:
         """Sums over cells of the products of every pair of differences of a (B, m)
@@ -212,38 +227,48 @@ class IndicatorIncrements:
         their common time and increments further apart not at all; the tuples
         that break that rule go through the pairwise ``dot``.
         """
-        B, m = self.lo.shape
-        i, v, A = np.arange(m), self.val, np.zeros((B, m, m))
-        A[:, i, i] = np.maximum(self.hi - self.lo, 0) + np.sum(v**2, axis=-1)
-        A[:, i[1:], i[:-1]] = v[:, :-1, 2] * v[:, 1:, 0] + v[:, :-1, 3] * v[:, 1:, 1]
-        A[:, i[:-1], i[1:]] = A[:, i[1:], i[:-1]]
-        close = np.flatnonzero(np.any(self.pos[..., 2] - self.pos[..., 0] < 2, axis=-1))
+        c, v = self.cells, self.values
+        _, m, B = c.shape
+        A = np.zeros((m * m, B))  # rows i*m + j of the (m, m, B) matrices
+        A[:: m + 1] = np.maximum(c[2] - c[0] - 2, 0) + np.sum(v * v, axis=0)
+        A[1 :: m + 1] = A[m :: m + 1] = v[2, :-1] * v[0, 1:] + v[3, :-1] * v[1, 1:]
+        A = A.reshape(m, m, B)
+        close = np.flatnonzero(np.any(c[2] - c[0] < 2, axis=0))
         if close.size:
-            A[close] = IndicatorIncrements.dot(*self.pairs(close))
-        return A
+            A[..., close] = IndicatorIncrements.dot(*self.pairs(close)).T
+        return A.T
 
     def pair(self, x: np.ndarray, cum: np.ndarray) -> np.ndarray:
         """Sum over cells of the difference times x, given cum = [0, cumsum(x)]."""
-        block = cum[np.maximum(self.hi, self.lo)] - cum[self.lo]
-        return block + np.sum(self.val * x[self.pos], axis=-1)
+        c = self.cells
+        lo, hi = c[0] + 2, c[2]
+        block = np.take(cum, np.maximum(hi, lo)) - np.take(cum, lo)
+        return (block + np.sum(self.values * np.take(x, c), axis=0)).T
 
-    def _listed_in(self, lo, hi) -> np.ndarray:
-        return (self.pos >= lo[..., None]) & (self.pos < hi[..., None])
+
+def cell_pair_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the leading (4, 4) cell-pair axes in numpy's pairwise order for 16
+    contiguous values (eight partial sums, then a tree), the order of ``np.sum``
+    over the (..., 4, 4) transpose: the sums do not depend on the layout."""
+    r = x[:2] + x[2:]
+    r = r[:, 0::2] + r[:, 1::2]
+    return (r[0, 0] + r[0, 1]) + (r[1, 0] + r[1, 1])
 
 
 def indicator_increments(grid: Grid, times) -> IndicatorIncrements:
     """Differences 1I_[0,b] - 1I_[0,a] of consecutive times (last axis), a <= b.
 
-    With d = p_b - p_a >= 0 the boundary values at cells p_a, p_a + 1, p_b,
-    p_b + 1 are those of the representation of b less those of a; a cell that
-    d < 2 lists twice carries 0 at its second listing.
+    times: (B, k) in [0, T], best the tuple-last view from ``grid_times``.  With
+    d = p_b - p_a >= 0 the boundary values at cells p_a, p_a + 1, p_b, p_b + 1
+    are those of the representation of b less those of a; a cell that d < 2
+    lists twice carries 0 at its second listing.
     """
-    p, alpha, beta = indicator_params(grid, times)
-    (pa, pb), (aa, ab), (ba, bb) = ((x[..., :-1], x[..., 1:]) for x in (p, alpha, beta))
+    p, alpha, beta = indicator_params(grid, np.asarray(times).T)
+    (pa, pb), (aa, ab), (ba, bb) = ((x[:-1], x[1:]) for x in (p, alpha, beta))
     one, two = pb - pa >= 1, pb - pa >= 2
     a_cells = np.where(one, 1.0, ab) - aa, np.where(two, 1.0, np.where(one, ab, bb)) - ba
-    val = np.stack([*a_cells, two * ab, one * bb], axis=-1)
-    return IndicatorIncrements(pa + 2, pb, np.stack([pa, pa + 1, pb, pb + 1], axis=-1), val)
+    values = np.stack([*a_cells, two * ab, one * bb])
+    return IndicatorIncrements(np.stack([pa, pa + 1, pb, pb + 1]), values)
 
 
 def indicator(grid: Grid, t: float) -> GridFunction:

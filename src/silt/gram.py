@@ -7,7 +7,9 @@ is its B=1 call.  Every other factorization (SLND and Berman ratios, the
 eps-smoothed transform) goes through ``batch_cholesky`` too.  Projections on
 the increment span, batched in ``batch_projections``, are forward
 substitutions of the shift coefficients through the Cholesky factor, once per
-distinct shift; ``projection_norm_sq`` is its B=1 row.
+distinct shift; ``projection_norm_sq`` is its B=1 row.  Gram matrices and
+factors are stored tuple-last, (m, m, B), and coefficients (m, B); the
+(B, m, m) and (B, m) arrays the functions return are transposed views.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class TimeTuple:
                 f"gap t[{i + 1}]-t[{i}] = {gaps[i]:.3e} below min_gap {min_gap:.1e}"
             )
         if times[0] < 0:
-            raise ValidationError("times must be nonnegative")
+            raise ValidationError(f"times must be nonnegative, got {times[0]}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "min_gap", min_gap)
 
@@ -166,19 +168,22 @@ def batch_cholesky(A: np.ndarray, times: np.ndarray):
     condition number above COND_CUTOFF raises DegenerateConfigurationError
     naming the tuple of the first such matrix.  A Cholesky factorization that
     passes the check cannot fail in double precision; m <= 2 takes LAPACK's
-    steps in closed form (bitwise equal to ``np.linalg.cholesky`` on OpenBLAS).
+    steps in closed form (bitwise equal to ``np.linalg.cholesky`` on OpenBLAS),
+    on the rows of A.T, contiguous for a view of tuple-last storage.
     """
-    finite = np.isfinite(A).all(axis=(1, 2))
-    A0 = np.where(finite[:, None, None], A, np.eye(A.shape[1]))
-    if A.shape[1] == 2:  # closed form: the larger root has no cancellation, lo = det / hi
-        a, b, d = A0[:, 0, 0], A0[:, 0, 1], A0[:, 1, 1]
-        hi = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    At, m = A.T, A.shape[1]  # At[j, i] is A[:, i, j]
+    finite = np.isfinite(At).all(axis=(0, 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if m == 1:
+            lo = hi = At[0, 0]
+        elif m == 2:  # closed form: the larger root has no cancellation, lo = det / hi
+            a, b, d = At[0, 0], At[1, 0], At[1, 1]
+            hi = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
             lo = (a * d - b * b) / hi
-    else:
-        eigs = A0[:, 0] if A.shape[1] == 1 else np.linalg.eigvalsh(A0)
-        lo, hi = eigs[:, 0], eigs[:, -1]
-    bad = np.flatnonzero(~(finite & (lo > 0) & (hi <= COND_CUTOFF * lo)))
+        else:
+            eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], A, np.eye(m)))
+            lo, hi = eigs[:, 0], eigs[:, -1]
+        bad = np.flatnonzero(~(finite & (lo > 0) & (hi <= COND_CUTOFF * lo)))
     if bad.size:
         i = int(bad[0])
         cond = f"{hi[i] / lo[i]:.2e}" if finite[i] and lo[i] > 0 else "inf"
@@ -186,24 +191,26 @@ def batch_cholesky(A: np.ndarray, times: np.ndarray):
             f"degenerate tuple {tuple(float(t) for t in times[i])}: condition number "
             f"{cond} (smallest gap {np.diff(times[i]).min():.3e})"
         )
-    if A.shape[1] == 1:
-        L = np.sqrt(A)
-    elif A.shape[1] == 2:  # LAPACK's steps: the column scaled by the reciprocal pivot
-        L = np.zeros_like(A)
-        L[:, :1, :1] = np.sqrt(A[:, :1, :1])
-        L[:, 1:, :1] = A[:, 1:, :1] * (1.0 / L[:, :1, :1])
-        L[:, 1:, 1:] = np.sqrt(A[:, 1:, 1:] - L[:, 1:, :1] ** 2)
+    if m == 1:
+        Lt = np.sqrt(At)
+    elif m == 2:  # LAPACK's steps: the column scaled by the reciprocal pivot
+        Lt = np.zeros(At.shape)
+        Lt[0, 0] = np.sqrt(At[0, 0])
+        Lt[0, 1] = At[0, 1] * (1.0 / Lt[0, 0])
+        Lt[1, 1] = np.sqrt(At[1, 1] - Lt[0, 1] ** 2)
     else:
-        L = np.linalg.cholesky(A)
-    return L, np.prod(np.einsum("bii->bi", L), axis=1) ** 2
+        Lt = np.ascontiguousarray(np.linalg.cholesky(A).T)
+    return Lt.T, np.prod(np.einsum("iib->ib", Lt), axis=0) ** 2
 
 
 def batch_ortho_coeffs(L: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Coefficients on the orthonormalized increments: L y = u by forward substitution.
 
-    L: (B, m, m) lower Cholesky factors, u: (B, m) increment coefficients.
+    L: (B, m, m) lower Cholesky factors, u: (B, m) increment coefficients; the
+    substitution runs on the rows of L.T and u.T, tuple axis last.
     """
-    y = np.empty_like(u)
-    for i in range(u.shape[1]):
-        y[:, i] = (u[:, i] - np.einsum("bj,bj->b", L[:, i, :i], y[:, :i])) / L[:, i, i]
-    return y
+    Lt, ut = L.T, u.T
+    y = np.empty(ut.shape)
+    for i in range(len(ut)):
+        y[i] = (ut[i] - sum(Lt[j, i] * y[j] for j in range(i))) / Lt[i, i]
+    return y.T

@@ -15,9 +15,11 @@ when the boundary cells of consecutive times lie two or more apart, and the
 tuples that break that rule fall back to pairwise products.  The perturbed:sl
 corrections of a tuple live in one basis of sin u and cos u on the k+1
 segments between its times (``_SLBasis``); perturbed:file pairs the steps
-through the 2-D prefix table of its kernel.  ``factor_values`` builds the
-dense grid rows of g(t); only the Monte Carlo sampler, ``silt selftest`` and
-the tests use them.
+through the 2-D prefix table of its kernel.  Every per-tuple array is stored
+with the tuple axis last, (..., B); ``increments`` checks and transposes the
+times once, and the (B, m) and (B, m, m) arrays the primitives return are
+transposed views.  ``factor_values`` builds the dense grid rows of g(t);
+only the Monte Carlo sampler, ``silt selftest`` and the tests use them.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from .function_space import (
     KernelOperator,
     GridMismatchError,
     IndicatorIncrements,
+    cell_pair_sum,
+    grid_times,
     indicator_increments,
     indicator_values,
     operator_norm,
@@ -62,9 +66,10 @@ class ProcessModel:
     """A process x(t) = (g(t), xi) described by its factor map g.
 
     ``_values`` is the dense factor map.  The structured primitives are
-    ``_extra(times)``, the model's part of ``Increments``; ``_gram(inc)``, the
-    Gram matrices of a (B, m) batch of increments; and ``_pairing(h)``, which
-    returns increments -> (g(b) - g(a), h).
+    ``_extra(times, steps)``, the model's part of ``Increments`` from the
+    tuple-last times (k, B) and the steps; ``_gram(inc)``, the Gram matrices
+    of a (B, m) batch of increments; and ``_pairing(h)``, which returns
+    increments -> (g(b) - g(a), h).
     """
 
     name: str
@@ -75,16 +80,9 @@ class ProcessModel:
     _gram: Callable[[Increments], np.ndarray]
     _pairing: Callable[[GridFunction], Callable[[Increments], np.ndarray]]
 
-    def _times(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if np.any(times < -1e-12) or np.any(times > self.grid.T + 1e-12):
-            bad = times[(times < -1e-12) | (times > self.grid.T + 1e-12)][0]
-            raise ValidationError(f"model time {bad} outside [0, {self.grid.T}]")
-        return np.clip(times, 0.0, self.grid.T)
-
     def factor_values(self, times) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized factor map: (B,) times -> grid values (B,n), aux (B,m)."""
-        return self._values(self._times(np.atleast_1d(times)))
+        return self._values(grid_times(self.grid, np.atleast_1d(times)))
 
     def embedded_factors(self, times) -> np.ndarray:
         """Euclidean embeddings of g(t) for an array of times, shape (B, n+m)."""
@@ -93,9 +91,10 @@ class ProcessModel:
 
     def increments(self, times) -> Increments:
         """Structured increments g(b) - g(a) of consecutive times, O(1) each:
-        (B, k) nondecreasing times -> (B, k-1) increments."""
-        times = self._times(times)
-        return Increments(indicator_increments(self.grid, times), self._extra(times))
+        (B, k) nondecreasing times -> (B, k-1) increments, stored tuple-last."""
+        times = grid_times(self.grid, times)
+        steps = indicator_increments(self.grid, times)
+        return Increments(steps, self._extra(times.T, steps))
 
     def covariance(self, s, t) -> np.ndarray:
         """(g(s), g(t)) for broadcastable time arrays, O(1) per pair: A00 + A01 of the
@@ -126,7 +125,7 @@ def _prefix(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _no_extra(times):
+def _no_extra(times, steps):
     return None
 
 
@@ -162,14 +161,14 @@ def _kernel_form(d1, d2, K: np.ndarray, P: np.ndarray) -> np.ndarray:
         x1, y1 = np.maximum(x0, x1), np.maximum(y0, y1)
         return P[x1, y1] - P[x0, y1] - P[x1, y0] + P[x0, y0]
 
-    lo1, hi1, lo2, hi2 = (z[..., None] for z in (d1.lo, d1.hi, d2.lo, d2.hi))
-    cells = K[d1.pos[..., :, None], d2.pos[..., None, :]]
+    (c1, v1), (c2, v2) = (d1.cells, d1.values), (d2.cells, d2.values)
+    lo1, hi1, lo2, hi2 = c1[0] + 2, c1[2], c2[0] + 2, c2[2]
     return (
-        rect(d1.lo, d1.hi, d2.lo, d2.hi)
-        + np.sum(d2.val * rect(lo1, hi1, d2.pos, d2.pos + 1), axis=-1)
-        + np.sum(d1.val * rect(d1.pos, d1.pos + 1, lo2, hi2), axis=-1)
-        + np.sum(d1.val[..., :, None] * d2.val[..., None, :] * cells, axis=(-2, -1))
-    )
+        rect(lo1, hi1, lo2, hi2)
+        + np.sum(v2 * rect(lo1, hi1, c2, c2 + 1), axis=0)
+        + np.sum(v1 * rect(c1, c1 + 1, lo2, hi2), axis=0)
+        + cell_pair_sum(v1[:, None] * v2[None, :] * K[c1[:, None], c2[None, :]])
+    ).T
 
 
 def perturbed_model(grid: Grid, S: KernelOperator, name: str = "perturbed") -> ProcessModel:
@@ -246,6 +245,13 @@ def _cell_sums(r0, r1, f, F):
     return np.where(r1 - r0 == 1, one, np.take(F, r1, axis=1) - np.take(F, r0, axis=1))
 
 
+def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum of x * y over the two leading (sin/cos, segment) axes, term by term:
+    each tuple's sum runs in one order whatever the batch size, which a
+    reduction does not promise (at B = 1 it runs along the summed axes)."""
+    return sum(a * b for xs, ys in zip(x, y) for a, b in zip(xs, ys))
+
+
 class _SLBasis:
     """S 1I_[0,b] - S 1I_[0,a] on the nodes, for the increments of a batch of
     tuples (B, k), in one basis of segments per tuple.
@@ -263,17 +269,16 @@ class _SLBasis:
 
     def __init__(self, grid: Grid):
         self.grid, self.n, self.u = grid, grid.n, grid.nodes
-        self.u_ends = np.append(self.u, np.inf)
         self.trig = np.stack([np.sin(self.u), np.cos(self.u)])
         self.trig_sums = _prefix(self.trig)
-        self.products = self.trig[[0, 0, 1, 1]] * self.trig[[0, 1, 0, 1]]
+        self.products = self.trig[[0, 0, 1]] * self.trig[[0, 1, 1]]  # sin^2, sin cos, cos^2
         self.product_sums = _prefix(self.products)
 
-    def segments(self, times):
-        """(edges (k+2, B), z (2, k+1, k-1, B)) of a batch of tuples (B, k)."""
-        times = times.T
-        cell = np.minimum(np.floor(times / self.grid.weight).astype(int), self.n)
-        q = cell + (np.take(self.u_ends, cell) < times)  # also where floor is one off at an edge
+    def segments(self, times, steps: IndicatorIncrements):
+        """(edges (k+2, B), z (2, k+1, k-1, B)) of a batch of tuples, times (k, B):
+        q(t) is the boundary cell p(t) of the steps plus the nodes u_p, u_{p+1} < t."""
+        p = np.concatenate([steps.cells[0, :1], steps.cells[2]])
+        q = p + (np.take(self.u, p) < times) + (np.take(self.u, p + 1) < times)
         edges = np.concatenate([np.zeros_like(q[:1]), q, np.full_like(q[:1], self.n)])
         c, s = np.cos(times), np.sin(times)
         cols = np.stack([c[:-1] - c[1:], -c[1:], s[:-1], s[:-1] - s[1:], np.zeros_like(s[1:])])
@@ -290,12 +295,12 @@ class _SLBasis:
         def pair(inc):
             edges, z = inc.extra
             sums = _cell_sums(edges[:-1], edges[1:], f, F)
-            return steps(inc) + self.grid.weight * np.einsum("csb,cslb->bl", sums, z)
+            return steps(inc) + self.grid.weight * _contract(sums[:, :, None], z).T
 
         return pair
 
     def gram(self, inc: Increments) -> np.ndarray:
-        """Gram matrices (B, m, m) of a batch of sl increments.
+        """Gram matrices (B, m, m), a view of (m, m, B), of a batch of sl increments.
 
         The corrections give z^T G z, G the 2x2 sums of the products of sin u
         and cos u over each segment, except that a one-cell segment enters
@@ -311,17 +316,18 @@ class _SLBasis:
         d, (edges, z) = inc.steps, inc.extra
         _, s1, m, B = z.shape
         G = _cell_sums(edges[:-1], edges[1:], self.products, self.product_sums)[:, :, None]
-        gz = G[0::2] * z[:1] + G[1::2] * z[1:]
-        seg = sum(edges[s, :, None, None] <= d.pos for s in range(1, s1))
-        slab, cell = m * B, np.arange(m) * B + np.arange(B)[:, None]
-        b0 = np.arange(2)[:, None, None] * s1 * slab + cell  # bins of segment 0
-        bins = np.concatenate([b0[..., None] + seg * slab, b0 + np.arange(1, m + 1) * slab], None)
-        boundary = d.val * np.take(self.trig, d.pos, axis=1)
-        blocks = _cell_sums(d.lo, d.hi, self.trig, self.trig_sums)
+        gz = G[:2] * z[:1] + G[1:] * z[1:]
+        seg = sum(edges[s] <= d.cells for s in range(1, s1))
+        slab = m * B
+        b0 = np.arange(2)[:, None, None] * s1 * slab + np.arange(slab).reshape(m, B)  # segment 0
+        bins = [b0[:, None] + seg * slab, b0 + np.arange(1, m + 1)[:, None] * slab]
+        boundary = d.values * np.take(self.trig, d.cells, axis=1)
+        blocks = _cell_sums(d.cells[0] + 2, d.cells[2], self.trig, self.trig_sums)
         values = np.concatenate([boundary, blocks], None)
-        w = np.bincount(bins, values, minlength=z.size).reshape(z.shape)
-        A = np.einsum("csib,cslb->bil", z, gz + w) + np.einsum("csib,cslb->bil", w, z)
-        return self.grid.weight * (d.gram() + A)
+        w = np.bincount(np.concatenate(bins, None), values, minlength=z.size).reshape(z.shape)
+        z_i, w_i = z[:, :, None], w[:, :, None]
+        A = _contract(z_i, (gz + w)[:, :, :, None]) + _contract(w_i, z[:, :, :, None])
+        return self.grid.weight * (d.gram() + A.T)
 
 
 def sturm_liouville_model(grid: Grid) -> ProcessModel:
@@ -356,15 +362,16 @@ def counterexample_model(grid: Grid) -> ProcessModel:
     def values(ts):
         return indicator_values(grid, ts), np.sqrt(ts)[:, None]
 
-    def extra(times):
-        return np.diff(np.sqrt(times), axis=-1)
+    def extra(times, steps):
+        return np.diff(np.sqrt(times), axis=0)
 
     def gram(inc):
-        return grid.weight * inc.steps.gram() + inc.extra[:, :, None] * inc.extra[:, None, :]
+        e = inc.extra
+        return grid.weight * inc.steps.gram() + (e[:, None] * e[None, :]).T
 
     def pairing(h):
         steps, e = _steps_pairing(grid, h.values), h.aux[0]
-        return lambda inc: steps(inc) + e * inc.extra
+        return lambda inc: steps(inc) + e * inc.extra.T
 
     return ProcessModel("counterexample", grid, 1, values, extra, gram, pairing)
 

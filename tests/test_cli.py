@@ -179,6 +179,30 @@ def test_non_finite_or_malformed_input_exits_2(tmp_path, capsys, argv):
     assert NAMED_VALUES.get(argv, "") in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ("gram --times -0.1,0.5", "times must be nonnegative, got -0.1"),
+        ("gram --times=-0.1,0.5", "times must be nonnegative, got -0.1"),
+        (
+            "diverge --k 2 --h1 zero --h2 zero --deltas -1e-2,1e-3",
+            "deltas must be finite, positive and strictly decreasing, got (-0.01, 0.001)",
+        ),
+        (
+            "slnd --times 0.2,0.5,0.9 --subset 1 --scan -0.1,0.01",
+            "scan gaps must be finite, positive and strictly decreasing, got (-0.1, 0.01)",
+        ),
+    ],
+)
+def test_list_option_starting_with_a_negative_number_exits_2(capsys, argv, named):
+    """A comma list after a space whose first item is a negative number reaches
+    the input checks, which name the value, instead of argparse's "expected one
+    argument"."""
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2, err
+    assert f"validation error: {named}" in err
+
+
 @pytest.mark.parametrize("k", [0, 1, 5])
 def test_diverge_k_outside_the_lattice_rule_exits_2(capsys, monkeypatch, k):
     # k = 5 would build a lattice of about 384^4 rows: no lattice may be built

@@ -113,23 +113,6 @@ def test_single_interval_projection_wiener():
     assert wiener_projections(TimeTuple([0.2, 0.7]), h)[0, 0] == pytest.approx(0.5, abs=1e-10)
 
 
-def test_batch_decompose_matches_scalar():
-    grid = make_grid(1.0, 256)
-    m = counterexample_model(grid)
-    h = parse_function("sin:2", grid, aux_dim=1)
-    rng = np.random.default_rng(11)
-    times = np.sort(rng.uniform(0.05, 1.0, size=(40, 3)), axis=1)
-    times = times[np.min(np.diff(times, axis=1), axis=1) > 0.02]
-    inc, _, L, gamma = batch_decompose(m, times)
-    c = batch_ortho_coeffs(L, m.pairing(h)(inc))
-    project = batch_projections(m, h)
-    for row, g, ci in zip(times, gamma, c):
-        dec = decompose(m, TimeTuple(row))
-        assert g == pytest.approx(dec.gamma, rel=1e-10)
-        _, (y,) = project(row[None])
-        assert np.allclose(np.abs(ci), np.abs(y[0]), atol=1e-10)
-
-
 def test_batch_decompose_names_the_degenerate_tuple():
     m = wiener_model(make_grid(1.0, 64))
     times = np.array([[0.1, 0.4, 0.8], [0.2, 0.5, 0.9], [0.3, 0.3, 0.7], [0.15, 0.6, 0.95]])

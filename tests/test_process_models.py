@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from silt import (
     sturm_liouville_operator,
     wiener_model,
 )
-from silt.function_space import KernelOperator, indicator
+from silt.function_space import KernelOperator, indicator, indicator_values
+from silt.gram import batch_decompose
 from silt.process_models import sl_factor_correction
 
 
@@ -114,3 +116,28 @@ def test_model_rejects_times_outside_interval():
     m = wiener_model(make_grid(1.0, 64))
     with pytest.raises(ValidationError):
         m.factor_values([1.5])
+
+
+@pytest.mark.parametrize("spec, T", [("wiener", 1.0), ("perturbed:sl", math.pi / 2)])
+@pytest.mark.parametrize("where", ["below 0", "past T"])
+def test_out_of_range_time_is_named_on_every_route(spec, T, where):
+    """The one time check of a kernel call names the time on the batched kernel,
+    the covariance and the dense indicator rows; a time at most 1e-12 past T
+    is clipped to T."""
+    grid = make_grid(T, 64)
+    model = parse_model(spec, grid)
+    bad = -1e-3 if where == "below 0" else T + 1e-9
+    times = np.array([[0.1, 0.5], sorted([0.2, bad])])
+    named = re.escape(f"model time {bad} outside [0, {T}]")
+    for call in (
+        lambda: batch_decompose(model, times),
+        lambda: model.covariance(0.3, bad),
+        lambda: indicator_values(grid, [0.3, bad]),
+    ):
+        with pytest.raises(ValidationError, match=named):
+            call()
+    close = T + 5e-13
+    assert np.array_equal(indicator_values(grid, [close]), indicator_values(grid, [T]))
+    assert model.covariance(0.3, close) == model.covariance(0.3, T)
+    clipped, at_T = (batch_decompose(model, [[0.3, t]])[1:] for t in (close, T))
+    assert all(np.array_equal(a, b) for a, b in zip(clipped, at_T))

@@ -9,6 +9,7 @@ Monte Carlo sampler, which draws from the dense rows alone, closes on the
 kernel's closed form ``fw_eps`` on every model.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from silt import (
+    DegenerateConfigurationError,
     QuadratureSpec,
     TimeTuple,
     TransformPoint,
@@ -43,7 +45,7 @@ from silt import (
 )
 from silt import function_space, gram, process_models, regularization, transform
 from silt.function_space import KernelOperator
-from silt.gram import batch_decompose, batch_ortho_coeffs
+from silt.gram import batch_decompose, batch_ortho_coeffs, batch_projections
 from silt.process_models import ProcessModel
 from silt.quadrature import integrate_simplex_level
 from silt.regularization import batch_fw_limit, batch_regularized_integrand, default_min_gap
@@ -269,6 +271,69 @@ def test_band_gram_matches_dense_factor_rows(name, data):
     E = np.diff(model.embedded_factors(times[0]), axis=0)
     d = np.sqrt(np.diag(E @ E.T))
     assert np.all(np.abs(A - E @ E.T) <= rtol * np.outer(d, d))
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scalar_calls_equal_rows_of_the_batch(name, data):
+    """The scalar calls at a tuple equal, to 4 ulp, its row in one batched call
+    on a seeded batch of other tuples: Gamma, ||P h||^2, fw_limit, fw_eps and
+    the regularized integrand, for k = 2..5, last-cell and sub-cell tuples
+    included.  No value may depend on the batch size or the row."""
+    model, _ = MODELS[name]
+    times = data.draw(cell_tuples(model.grid))
+    assume(np.min(np.diff(times)) >= 1e-9)  # two times clipped onto T are no tuple
+    tt, k = TimeTuple(times[0]), times.shape[1]
+    h1, h2 = _shifts(model, data.draw(st.floats(2.0, 3.0)), data.draw(st.floats(2.0, 3.0)))
+    point = TransformPoint(model, tt, h1, h2)
+    try:
+        scalar = [decompose(model, tt).gamma, projection_norm_sq(model, tt.times, h1)]
+    except DegenerateConfigurationError:
+        assume(False)
+    eps = 0.1
+    scalar += [fw_limit(point), fw_eps(point, eps), regularized_integrand(model, tt, h1, h2)]
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    others = np.sort(rng.uniform(0.0, model.grid.T, (data.draw(st.integers(0, 300)), k)), axis=1)
+    others = others[np.min(np.diff(others, axis=1), axis=1) > 3 * model.grid.weight]
+    row = int(rng.integers(0, len(others) + 1))
+    batch = np.insert(others, row, times[0], axis=0)
+    gamma, (y1,) = batch_projections(model, h1)(batch)
+    noise = eps * np.eye(k - 1)
+    noisy = dataclasses.replace(model, _gram=lambda inc: model.increment_gram(inc) + noise)
+    det, ys = batch_projections(noisy, h1, h2)(batch)
+    smoothed = math.exp(-0.5 * sum(float(np.sum(y[row] ** 2)) for y in ys)) / float(det[row])
+    batched = [
+        gamma[row],
+        float(np.sum(y1[row] ** 2)),
+        batch_fw_limit(model, h1, h2)(batch)[row],
+        smoothed,
+        batch_regularized_integrand(model, h1, h2)(batch)[row],
+    ]
+    for got, want in zip(scalar, batched):
+        assert abs(got - want) <= 4 * np.spacing(abs(want))
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_kernel_arrays_keep_the_tuple_axis_innermost(name, k):
+    """The Gram kernel stores every per-tuple array tuple-last: the (B, ...)
+    arrays that ``increments``, ``increment_gram``, the pairings and
+    ``batch_decompose`` return are views whose tuple axis has a stride of one
+    item, and the model's extra arrays end with the tuple axis."""
+    model, _ = MODELS[name]
+    T, B = model.grid.T, 6
+    times = T * (np.arange(1, k + 1) / (k + 1) + 0.01 * np.arange(B)[:, None])
+    inc = model.increments(times)
+    _, _, L, _ = batch_decompose(model, times)
+    u = model.pairing(parse_function("sin:1", model.grid, model.aux_dim))(inc)
+    steps = inc.steps
+    for a in (steps.pos, steps.val, steps.lo, steps.hi, model.increment_gram(inc), L, u):
+        assert a.shape[0] == B and a.strides[0] == a.itemsize
+    extra = inc.extra if isinstance(inc.extra, tuple) else (inc.extra,) * (inc.extra is not None)
+    for a in extra:
+        assert a.shape[-1] == B and a.strides[-1] == a.itemsize
 
 
 @pytest.mark.parametrize("spec, T", [("wiener", 1.0), ("perturbed:sl", HALF_PI)])
