@@ -242,8 +242,8 @@ class IndicatorIncrements:
         """Sum over cells of the difference times x, given cum = [0, cumsum(x)]."""
         c = self.cells
         lo, hi = c[0] + 2, c[2]
-        block = np.take(cum, np.maximum(hi, lo)) - np.take(cum, lo)
-        return (block + np.sum(self.values * np.take(x, c), axis=0)).T
+        block = cum.take(np.maximum(hi, lo)) - cum.take(lo)
+        return (block + np.sum(self.values * x.take(c), axis=0)).T
 
 
 def cell_pair_sum(x: np.ndarray) -> np.ndarray:
@@ -253,6 +253,15 @@ def cell_pair_sum(x: np.ndarray) -> np.ndarray:
     r = x[:2] + x[2:]
     r = r[:, 0::2] + r[:, 1::2]
     return (r[0, 0] + r[0, 1]) + (r[1, 0] + r[1, 1])
+
+
+def ordered_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis in index order, ((x0 + x1) + x2) + ..., whatever the
+    other axes: numpy adds the rows of a (terms, R) array in order for R >= 2 but sums
+    a single column pairwise, so that case goes through ``cumsum``."""
+    rows = x.reshape(len(x), -1)
+    out = np.add.reduce(rows) if rows.shape[1] > 1 else np.cumsum(rows, axis=0)[-1]
+    return out.reshape(x.shape[1:])
 
 
 def indicator_increments(grid: Grid, times) -> IndicatorIncrements:
@@ -265,10 +274,17 @@ def indicator_increments(grid: Grid, times) -> IndicatorIncrements:
     """
     p, alpha, beta = indicator_params(grid, np.asarray(times).T)
     (pa, pb), (aa, ab), (ba, bb) = ((x[:-1], x[1:]) for x in (p, alpha, beta))
-    one, two = pb - pa >= 1, pb - pa >= 2
-    a_cells = np.where(one, 1.0, ab) - aa, np.where(two, 1.0, np.where(one, ab, bb)) - ba
-    values = np.stack([*a_cells, two * ab, one * bb])
-    return IndicatorIncrements(np.stack([pa, pa + 1, pb, pb + 1]), values)
+    cells = np.empty((4,) + pa.shape, dtype=pa.dtype)
+    cells[0], cells[2] = pa, pb
+    np.add(cells[::2], 1, out=cells[1::2])
+    d = pb - pa
+    one, two = d >= 1, d >= 2
+    values = np.empty(cells.shape)
+    np.subtract(np.where(one, 1.0, ab), aa, out=values[0])
+    np.subtract(np.where(two, 1.0, np.where(one, ab, bb)), ba, out=values[1])
+    np.multiply(two, ab, out=values[2])
+    np.multiply(one, bb, out=values[3])
+    return IndicatorIncrements(cells, values)
 
 
 def indicator(grid: Grid, t: float) -> GridFunction:

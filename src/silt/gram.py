@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateConfigurationError, ValidationError
-from .function_space import GridFunction, indicator, inner
+from .function_space import GridFunction, indicator, inner, ordered_sum
 from .process_models import ProcessModel
 
 COND_CUTOFF = 1e12
@@ -181,7 +181,8 @@ def batch_cholesky(A: np.ndarray, times: np.ndarray):
             hi = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
             lo = (a * d - b * b) / hi
         else:
-            eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], A, np.eye(m)))
+            checked = A if finite.all() else np.where(finite[:, None, None], A, np.eye(m))
+            eigs = np.linalg.eigvalsh(checked)
             lo, hi = eigs[:, 0], eigs[:, -1]
         bad = np.flatnonzero(~(finite & (lo > 0) & (hi <= COND_CUTOFF * lo)))
     if bad.size:
@@ -200,7 +201,7 @@ def batch_cholesky(A: np.ndarray, times: np.ndarray):
         Lt[1, 1] = np.sqrt(At[1, 1] - Lt[0, 1] ** 2)
     else:
         Lt = np.ascontiguousarray(np.linalg.cholesky(A).T)
-    return Lt.T, np.prod(np.einsum("iib->ib", Lt), axis=0) ** 2
+    return Lt.T, Lt.diagonal().prod(axis=1) ** 2
 
 
 def batch_ortho_coeffs(L: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -211,6 +212,7 @@ def batch_ortho_coeffs(L: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     Lt, ut = L.T, u.T
     y = np.empty(ut.shape)
-    for i in range(len(ut)):
-        y[i] = (ut[i] - sum(Lt[j, i] * y[j] for j in range(i))) / Lt[i, i]
+    y[0] = ut[0] / Lt[0, 0]
+    for i in range(1, len(ut)):
+        y[i] = (ut[i] - ordered_sum(Lt[:i, i] * y[:i])) / Lt[i, i]
     return y.T

@@ -44,6 +44,7 @@ from .function_space import (
     indicator_increments,
     indicator_values,
     operator_norm,
+    ordered_sum,
 )
 
 _SL_ENDPOINT_TOL = 1e-12
@@ -241,15 +242,21 @@ def _cell_sums(r0, r1, f, F):
     prefix sums.
     """
     r1 = np.maximum(r0, r1)
-    one = np.take(f, np.minimum(r0, f.shape[1] - 1), axis=1)
-    return np.where(r1 - r0 == 1, one, np.take(F, r1, axis=1) - np.take(F, r0, axis=1))
+    out = F.take(r1, axis=1)
+    out -= F.take(r0, axis=1)
+    np.copyto(out, f.take(np.minimum(r0, f.shape[1] - 1), axis=1), where=r1 - r0 == 1)
+    return out
 
 
 def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sum of x * y over the two leading (sin/cos, segment) axes, term by term:
-    each tuple's sum runs in one order whatever the batch size, which a
-    reduction does not promise (at B = 1 it runs along the summed axes)."""
-    return sum(a * b for xs, ys in zip(x, y) for a, b in zip(xs, ys))
+    """Sum of x * y over the two leading (sin/cos, segment) axes, adding the terms in
+    the order of the flattened axes whatever the batch size.  ``einsum`` does so while
+    the tuple axis (last) is its inner loop, B >= 2, with no temporary larger than
+    the result; one tuple takes ``ordered_sum`` of the flattened products."""
+    if x.shape[-1] > 1 or y.shape[-1] > 1:
+        return np.einsum("ab...,ab...->...", x, y)
+    terms = x * y
+    return ordered_sum(terms.reshape((-1,) + terms.shape[2:]))
 
 
 class _SLBasis:
@@ -278,7 +285,7 @@ class _SLBasis:
         """(edges (k+2, B), z (2, k+1, k-1, B)) of a batch of tuples, times (k, B):
         q(t) is the boundary cell p(t) of the steps plus the nodes u_p, u_{p+1} < t."""
         p = np.concatenate([steps.cells[0, :1], steps.cells[2]])
-        q = p + (np.take(self.u, p) < times) + (np.take(self.u, p + 1) < times)
+        q = p + (self.u.take(p) < times) + (self.u.take(p + 1) < times)
         edges = np.concatenate([np.zeros_like(q[:1]), q, np.full_like(q[:1], self.n)])
         c, s = np.cos(times), np.sin(times)
         cols = np.stack([c[:-1] - c[1:], -c[1:], s[:-1], s[:-1] - s[1:], np.zeros_like(s[1:])])
@@ -309,25 +316,35 @@ class _SLBasis:
         times sin u and cos u.  The block of increment i lies in segment i+1
         (q(t_i) <= p(t_i) + 2 and p(t_{i+1}) <= q(t_{i+1}), p of
         ``indicator_params``); a boundary cell in the segment numbered by the
-        switch points at or below it.  w is one ``bincount`` of the boundary
-        values and the block sums into their (sin/cos, segment, increment,
-        tuple) bins.
+        switch points at or below it (``_step_sums``).
         """
         d, (edges, z) = inc.steps, inc.extra
-        _, s1, m, B = z.shape
+        w = self._step_sums(d, edges, z.shape)
         G = _cell_sums(edges[:-1], edges[1:], self.products, self.product_sums)[:, :, None]
-        gz = G[:2] * z[:1] + G[1:] * z[1:]
-        seg = sum(edges[s] <= d.cells for s in range(1, s1))
-        slab = m * B
-        b0 = np.arange(2)[:, None, None] * s1 * slab + np.arange(slab).reshape(m, B)  # segment 0
-        bins = [b0[:, None] + seg * slab, b0 + np.arange(1, m + 1)[:, None] * slab]
-        boundary = d.values * np.take(self.trig, d.cells, axis=1)
-        blocks = _cell_sums(d.cells[0] + 2, d.cells[2], self.trig, self.trig_sums)
-        values = np.concatenate([boundary, blocks], None)
-        w = np.bincount(np.concatenate(bins, None), values, minlength=z.size).reshape(z.shape)
-        z_i, w_i = z[:, :, None], w[:, :, None]
-        A = _contract(z_i, (gz + w)[:, :, :, None]) + _contract(w_i, z[:, :, :, None])
+        gzw = G[:2] * z[:1]
+        gzw += G[1:] * z[1:]
+        gzw += w
+        A = _contract(z[:, :, None], gzw[:, :, :, None])
+        A += _contract(w[:, :, None], z[:, :, :, None])
         return self.grid.weight * (d.gram() + A.T)
+
+    def _step_sums(self, d: IndicatorIncrements, edges, shape) -> np.ndarray:
+        """w (2, k+1, k-1, B): the boundary values of the steps times sin u and cos u,
+        summed into the segments of their cells by one ``bincount`` per function,
+        plus the block sums, which lie in segment i+1 of increment i.  Its
+        temporaries are freed before the Gram's: a call's peak memory decides
+        whether the heap is trimmed after it and faulted back in by the next."""
+        _, s1, m, B = shape
+        slab = m * B
+        bins = sum(edges[s] <= d.cells for s in range(1, s1)) * slab + np.arange(slab).reshape(m, B)
+        boundary = self.trig.take(d.cells, axis=1)
+        boundary *= d.values
+        w = np.empty((2, s1 * slab))
+        for wc, bc in zip(w, boundary):
+            wc[:] = np.bincount(bins.ravel(), bc.ravel(), minlength=s1 * slab)
+        w, i = w.reshape(shape), np.arange(m)
+        w[:, i + 1, i] += _cell_sums(d.cells[0] + 2, d.cells[2], self.trig, self.trig_sums)
+        return w
 
 
 def sturm_liouville_model(grid: Grid) -> ProcessModel:

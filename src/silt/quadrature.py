@@ -7,12 +7,20 @@ interval, so the lattice covers the simplex exactly with no boundary
 indicator.  Every coordinate uses the same Gauss–Legendre rule on [0, 1].
 An optional closure accounts for the sliver below the exclusion floor by
 linear extrapolation of the (bounded) integrand.
+
+``simplex_rule`` gives one order's nodes and weights in groups of lattice
+rows, and ``integrate_simplex_orders`` evaluates the groups of several orders
+as one stream, in integrand batches of at most ``chunk`` tuples, so that the
+integrand's fixed cost per call is paid once for all of them.  Each order
+reduces its own groups, so its estimate is bitwise that of a separate
+``integrate_simplex_level`` call whenever an integrand value does not depend
+on the rest of its batch.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -72,6 +80,77 @@ def gap_lattice(
     return gaps, wts
 
 
+def simplex_rule(
+    T: float,
+    k: int,
+    min_gap: float,
+    gap_cells: int,
+    t_cells: int,
+    closure: bool,
+    chunk: int,
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """One order's rule over the ordered simplex, in groups of max(1, chunk // t_cells)
+    lattice rows: time tuples (R * t_cells, k) and weights (R, t_cells) per group.
+
+    ``gap_cells`` and ``t_cells`` are the Gauss points per gap and in t_1.
+    """
+    gaps, wts = gap_lattice(T, k, min_gap, gap_cells, closure)
+    rest = T - gaps.sum(axis=1)
+    p, pw = gauss_legendre(t_cells)
+    prefix = np.concatenate([np.zeros((gaps.shape[0], 1)), np.cumsum(gaps, axis=1)], axis=1)
+    rows = max(1, chunk // t_cells)
+    for lo in range(0, gaps.shape[0], rows):
+        r = slice(lo, lo + rows)
+        times = (rest[r, None] * p)[:, :, None] + prefix[r, None, :]   # (R, t_cells, k)
+        yield times.reshape(-1, k), (wts[r] * rest[r])[:, None] * pw    # (R, t_cells)
+
+
+def integrate_simplex_orders(
+    T: float,
+    k: int,
+    integrand: Callable[[np.ndarray], np.ndarray],
+    min_gap: float,
+    orders: Sequence[Tuple[int, int]],
+    closure: bool,
+    chunk: int = 4096,
+) -> List[float]:
+    """Fixed-order estimates of the integral over the ordered simplex, one per
+    (gap_cells, t_cells) in ``orders``, from one stream of nodes.
+
+    ``integrand`` maps an array of time tuples (B, k) to values (B,), each value
+    independent of the rest of its batch.  The rule groups of all orders
+    (``simplex_rule``) are evaluated in order, as many whole groups per call as
+    fit in ``chunk`` tuples.  Each order reduces its own groups: numpy's pairwise
+    sum per group plus a final pairwise pass over the group sums, so an estimate
+    does not depend on the other orders of the stream.
+    """
+    groups = (
+        (j, *group)
+        for j, (gap_cells, t_cells) in enumerate(orders)
+        for group in simplex_rule(T, k, min_gap, gap_cells, t_cells, closure, chunk)
+    )
+    partials: List[List[float]] = [[] for _ in orders]
+    for batch in _batches(groups, chunk):
+        vals, start = integrand(np.concatenate([times for _, times, _ in batch])), 0
+        for j, _, w in batch:
+            partials[j].append(float(np.sum(vals[start : start + w.size].reshape(w.shape) * w)))
+            start += w.size
+    return [float(np.sum(np.asarray(p))) for p in partials]
+
+
+def _batches(groups: Iterable[tuple], chunk: int) -> Iterator[list]:
+    """Consecutive (order, times, weights) groups, as many per batch as fit in
+    ``chunk`` tuples; a larger group is a batch of its own."""
+    batch: list = []
+    for group in groups:
+        if batch and sum(len(g[1]) for g in batch) + len(group[1]) > chunk:
+            yield batch
+            batch = []
+        batch.append(group)
+    if batch:
+        yield batch
+
+
 def integrate_simplex_level(
     T: float,
     k: int,
@@ -82,24 +161,8 @@ def integrate_simplex_level(
     closure: bool,
     chunk: int = 4096,
 ) -> float:
-    """One fixed-order estimate of the integral over the ordered simplex.
-
-    ``gap_cells`` and ``t_cells`` are the Gauss points per gap and in t_1.
-    ``integrand`` maps an array of time tuples (B, k) to values (B,).
-    Reduction uses numpy's pairwise summation per chunk plus a final pairwise
-    pass, so the result does not depend on how work would be distributed.
-    """
-    gaps, wts = gap_lattice(T, k, min_gap, gap_cells, closure)
-    rest = T - gaps.sum(axis=1)
-    p, pw = gauss_legendre(t_cells)
-    prefix = np.concatenate([np.zeros((gaps.shape[0], 1)), np.cumsum(gaps, axis=1)], axis=1)
-    rows_per_chunk = max(1, chunk // t_cells)
-    partials: List[float] = []
-    for lo in range(0, gaps.shape[0], rows_per_chunk):
-        hi = min(lo + rows_per_chunk, gaps.shape[0])
-        t1 = rest[lo:hi, None] * p[None, :]                      # (R, t_cells)
-        times = t1[:, :, None] + prefix[lo:hi, None, :]          # (R, t_cells, k)
-        w = (wts[lo:hi] * rest[lo:hi])[:, None] * pw[None, :]    # (R, t_cells)
-        vals = integrand(times.reshape(-1, k)).reshape(hi - lo, t_cells)
-        partials.append(float(np.sum(vals * w)))
-    return float(np.sum(np.asarray(partials)))
+    """One fixed-order estimate of the integral over the ordered simplex: the
+    one-order call of ``integrate_simplex_orders``."""
+    return integrate_simplex_orders(
+        T, k, integrand, min_gap, [(gap_cells, t_cells)], closure, chunk
+    )[0]

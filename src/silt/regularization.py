@@ -27,7 +27,7 @@ from .gram import (
     wiener_projections,
 )
 from .process_models import ProcessModel
-from .quadrature import gap_lattice, integrate_simplex_level
+from .quadrature import gap_lattice, integrate_simplex_level, integrate_simplex_orders
 from .transform import batch_fw_limit
 
 # Gauss points per coordinate of the orders that regularized_integral tries in turn
@@ -65,6 +65,10 @@ class QuadratureSpec:
         _check_k(self.k)
         if not 2 <= self.levels <= len(_ORDERS):
             raise ValidationError(f"levels must lie in 2..{len(_ORDERS)}, got {self.levels}")
+        if not 0 < self.tol < math.inf:
+            raise ValidationError(f"tol must be positive and finite, got {self.tol}")
+        if self.min_gap is not None and not 0 < self.min_gap < math.inf:
+            raise ValidationError(f"min_gap must be positive and finite, got {self.min_gap}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,7 @@ def batch_regularized_integrand(model: ProcessModel, h1: GridFunction, h2: GridF
 
     def f(times: np.ndarray) -> np.ndarray:
         gamma, (y1, y2) = projections(times)
-        return np.prod(-np.expm1(-0.5 * (y1**2 + y2**2)), axis=1) / gamma
+        return (-np.expm1(-0.5 * (y1**2 + y2**2))).prod(axis=1) / gamma
 
     return f
 
@@ -133,9 +137,10 @@ def regularized_integral(
         raise ValidationError(f"spec.k={spec.k} does not match k={k}")
     min_gap = spec.min_gap if spec.min_gap is not None else default_min_gap(model.grid)
     f = batch_regularized_integrand(model, h1, h2)
-    T, estimates = model.grid.T, []
-    for order in _ORDERS[: spec.levels]:
-        estimates.append(integrate_simplex_level(T, k, f, min_gap, order, order, closure=True))
+    T, estimates, orders = model.grid.T, [], [(o, o) for o in _ORDERS[: spec.levels]]
+    # the stop rule needs three estimates, so the first three orders share one stream
+    for run in (orders[:3], *([order] for order in orders[3:])):
+        estimates += integrate_simplex_orders(T, k, f, min_gap, run, closure=True)
         last = estimates[-3:]
         diffs = [abs(b - a) for a, b in zip(last, last[1:])]
         converged = len(diffs) == 2 and diffs[1] <= min(diffs[0], spec.tol * (1 + abs(last[-1])))

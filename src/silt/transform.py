@@ -70,7 +70,7 @@ def fw_eps(point: TransformPoint, eps: float) -> float:
     noise = eps * np.eye(point.tt.k - 1)
     noisy = dataclasses.replace(model, _gram=lambda inc: model.increment_gram(inc) + noise)
     det, ys = batch_projections(noisy, point.h1, point.h2)(times)
-    return point.norm_factor * math.exp(-0.5 * sum(float(np.sum(y**2)) for y in ys)) / float(det[0])
+    return point.norm_factor * math.exp(-0.5 * sum(float((y**2).sum()) for y in ys)) / float(det[0])
 
 
 def batch_fw_limit(

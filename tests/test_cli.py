@@ -251,7 +251,8 @@ def test_exit_3_names_the_failed_stop_condition(capsys, monkeypatch):
     )
     estimates = iter([0.0, 1e-6, 3e-6, 6e-6, 1e-5, 1.5e-5])
     monkeypatch.setattr(
-        "silt.regularization.integrate_simplex_level", lambda *a, **kw: next(estimates)
+        "silt.regularization.integrate_simplex_orders",
+        lambda T, k, f, min_gap, orders, **kw: [next(estimates) for _ in orders],
     )
     code, out, err = run(capsys, "regularize", "--k", "2", "--h1", "const1", "--h2", "const1")
     assert code == 3

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from silt import (
+    DegenerateConfigurationError,
     QuadratureSpec,
     TimeTuple,
     ValidationError,
@@ -23,13 +26,21 @@ from silt import (
     wiener_model,
 )
 from silt.function_space import GridFunction
-from silt.quadrature import gap_lattice, gauss_legendre, integrate_simplex_level
+from silt import regularization
+from silt.quadrature import (
+    gap_lattice,
+    gauss_legendre,
+    integrate_simplex_level,
+    integrate_simplex_orders,
+    simplex_rule,
+)
 from silt.regularization import (
     _ITERATED_GAP_CELLS,
     _ITERATED_T_CELLS,
     _ORDERS,
     _SCHUR_CELLS,
     batch_regularized_integrand,
+    default_min_gap,
 )
 
 
@@ -103,6 +114,83 @@ def test_min_gap_validation():
     gaps, wts = gap_lattice(1.0, 3, 0.6, 16, closure=False)
     assert gaps.shape == (0, 2) and wts.shape == (0,)
     assert integrate_simplex_level(1.0, 3, lambda t: np.ones(t.shape[0]), 0.6, 16, 8, False) == 0.0
+
+
+_MERGE_MODELS = {
+    "wiener": (wiener_model, 1.0),
+    "perturbed:sl": (sturm_liouville_model, math.pi / 2),
+}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(_MERGE_MODELS)),
+    k=st.integers(2, 4),
+    levels=st.integers(2, len(_ORDERS)),
+    chunk=st.sampled_from([97, 1000, 4096]),
+)
+def test_merged_orders_equal_one_call_per_order(name, k, levels, chunk):
+    """Estimates from one stream of several orders are bitwise those of one
+    ``integrate_simplex_level`` call per order, for every ``chunk``, also one that
+    splits an order over several batches and lets a batch span two orders.  k = 4
+    runs up to level 4 (order 16): its orders 24 and 32 take 70k and 210k nodes."""
+    levels = min(levels, 4) if k == 4 else levels
+    make, T = _MERGE_MODELS[name]
+    grid = make_grid(T, 64)
+    one = parse_function("const1", grid)
+    f = batch_regularized_integrand(make(grid), one, parse_function("sin:1", grid))
+    min_gap, orders = default_min_gap(grid), [(o, o) for o in _ORDERS[:levels]]
+    merged = integrate_simplex_orders(T, k, f, min_gap, orders, closure=True, chunk=chunk)
+    single = [
+        integrate_simplex_level(T, k, f, min_gap, g, t, closure=True, chunk=chunk)
+        for g, t in orders
+    ]
+    assert [x.hex() for x in merged] == [x.hex() for x in single]
+
+
+def test_first_three_orders_take_one_integrand_call(monkeypatch):
+    """The k=3 Wiener case of the regularize benchmark evaluates the 3,296 nodes
+    of orders 4, 8 and 12 in one integrand call, then one call per later order."""
+    grid = make_grid(1.0, 512)
+    model, one = wiener_model(grid), parse_function("const1", grid)
+    sizes = []
+
+    def counted(*args):
+        f = batch_regularized_integrand(*args)
+        return lambda times: sizes.append(len(times)) or f(times)
+
+    monkeypatch.setattr(regularization, "batch_regularized_integrand", counted)
+    rv = regularized_integral(model, 3, one, one, QuadratureSpec(k=3, levels=4, tol=5e-3))
+    min_gap = default_min_gap(grid)
+    nodes = [
+        sum(len(times) for times, _ in simplex_rule(1.0, 3, min_gap, o, o, True, 4096))
+        for o in _ORDERS[: len(rv.level_estimates)]
+    ]
+    assert sum(nodes[:3]) == 3296
+    assert sizes == [sum(nodes[:3]), *nodes[3:]]
+
+
+def test_degenerate_node_fails_on_the_same_tuple_as_one_call_per_order():
+    """An integrand that rejects a node of order 12 and one of order 8 fails, in the
+    merged stream as in one call per order, on the node of order 8."""
+    grid = make_grid(1.0, 512)
+    f = batch_regularized_integrand(wiener_model(grid), *[parse_function("const1", grid)] * 2)
+    min_gap = default_min_gap(grid)
+    first_groups = {o: next(simplex_rule(1.0, 3, min_gap, o, o, True, 4096))[0] for o in (8, 12)}
+    bad = [first_groups[12][7], first_groups[8][40]]
+
+    def rejecting(times):
+        hit = [i for i, t in enumerate(times) if any(np.array_equal(t, b) for b in bad)]
+        if hit:
+            raise DegenerateConfigurationError(f"degenerate tuple {tuple(times[hit[0]])}")
+        return f(times)
+
+    with pytest.raises(DegenerateConfigurationError) as single:
+        for o in _ORDERS[:3]:
+            integrate_simplex_level(1.0, 3, rejecting, min_gap, o, o, closure=True)
+    with pytest.raises(DegenerateConfigurationError) as merged:
+        integrate_simplex_orders(1.0, 3, rejecting, min_gap, [(o, o) for o in _ORDERS[:3]], True)
+    assert str(merged.value) == str(single.value) == f"degenerate tuple {tuple(bad[1])}"
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +298,8 @@ def test_growing_differences_do_not_converge(grid, model, monkeypatch):
     # every difference meets tol, but each is larger than the one before
     estimates = iter([0.0, 1e-6, 3e-6, 6e-6, 1e-5, 1.5e-5])
     monkeypatch.setattr(
-        "silt.regularization.integrate_simplex_level", lambda *a, **kw: next(estimates)
+        "silt.regularization.integrate_simplex_orders",
+        lambda T, k, f, min_gap, orders, **kw: [next(estimates) for _ in orders],
     )
     one = parse_function("const1", grid)
     rv = regularized_integral(model, 2, one, one, QuadratureSpec(k=2, tol=1e-3))
@@ -227,6 +316,15 @@ def test_spec_validation():
     # there is no 7th Gauss order
     with pytest.raises(ValidationError, match="levels must lie in 2..6, got 7"):
         QuadratureSpec(k=2, levels=7)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_spec_rejects_a_tol_or_min_gap_that_is_not_positive_and_finite(bad):
+    # with tol = nan, min(diff, nan) is diff: any shrinking difference would converge
+    with pytest.raises(ValidationError, match=f"tol must be positive and finite, got {bad}"):
+        QuadratureSpec(k=2, tol=bad)
+    with pytest.raises(ValidationError, match=f"min_gap must be positive and finite, got {bad}"):
+        QuadratureSpec(k=2, min_gap=bad)
 
 
 def test_spec_k_mismatch_rejected(grid, model):
