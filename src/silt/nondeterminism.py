@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -34,47 +34,18 @@ class SLNDReport:
     limit_reached: bool
 
 
-def _normalized_gram(model: ProcessModel, times: np.ndarray) -> np.ndarray:
-    """Gram matrices (B, k-1, k-1) of the normalized increments of consecutive times
-    (B, k), O(1) per time.
+def _normalized_gram(model: ProcessModel, times: Sequence[float]):
+    """Times (1, k) and the Gram matrix (1, k-1, k-1) of the normalized increments
+    of consecutive times, O(1) per time.
 
     A zero-norm increment makes its row non-finite, which ``batch_cholesky``
     rejects by name.
     """
+    times = np.asarray(times, dtype=float)[None]
     A = model.increment_gram(model.increments(times))
     d = np.sqrt(A.diagonal(axis1=1, axis2=2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return A / (d[:, :, None] * d[:, None, :])
-
-
-def _scan(values: Sequence[float], build: Callable, evaluate: Callable) -> SLNDReport:
-    """The report of ``evaluate`` (B, k) -> (B,), called once on the tuples that
-    ``build`` makes from ``values``.
-
-    When ``build`` rejects a value, the tuples before it are evaluated first, so
-    the error raised is the first one a loop over the values would meet.
-    """
-    rows = []
-    for v in values:
-        try:
-            rows.append(build(v))
-        except ValidationError:
-            if rows:
-                evaluate(np.array(rows))
-            raise
-    stats = tuple(float(x) for x in evaluate(np.array(rows)))
-    return SLNDReport(tuple(values), stats, abs(stats[-1] - 1.0) < SCAN_TOL)
-
-
-def _slnd_ratios(model: ProcessModel, times: np.ndarray, M: Sequence[int]) -> np.ndarray:
-    """SLND ratios (B,) of the tuples ``times`` (B, k) for the sorted subset M."""
-    k1 = times.shape[1] - 1
-    if not M:
-        return np.ones(len(times))
-    G = _normalized_gram(model, times)
-    order = [i - 1 for i in range(1, k1 + 1) if i not in M] + [i - 1 for i in M]
-    L, _ = batch_cholesky(G[:, order][:, :, order], times)
-    return L.diagonal(axis1=1, axis2=2)[:, k1 - len(M):].prod(axis=1) ** 2
+        return times, A / (d[:, :, None] * d[:, None, :])
 
 
 def slnd_ratio(model: ProcessModel, tt: TimeTuple, M: Iterable[int]) -> float:
@@ -89,7 +60,12 @@ def slnd_ratio(model: ProcessModel, tt: TimeTuple, M: Iterable[int]) -> float:
     M = sorted(set(int(i) for i in M))
     if any(i < 1 or i > k1 for i in M):
         raise ValidationError(f"subset {M} out of range 1..{k1}")
-    return float(_slnd_ratios(model, np.array([tt.times]), M)[0])
+    if not M:
+        return 1.0
+    times, G = _normalized_gram(model, tt.times)
+    order = [i - 1 for i in range(1, k1 + 1) if i not in M] + [i - 1 for i in M]
+    L, _ = batch_cholesky(G[:, order][:, :, order], times)
+    return float(np.prod(np.diag(L[0])[k1 - len(M):]) ** 2)
 
 
 def slnd_scan(
@@ -100,29 +76,24 @@ def slnd_scan(
 ) -> SLNDReport:
     """Shrink the M-indexed gaps toward their left endpoints and record ratios."""
     M = sorted(set(int(i) for i in M))
-    return _scan(
-        decreasing_values(gap_sequence, "scan gaps"),
-        lambda g: gap_scan_tuple(base_tt.times, M, g, model.grid.T).times,
-        lambda times: _slnd_ratios(model, times, M),
-    )
-
-
-def _berman_times(tt: TimeTuple) -> Tuple[float, ...]:
-    """(0, t_1, ..., t_k): x(t_1) is the increment over [0, t_1], since g(0) = 0 in
-    every model."""
-    if not tt.times[0] > 0:
-        raise ValidationError(f"t1 = {tt.times[0]}: x(0) = 0 in every model, need t1 > 0")
-    return (0.0,) + tt.times
-
-
-def _gram_dets(model: ProcessModel, times: np.ndarray) -> np.ndarray:
-    """Gram determinants (B,) of the normalized increments of the tuples (B, k)."""
-    return batch_cholesky(_normalized_gram(model, times), times)[1]
+    gap_sequence = decreasing_values(gap_sequence, "scan gaps")
+    ratios = [
+        slnd_ratio(model, gap_scan_tuple(base_tt.times, M, g, model.grid.T), M)
+        for g in gap_sequence
+    ]
+    limit = abs(ratios[-1] - 1.0) < SCAN_TOL
+    return SLNDReport(tuple(gap_sequence), tuple(ratios), limit)
 
 
 def berman_stat(model: ProcessModel, tt: TimeTuple) -> float:
-    """Gram determinant of the normalized value x(t_1) and normalized increments."""
-    return float(_gram_dets(model, np.array([_berman_times(tt)]))[0])
+    """Gram determinant of the normalized value x(t_1) and normalized increments.
+
+    x(t_1) is the increment over [0, t_1], since g(0) = 0 in every model.
+    """
+    if not tt.times[0] > 0:
+        raise ValidationError(f"t1 = {tt.times[0]}: x(0) = 0 in every model, need t1 > 0")
+    times, G = _normalized_gram(model, (0.0,) + tt.times)
+    return float(batch_cholesky(G, times)[1][0])
 
 
 def berman_scan(
@@ -137,15 +108,15 @@ def berman_scan(
     limit 1 at the smallest window; the infimum over all tuples in Berman's
     definition is not computable and is not claimed.
     """
-
-    def build(wdw):
+    window_sequence = decreasing_values(window_sequence, "scan windows")
+    stats = []
+    for wdw in window_sequence:
         times = t1 + np.linspace(0.0, wdw, m)
         if times[-1] > model.grid.T + 1e-12:
             raise ValidationError(f"window {wdw} leaves the interval [0, {model.grid.T}]")
-        return _berman_times(TimeTuple(times, min_gap=min(wdw / (2 * m), 1e-9)))
-
-    windows = decreasing_values(window_sequence, "scan windows")
-    return _scan(windows, build, lambda times: _gram_dets(model, times))
+        stats.append(berman_stat(model, TimeTuple(times, min_gap=min(wdw / (2 * m), 1e-9))))
+    limit = abs(stats[-1] - 1.0) < SCAN_TOL
+    return SLNDReport(tuple(window_sequence), tuple(stats), limit)
 
 
 def projection_decay(

@@ -142,11 +142,13 @@ def _batches(groups: Iterable[tuple], chunk: int) -> Iterator[list]:
     """Consecutive (order, times, weights) groups, as many per batch as fit in
     ``chunk`` tuples; a larger group is a batch of its own."""
     batch: list = []
+    n = 0
     for group in groups:
-        if batch and sum(len(g[1]) for g in batch) + len(group[1]) > chunk:
+        if batch and n + len(group[1]) > chunk:
             yield batch
-            batch = []
+            batch, n = [], 0
         batch.append(group)
+        n += len(group[1])
     if batch:
         yield batch
 

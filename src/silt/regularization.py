@@ -67,8 +67,6 @@ class QuadratureSpec:
             raise ValidationError(f"levels must lie in 2..{len(_ORDERS)}, got {self.levels}")
         if not 0 < self.tol < math.inf:
             raise ValidationError(f"tol must be positive and finite, got {self.tol}")
-        if self.min_gap is not None and not 0 < self.min_gap < math.inf:
-            raise ValidationError(f"min_gap must be positive and finite, got {self.min_gap}")
 
 
 @dataclass(frozen=True)

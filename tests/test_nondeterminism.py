@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from silt import (
-    DegenerateConfigurationError,
     TimeTuple,
     ValidationError,
     berman_scan,
@@ -18,9 +17,7 @@ from silt import (
     sturm_liouville_model,
     wiener_model,
 )
-from silt import nondeterminism
 from silt.function_space import GridFunction, parse_function
-from silt.gram import gap_scan_tuple
 
 
 def test_wiener_ratios_identically_one():
@@ -104,47 +101,3 @@ def test_t1_zero_is_a_validation_error():
     ):
         with pytest.raises(ValidationError, match="t1 = 0.0"):
             call()
-
-
-@pytest.mark.parametrize("make", [wiener_model, counterexample_model, sturm_liouville_model])
-def test_batched_scans_equal_one_scalar_call_per_gap(make):
-    """A scan factors all its tuples in one kernel call; every ratio is bitwise
-    the scalar call at its tuple."""
-    grid = make_grid(math.pi / 2, 512)
-    m = make(grid)
-    tt, gaps = TimeTuple([0.2, 0.5, 0.7, 1.1]), [0.1, 0.02, 7e-3]
-    for M in ([1], [2, 3], [1, 2, 3], []):
-        want = [slnd_ratio(m, gap_scan_tuple(tt.times, M, g, grid.T), M) for g in gaps]
-        assert slnd_scan(m, tt, M, gaps).ratios == tuple(want)
-    windows = [0.4, 0.1, 0.03]
-    for points in (2, 3, 4):
-        want = [
-            berman_stat(m, TimeTuple(0.3 + np.linspace(0.0, w, points), min_gap=1e-12))
-            for w in windows
-        ]
-        assert berman_scan(m, 0.3, points, windows).ratios == tuple(want)
-
-
-def test_scan_raises_the_error_a_loop_over_the_gaps_raises_first(monkeypatch):
-    """A tuple the scan cannot build is reported only after the tuples before it
-    are factored: a degenerate tuple at an earlier gap is the error raised."""
-    m = wiener_model(make_grid(1.0, 512))
-    tt = TimeTuple([0.05, 0.5, 0.9])
-    # at gap 1e-9 the two increments of (0.05, 0.05 + 1e-9, 0.05 + 2e-9) share one cell
-    with pytest.raises(DegenerateConfigurationError, match="smallest gap 1.000e-09"):
-        slnd_scan(m, tt, [1, 2], [0.1, 1e-9])
-
-    def build_until(stop):
-        def build(times, indices, gap, T):
-            if gap <= stop:
-                raise ValidationError(f"cannot build gap {gap}")
-            return gap_scan_tuple(times, indices, gap, T)
-
-        monkeypatch.setattr(nondeterminism, "gap_scan_tuple", build)
-
-    build_until(1e-10)
-    with pytest.raises(DegenerateConfigurationError, match="smallest gap 1.000e-09"):
-        slnd_scan(m, tt, [1, 2], [0.1, 1e-9, 1e-10])
-    build_until(1e-9)
-    with pytest.raises(ValidationError, match="cannot build gap 1e-09"):
-        slnd_scan(m, tt, [1, 2], [0.1, 1e-9, 1e-10])

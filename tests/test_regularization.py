@@ -319,12 +319,10 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_spec_rejects_a_tol_or_min_gap_that_is_not_positive_and_finite(bad):
+def test_spec_rejects_a_tol_that_is_not_positive_and_finite(bad):
     # with tol = nan, min(diff, nan) is diff: any shrinking difference would converge
     with pytest.raises(ValidationError, match=f"tol must be positive and finite, got {bad}"):
         QuadratureSpec(k=2, tol=bad)
-    with pytest.raises(ValidationError, match=f"min_gap must be positive and finite, got {bad}"):
-        QuadratureSpec(k=2, min_gap=bad)
 
 
 def test_spec_k_mismatch_rejected(grid, model):
