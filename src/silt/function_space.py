@@ -12,8 +12,10 @@ the first cell the mass is exact only to about eps*sqrt(t*w) (see
 ``indicator_params``).  (1I_[0,s], 1I_[0,t]) = min(s, t) is exact when the
 boundary cell pairs {p, p+1} of s and t, with p = min(floor(t/w), n-2), are
 disjoint.  Near T that takes more than two cells between the times: a time
-in the last cell uses the cells n-2 and n-1.  ``IndicatorIncrements`` stores
-its batches tuple-last, (4, m, B); its (B, m, 4) arrays are transposed views.
+in the last cell uses the cells n-2 and n-1.  This module owns the cell
+format of the increments 1I_[0,b] - 1I_[0,a]: only ``IndicatorIncrements``
+reads its cells and values, and the models hand it kernels (``kernel_form``),
+nodes (``switch_points``) and functions (``pair``, ``segment_sums``).
 """
 
 from __future__ import annotations
@@ -177,45 +179,38 @@ def indicator_values(grid: Grid, t) -> np.ndarray:
 class IndicatorIncrements:
     """Cell representations of 1I_[0,b] - 1I_[0,a] for arrays a <= b, O(1) each.
 
-    The difference is one on the block of cells [lo, hi) (empty when
-    hi <= lo) and takes the values ``val`` at the four cells ``pos`` (last
-    axis) around the two boundaries; it is zero elsewhere.  A cell listed
-    twice carries value 0 at its second listing, and no listed cell lies in
-    the block.  Each boundary value is a difference of two cell values, as in
-    the dense rows, so sums over cells lose no digits to cancellation.
+    The difference is one on the block of cells [cells[0] + 2, cells[2]) (empty
+    when cells[2] <= cells[0] + 2) and takes the ``values`` at the four ``cells`` around
+    the two boundaries; it is zero elsewhere.  A cell listed twice carries value
+    0 at its second listing, and no listed cell lies in the block.  Each
+    boundary value is a difference of two cell values, as in the dense rows, so
+    sums over cells lose no digits to cancellation.
 
     Storage is tuple-last, so every pass runs over B contiguous values:
-    ``cells`` and ``values`` are (4, m, B) for a (B, m) batch.  ``pos``, ``val``,
-    ``lo`` = pos[..., 0] + 2 and ``hi`` = pos[..., 2] are their transposed
-    views, and the methods return transposed views too.
+    ``cells`` and ``values`` are (4, m, B) for a (B, m) batch, and the methods
+    return (B, ...) transposed views.
     """
 
     cells: np.ndarray
     values: np.ndarray
-    pos = property(lambda self: self.cells.T)
-    val = property(lambda self: self.values.T)
-    lo = property(lambda self: (self.cells[0] + 2).T)
-    hi = property(lambda self: self.cells[2].T)
 
-    def dot(self, other: "IndicatorIncrements") -> np.ndarray:
-        """Sum over cells of the product of two differences (broadcasting)."""
-        c, oc, v, ov = self.cells, other.cells, self.values, other.values
-        lo, hi, olo, ohi = c[0] + 2, c[2], oc[0] + 2, oc[2]
-        mine = (c >= olo) & (c < ohi)
-        theirs = (oc >= lo) & (oc < hi)
-        same = c[:, None] == oc[None, :]
-        return (
-            np.maximum(np.minimum(hi, ohi) - np.maximum(lo, olo), 0)
-            + np.sum(v * mine, axis=0)
-            + np.sum(ov * theirs, axis=0)
-            + cell_pair_sum(v[:, None] * ov[None, :] * same)
-        ).T
+    def kernel_form(self, rect, entry, rows=slice(None)) -> np.ndarray:
+        """Sums over cells i, j of d_x[i] K[i, j] d_y[j] for every pair of increments
+        x, y of the tuples ``rows``: (R, m, m).
 
-    def pairs(self, rows=slice(None)):
-        """Tuples ``rows`` of a (B, m) batch as a (R, m, 1) and a (R, 1, m) view,
-        whose broadcast runs over every pair of increments."""
+        rect(x0, x1, y0, y1) is the sum of K over the cells [x0, x1) x [y0, y1),
+        zero when either range is empty, for the block-by-block and block-by-cell
+        terms; entry(i, j) is K[i, j], for the cell-by-cell terms.
+        """
         x = self.cells[..., rows], self.values[..., rows]
-        return tuple(IndicatorIncrements(*(np.expand_dims(a, ax) for a in x)) for ax in (1, 2))
+        (c1, v1), (c2, v2) = ([np.expand_dims(a, ax) for a in x] for ax in (1, 2))
+        lo1, hi1, lo2, hi2 = c1[0] + 2, c1[2], c2[0] + 2, c2[2]
+        return (
+            rect(lo1, hi1, lo2, hi2)
+            + np.sum(v1 * rect(c1, c1 + 1, lo2, hi2), axis=0)
+            + np.sum(v2 * rect(lo1, hi1, c2, c2 + 1), axis=0)
+            + _cell_pair_sum(v1[:, None] * v2[None, :] * entry(c1[:, None], c2[None, :]))
+        ).T
 
     def gram(self) -> np.ndarray:
         """Sums over cells of the products of every pair of differences of a (B, m)
@@ -223,9 +218,9 @@ class IndicatorIncrements:
 
         The diagonal is the block length plus the squared boundary values.  When
         the boundary pairs of consecutive times lie two cells apart or more
-        (pos[2] - pos[0] >= 2), increments i and i+1 meet only at the cells of
+        (cells[2] - cells[0] >= 2), increments i and i+1 meet only at the cells of
         their common time and increments further apart not at all; the tuples
-        that break that rule go through the pairwise ``dot``.
+        that break that rule go through ``kernel_form`` with the identity kernel.
         """
         c, v = self.cells, self.values
         _, m, B = c.shape
@@ -235,7 +230,7 @@ class IndicatorIncrements:
         A = A.reshape(m, m, B)
         close = np.flatnonzero(np.any(c[2] - c[0] < 2, axis=0))
         if close.size:
-            A[..., close] = IndicatorIncrements.dot(*self.pairs(close)).T
+            A[..., close] = self.kernel_form(_overlap, np.equal, close).T
         return A.T
 
     def pair(self, x: np.ndarray, cum: np.ndarray) -> np.ndarray:
@@ -245,14 +240,59 @@ class IndicatorIncrements:
         block = cum.take(np.maximum(hi, lo)) - cum.take(lo)
         return (block + np.sum(self.values * x.take(c), axis=0)).T
 
+    def switch_points(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """q(t) = #{nodes < t} for the times (k, B) whose differences these are: the
+        boundary cell p(t) plus the nodes u_p, u_{p+1} below t, shape (k, B)."""
+        p = np.concatenate([self.cells[0, :1], self.cells[2]])
+        return p + (nodes.take(p) < times) + (nodes.take(p + 1) < times)
 
-def cell_pair_sum(x: np.ndarray) -> np.ndarray:
+    def segment_sums(self, edges: np.ndarray, f: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """Sums over cells of the differences times the rows of f (X, n), F = [0,
+        cumsum(f)], in the s segments [edges[j], edges[j+1]) of each tuple: (X, s, m, B).
+
+        edges (s + 1, B) are 0, the ``switch_points`` and n, so the block of
+        increment i lies in segment i + 1 (q(t_i) <= p(t_i) + 2, p(t_{i+1}) <=
+        q(t_{i+1})) and a boundary cell in the segment of the switch points at or
+        below it, one ``bincount`` per row of f.  Temporaries are freed before the
+        caller's, whose peak memory decides whether the heap is trimmed and refaulted.
+        """
+        c = self.cells
+        _, m, B = c.shape
+        s1, slab = len(edges) - 1, m * B
+        bins = sum(edges[s] <= c for s in range(1, s1)) * slab + np.arange(slab).reshape(m, B)
+        boundary = f.take(c, axis=1)
+        boundary *= self.values
+        w = np.empty((len(f), s1 * slab))
+        for wc, bc in zip(w, boundary):
+            wc[:] = np.bincount(bins.ravel(), bc.ravel(), minlength=s1 * slab)
+        w, i = w.reshape(len(f), s1, m, B), np.arange(m)
+        w[:, i + 1, i] += cell_sums(c[0] + 2, c[2], f, F)
+        return w
+
+
+def _overlap(x0, x1, y0, y1):
+    """Cells shared by [x0, x1) and [y0, y1): the rectangle sums of the identity kernel."""
+    return np.maximum(np.minimum(x1, y1) - np.maximum(x0, y0), 0)
+
+
+def _cell_pair_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the leading (4, 4) cell-pair axes in numpy's pairwise order for 16
     contiguous values (eight partial sums, then a tree), the order of ``np.sum``
     over the (..., 4, 4) transpose: the sums do not depend on the layout."""
     r = x[:2] + x[2:]
     r = r[:, 0::2] + r[:, 1::2]
     return (r[0, 0] + r[0, 1]) + (r[1, 0] + r[1, 1])
+
+
+def cell_sums(r0, r1, f, F):
+    """Sums of the rows of f (X, n) over the cells [r0, r1), F = [0, cumsum(f)]:
+    (X,) + r0.shape.  A one-cell range is summed directly: a sub-cell increment has
+    at most one cell between its switch points, far smaller than the prefix sums."""
+    r1 = np.maximum(r0, r1)
+    out = F.take(r1, axis=1)
+    out -= F.take(r0, axis=1)
+    np.copyto(out, f.take(np.minimum(r0, f.shape[1] - 1), axis=1), where=r1 - r0 == 1)
+    return out
 
 
 def ordered_sum(x: np.ndarray) -> np.ndarray:

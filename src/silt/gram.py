@@ -92,7 +92,6 @@ def gap_scan_tuple(times: Sequence[float], indices: Sequence[int], gap: float, T
 class GramDecomposition:
     """Gram matrix and determinant of one time tuple: a B=1 result of ``batch_decompose``."""
 
-    tt: TimeTuple
     A: np.ndarray
     gamma: float
 
@@ -100,7 +99,7 @@ class GramDecomposition:
 def decompose(model: ProcessModel, tt: TimeTuple) -> GramDecomposition:
     """Gram decomposition of the increments g(t_{i+1}) - g(t_i)."""
     _, A, _, gamma = batch_decompose(model, np.asarray(tt.times)[None])
-    return GramDecomposition(tt, A[0], float(gamma[0]))
+    return GramDecomposition(A[0], float(gamma[0]))
 
 
 def projection_norm_sq(model: ProcessModel, times: Sequence[float], h: GridFunction) -> float:

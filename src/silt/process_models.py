@@ -8,16 +8,17 @@ The structured primitives (``increments``, ``increment_gram``, ``pairing``
 and ``covariance``) give every Gram matrix, projection and ratio the package
 computes, from the two-cell parameters of the indicators and O(n) prefix sums
 built once per model or shift.  They work on increments g(b) - g(a), so that
-the large common part of g(a) and g(b) never enters a difference.  A Gram
-matrix costs O(k) per tuple: the indicator steps form a band
-(``IndicatorIncrements.gram``), since only increments i and i+1 share cells
-when the boundary cells of consecutive times lie two or more apart, and the
-tuples that break that rule fall back to pairwise products.  The perturbed:sl
-corrections of a tuple live in one basis of sin u and cos u on the k+1
-segments between its times (``_SLBasis``); perturbed:file pairs the steps
-through the 2-D prefix table of its kernel.  Every per-tuple array is stored
-with the tuple axis last, (..., B); ``increments`` checks and transposes the
-times once, and the (B, m) and (B, m, m) arrays the primitives return are
+the large common part of g(a) and g(b) never enters a difference.  The cell
+format of the indicator steps belongs to ``function_space``: this module
+reads the steps only through their methods and keeps the model math, the
+perturbed:sl coefficients z, segment sums G and contractions, and the shift
+and kernel tables.  A Gram matrix costs O(k) per tuple: the steps form a band
+(``IndicatorIncrements.gram``).  The perturbed:sl corrections of a tuple live
+in one basis of sin u and cos u on the k+1 segments between its times
+(``_SLBasis``); perturbed:file pairs the steps through the 2-D prefix table
+of its kernel (``kernel_form``).  Every per-tuple array is stored with the
+tuple axis last, (..., B); ``increments`` checks and transposes the times
+once, and the (B, m) and (B, m, m) arrays the primitives return are
 transposed views.  ``factor_values`` builds the dense grid rows of g(t);
 only the Monte Carlo sampler, ``silt selftest`` and the tests use them.
 """
@@ -39,7 +40,7 @@ from .function_space import (
     KernelOperator,
     GridMismatchError,
     IndicatorIncrements,
-    cell_pair_sum,
+    cell_sums,
     grid_times,
     indicator_increments,
     indicator_values,
@@ -151,27 +152,6 @@ def wiener_model(grid: Grid) -> ProcessModel:
     return ProcessModel("wiener", grid, 0, values, _no_extra, gram, pairing)
 
 
-def _kernel_form(d1, d2, K: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Sum over cells i, j of d1[i] K[i, j] d2[j]; P is the 2-D prefix table of K.
-
-    Block-by-block and block-by-cell terms are rectangle sums of P, the
-    cell-by-cell terms entries of K.
-    """
-
-    def rect(x0, x1, y0, y1):
-        x1, y1 = np.maximum(x0, x1), np.maximum(y0, y1)
-        return P[x1, y1] - P[x0, y1] - P[x1, y0] + P[x0, y0]
-
-    (c1, v1), (c2, v2) = (d1.cells, d1.values), (d2.cells, d2.values)
-    lo1, hi1, lo2, hi2 = c1[0] + 2, c1[2], c2[0] + 2, c2[2]
-    return (
-        rect(lo1, hi1, lo2, hi2)
-        + np.sum(v2 * rect(lo1, hi1, c2, c2 + 1), axis=0)
-        + np.sum(v1 * rect(c1, c1 + 1, lo2, hi2), axis=0)
-        + cell_pair_sum(v1[:, None] * v2[None, :] * K[c1[:, None], c2[None, :]])
-    ).T
-
-
 def perturbed_model(grid: Grid, S: KernelOperator, name: str = "perturbed") -> ProcessModel:
     """Compact perturbation of the Wiener process: g(t) = (I+S) 1I_[0,t].
 
@@ -197,12 +177,16 @@ def perturbed_model(grid: Grid, S: KernelOperator, name: str = "perturbed") -> P
     K = M + M.T + M.T @ M
     P = _prefix(_prefix(K).T).T
 
+    def rect(x0, x1, y0, y1):
+        x1, y1 = np.maximum(x0, x1), np.maximum(y0, y1)
+        return P[x1, y1] - P[x0, y1] - P[x1, y0] + P[x0, y0]
+
     def values(ts):
         ind = indicator_values(grid, ts)
         return ind + ind @ M.T, np.zeros((len(ts), 0))
 
     def gram(inc):
-        return grid.weight * (inc.steps.gram() + _kernel_form(*inc.steps.pairs(), K, P))
+        return grid.weight * (inc.steps.gram() + inc.steps.kernel_form(rect, lambda i, j: K[i, j]))
 
     def pairing(h):
         return _steps_pairing(grid, h.values + M.T @ h.values)
@@ -232,20 +216,6 @@ def sl_factor_correction(grid: Grid, ts: np.ndarray) -> np.ndarray:
     u = grid.nodes[None, :]
     t = np.asarray(ts, dtype=float)[:, None]
     return np.where(u < t, -np.cos(t) * np.sin(u), -np.sin(t) * np.cos(u))
-
-
-def _cell_sums(r0, r1, f, F):
-    """Sums of the rows of f (X, n) over the cells [r0, r1), F = _prefix(f): (X,) + r0.shape.
-
-    A range of one cell is summed directly: a sub-cell increment has at most
-    one cell between its switch points, whose value is far smaller than the
-    prefix sums.
-    """
-    r1 = np.maximum(r0, r1)
-    out = F.take(r1, axis=1)
-    out -= F.take(r0, axis=1)
-    np.copyto(out, f.take(np.minimum(r0, f.shape[1] - 1), axis=1), where=r1 - r0 == 1)
-    return out
 
 
 def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -282,10 +252,8 @@ class _SLBasis:
         self.product_sums = _prefix(self.products)
 
     def segments(self, times, steps: IndicatorIncrements):
-        """(edges (k+2, B), z (2, k+1, k-1, B)) of a batch of tuples, times (k, B):
-        q(t) is the boundary cell p(t) of the steps plus the nodes u_p, u_{p+1} < t."""
-        p = np.concatenate([steps.cells[0, :1], steps.cells[2]])
-        q = p + (self.u.take(p) < times) + (self.u.take(p + 1) < times)
+        """(edges (k+2, B), z (2, k+1, k-1, B)) of a batch of tuples, times (k, B)."""
+        q = steps.switch_points(self.u, times)
         edges = np.concatenate([np.zeros_like(q[:1]), q, np.full_like(q[:1], self.n)])
         c, s = np.cos(times), np.sin(times)
         cols = np.stack([c[:-1] - c[1:], -c[1:], s[:-1], s[:-1] - s[1:], np.zeros_like(s[1:])])
@@ -301,7 +269,7 @@ class _SLBasis:
 
         def pair(inc):
             edges, z = inc.extra
-            sums = _cell_sums(edges[:-1], edges[1:], f, F)
+            sums = cell_sums(edges[:-1], edges[1:], f, F)
             return steps(inc) + self.grid.weight * _contract(sums[:, :, None], z).T
 
         return pair
@@ -313,38 +281,17 @@ class _SLBasis:
         and cos u over each segment, except that a one-cell segment enters
         through its cell's values, which keeps their digits; steps times
         corrections give w^T z, w the segment sums of each increment's steps
-        times sin u and cos u.  The block of increment i lies in segment i+1
-        (q(t_i) <= p(t_i) + 2 and p(t_{i+1}) <= q(t_{i+1}), p of
-        ``indicator_params``); a boundary cell in the segment numbered by the
-        switch points at or below it (``_step_sums``).
+        times sin u and cos u.
         """
         d, (edges, z) = inc.steps, inc.extra
-        w = self._step_sums(d, edges, z.shape)
-        G = _cell_sums(edges[:-1], edges[1:], self.products, self.product_sums)[:, :, None]
+        w = d.segment_sums(edges, self.trig, self.trig_sums)
+        G = cell_sums(edges[:-1], edges[1:], self.products, self.product_sums)[:, :, None]
         gzw = G[:2] * z[:1]
         gzw += G[1:] * z[1:]
         gzw += w
         A = _contract(z[:, :, None], gzw[:, :, :, None])
         A += _contract(w[:, :, None], z[:, :, :, None])
         return self.grid.weight * (d.gram() + A.T)
-
-    def _step_sums(self, d: IndicatorIncrements, edges, shape) -> np.ndarray:
-        """w (2, k+1, k-1, B): the boundary values of the steps times sin u and cos u,
-        summed into the segments of their cells by one ``bincount`` per function,
-        plus the block sums, which lie in segment i+1 of increment i.  Its
-        temporaries are freed before the Gram's: a call's peak memory decides
-        whether the heap is trimmed after it and faulted back in by the next."""
-        _, s1, m, B = shape
-        slab = m * B
-        bins = sum(edges[s] <= d.cells for s in range(1, s1)) * slab + np.arange(slab).reshape(m, B)
-        boundary = self.trig.take(d.cells, axis=1)
-        boundary *= d.values
-        w = np.empty((2, s1 * slab))
-        for wc, bc in zip(w, boundary):
-            wc[:] = np.bincount(bins.ravel(), bc.ravel(), minlength=s1 * slab)
-        w, i = w.reshape(shape), np.arange(m)
-        w[:, i + 1, i] += _cell_sums(d.cells[0] + 2, d.cells[2], self.trig, self.trig_sums)
-        return w
 
 
 def sturm_liouville_model(grid: Grid) -> ProcessModel:

@@ -26,6 +26,9 @@ import numpy as np
 
 from .errors import ValidationError
 
+# largest row bound (n_cells + 2 closure)^(k-1) of a gap lattice that may be built
+_MAX_LATTICE_ROWS = 10**6
+
 
 @functools.lru_cache
 def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -61,6 +64,12 @@ def gap_lattice(
     """
     if not 0 < min_gap < T:
         raise ValidationError(f"min_gap {min_gap} must lie in (0, T)")
+    rows = (n_cells + 2 * closure) ** (k - 1)
+    if rows > _MAX_LATTICE_ROWS:
+        raise ValidationError(
+            f"a k={k} lattice with {n_cells} points per gap has up to {rows} gap rows, "
+            f"above the limit of {_MAX_LATTICE_ROWS}"
+        )
     v, w = gauss_legendre(n_cells)
     floor = 2.0 * min_gap if closure else min_gap  # no closure node may leave [0, T]
     gaps, wts = np.zeros((1, 0)), np.ones(1)

@@ -216,6 +216,22 @@ def test_diverge_k_outside_the_lattice_rule_exits_2(capsys, monkeypatch, k):
     assert f"validation error: multiplicity k must be 2, 3 or 4, got {k}" in err
 
 
+def test_diverge_k4_at_the_cli_lattice_exits_2(capsys, monkeypatch):
+    # 384 points per gap make 384^3 = 56.6 M gap rows: refused before any node is made
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("gauss_legendre called")
+
+    monkeypatch.setattr(silt.quadrature, "gauss_legendre", no_nodes)
+    argv = "diverge --k 4 --h1 zero --h2 zero --deltas 0.1".split()
+    code, out, err = run(capsys, *argv)
+    assert code == 2, err
+    assert out == ""
+    assert (
+        "validation error: a k=4 lattice with 384 points per gap has up to 56623104 gap rows, "
+        "above the limit of 1000000" in err
+    )
+
+
 def test_unwritable_out_path_exits_2(tmp_path, capsys):
     path = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "gram", "--times", "0.2,0.5", "--out", str(path))

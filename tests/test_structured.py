@@ -328,8 +328,9 @@ def test_kernel_arrays_keep_the_tuple_axis_innermost(name, k):
     inc = model.increments(times)
     _, _, L, _ = batch_decompose(model, times)
     u = model.pairing(parse_function("sin:1", model.grid, model.aux_dim))(inc)
-    steps = inc.steps
-    for a in (steps.pos, steps.val, steps.lo, steps.hi, model.increment_gram(inc), L, u):
+    for a in (inc.steps.cells, inc.steps.values):
+        assert a.shape[-1] == B and a.strides[-1] == a.itemsize
+    for a in (model.increment_gram(inc), L, u):
         assert a.shape[0] == B and a.strides[0] == a.itemsize
     extra = inc.extra if isinstance(inc.extra, tuple) else (inc.extra,) * (inc.extra is not None)
     for a in extra:
@@ -342,8 +343,8 @@ def test_pairwise_dot_gets_exactly_the_rows_that_break_the_separation_rule(
 ):
     """On the order-12, k=3 lattice of ``regularized_integral`` at n=512, the 4
     tuples whose boundary cells p of consecutive times differ by less than 2
-    (t_3 in the last cell) go through ``IndicatorIncrements.dot``, and no other;
-    on the others the band equals the pairwise dot."""
+    (t_3 in the last cell) go through ``IndicatorIncrements.kernel_form``, and no
+    other; on the others the band equals the pairwise form of the same kernel."""
     grid = make_grid(T, 512)
     model = process_models.parse_model(spec, grid)
     lattice = []
@@ -359,14 +360,19 @@ def test_pairwise_dot_gets_exactly_the_rows_that_break_the_separation_rule(
     assert breaks.sum() == 4 and np.all(p[breaks, -1] == grid.n - 2)
     inc = model.increments(times)
     seen = []
-    dot = function_space.IndicatorIncrements.dot
-    monkeypatch.setattr(
-        function_space.IndicatorIncrements, "dot", lambda x, y: seen.append(x) or dot(x, y)
-    )
+    form = function_space.IndicatorIncrements.kernel_form
+
+    def spy(d, rect, entry, rows):
+        seen.append((d, rect, entry, rows))
+        return form(d, rect, entry, rows)
+
+    monkeypatch.setattr(function_space.IndicatorIncrements, "kernel_form", spy)
     A = inc.steps.gram()
-    assert len(seen) == 1 and np.array_equal(seen[0].pos[:, :, 0], inc.steps.pos[breaks])
+    assert len(seen) == 1
+    d, rect, entry, rows = seen[0]
+    assert np.array_equal(d.cells[..., rows], inc.steps.cells[..., breaks])
     monkeypatch.undo()
-    pairwise = dot(*inc.steps.pairs())
+    pairwise = inc.steps.kernel_form(rect, entry)
     assert np.max(np.abs(A - pairwise)) <= 1e-15 * np.max(np.abs(pairwise))
 
 
@@ -468,15 +474,18 @@ def test_separated_increments_have_exact_gram_entries(n, data):
 
 
 def _assert_dense_differences(grid, times):
-    """Each row of ``indicator_increments`` rebuilt from (lo, hi, pos, val) is
+    """Each row of ``indicator_increments`` rebuilt from its cells and values (the
+    block [cells[0] + 2, cells[2]) of ones plus the four boundary values) is
     bitwise the difference of the dense rows of its two times."""
     inc = function_space.indicator_increments(grid, times)
-    R, m = inc.lo.shape
-    rows = (np.arange(grid.n) >= inc.lo[..., None]) & (np.arange(grid.n) < inc.hi[..., None])
+    cells, values = inc.cells.T, inc.values.T  # (R, m, 4)
+    R, m, _ = cells.shape
+    cols = np.arange(grid.n)
+    rows = (cols >= cells[..., :1] + 2) & (cols < cells[..., 2:3])
     rows = rows.astype(float)
     r, i = np.indices((R, m))
     for j in range(4):
-        rows[r, i, inc.pos[..., j]] += inc.val[..., j]
+        rows[r, i, cells[..., j]] += values[..., j]
     dense = function_space.indicator_values(grid, times.ravel()).reshape(R, -1, grid.n)
     np.testing.assert_array_equal(rows, dense[:, 1:] - dense[:, :-1])
 
