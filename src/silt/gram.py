@@ -10,6 +10,7 @@ substitutions of the shift coefficients through the Cholesky factor, once per
 distinct shift; ``projection_norm_sq`` is its B=1 row.  Gram matrices and
 factors are stored tuple-last, (m, m, B), and coefficients (m, B); the
 (B, m, m) and (B, m) arrays the functions return are transposed views.
+Per-call code calls ufuncs' reduce, not numpy's wrappers such as np.sum (1-3 us slower).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateConfigurationError, ValidationError
-from .function_space import GridFunction, indicator, inner, ordered_sum
+from .function_space import GridFunction, indicator, inner
 from .process_models import ProcessModel
 
 COND_CUTOFF = 1e12
@@ -41,8 +42,8 @@ class TimeTuple:
             raise ValidationError("a time tuple needs at least two times")
         if not all(map(math.isfinite, times)):
             raise ValidationError(f"times must be finite, got {times}")
-        if min_gap <= 0:
-            raise ValidationError("min_gap must be positive")
+        if not 0 < min_gap < math.inf:
+            raise ValidationError(f"min_gap must be positive and finite, got {min_gap}")
         gaps = np.diff(np.asarray(times, dtype=float))
         if np.any(gaps < min_gap):
             i = int(np.argmin(gaps))
@@ -106,7 +107,7 @@ def projection_norm_sq(model: ProcessModel, times: Sequence[float], h: GridFunct
     """||P h||^2 on the span of the increments of ``times``: a B=1 row of
     ``batch_projections``, the quadratic form u^T A^{-1} u = |L^{-1} u|^2."""
     _, (y,) = batch_projections(model, h)(np.asarray(times, dtype=float)[None])
-    return float(np.sum(y[0] ** 2))
+    return float(np.add.reduce(y[0] ** 2))
 
 
 def wiener_projections(tt: TimeTuple, *hs: GridFunction) -> np.ndarray:
@@ -171,7 +172,7 @@ def batch_cholesky(A: np.ndarray, times: np.ndarray):
     on the rows of A.T, contiguous for a view of tuple-last storage.
     """
     At, m = A.T, A.shape[1]  # At[j, i] is A[:, i, j]
-    finite = np.isfinite(At).all(axis=(0, 1))
+    finite = np.logical_and.reduce(np.isfinite(At), axis=(0, 1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if m == 1:
             lo = hi = At[0, 0]
@@ -180,10 +181,10 @@ def batch_cholesky(A: np.ndarray, times: np.ndarray):
             hi = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
             lo = (a * d - b * b) / hi
         else:
-            checked = A if finite.all() else np.where(finite[:, None, None], A, np.eye(m))
-            eigs = np.linalg.eigvalsh(checked)
+            ok = np.logical_and.reduce(finite)
+            eigs = np.linalg.eigvalsh(A if ok else np.where(finite[:, None, None], A, np.eye(m)))
             lo, hi = eigs[:, 0], eigs[:, -1]
-        bad = np.flatnonzero(~(finite & (lo > 0) & (hi <= COND_CUTOFF * lo)))
+        bad = (~(finite & (lo > 0) & (hi <= COND_CUTOFF * lo))).nonzero()[0]
     if bad.size:
         i = int(bad[0])
         cond = f"{hi[i] / lo[i]:.2e}" if finite[i] and lo[i] > 0 else "inf"
@@ -200,18 +201,18 @@ def batch_cholesky(A: np.ndarray, times: np.ndarray):
         Lt[1, 1] = np.sqrt(At[1, 1] - Lt[0, 1] ** 2)
     else:
         Lt = np.ascontiguousarray(np.linalg.cholesky(A).T)
-    return Lt.T, Lt.diagonal().prod(axis=1) ** 2
+    return Lt.T, np.multiply.reduce(Lt.diagonal(), axis=1) ** 2
 
 
 def batch_ortho_coeffs(L: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Coefficients on the orthonormalized increments: L y = u by forward substitution.
 
     L: (B, m, m) lower Cholesky factors, u: (B, m) increment coefficients; the
-    substitution runs on the rows of L.T and u.T, tuple axis last.
+    substitution runs on the rows of L.T and u.T, each sum in index order for any B.
     """
     Lt, ut = L.T, u.T
     y = np.empty(ut.shape)
     y[0] = ut[0] / Lt[0, 0]
     for i in range(1, len(ut)):
-        y[i] = (ut[i] - ordered_sum(Lt[:i, i] * y[:i])) / Lt[i, i]
+        y[i] = (ut[i] - np.add.accumulate(Lt[:i, i] * y[:i])[-1]) / Lt[i, i]
     return y.T

@@ -65,7 +65,7 @@ def slnd_ratio(model: ProcessModel, tt: TimeTuple, M: Iterable[int]) -> float:
     times, G = _normalized_gram(model, tt.times)
     order = [i - 1 for i in range(1, k1 + 1) if i not in M] + [i - 1 for i in M]
     L, _ = batch_cholesky(G[:, order][:, :, order], times)
-    return float(np.prod(np.diag(L[0])[k1 - len(M):]) ** 2)
+    return float(np.multiply.reduce(L[0].diagonal()[k1 - len(M):]) ** 2)
 
 
 def slnd_scan(

@@ -26,6 +26,7 @@ only the Monte Carlo sampler, ``silt selftest`` and the tests use them.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -45,7 +46,6 @@ from .function_space import (
     indicator_increments,
     indicator_values,
     operator_norm,
-    ordered_sum,
 )
 
 _SL_ENDPOINT_TOL = 1e-12
@@ -123,7 +123,7 @@ class ProcessModel:
 def _prefix(x: np.ndarray) -> np.ndarray:
     """[0, cumsum(x)] along the last axis: range sums as differences."""
     out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
-    np.cumsum(x, axis=-1, out=out[..., 1:])
+    np.add.accumulate(x, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -222,11 +222,11 @@ def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Sum of x * y over the two leading (sin/cos, segment) axes, adding the terms in
     the order of the flattened axes whatever the batch size.  ``einsum`` does so while
     the tuple axis (last) is its inner loop, B >= 2, with no temporary larger than
-    the result; one tuple takes ``ordered_sum`` of the flattened products."""
+    the result; one tuple accumulates the flattened products, in index order."""
     if x.shape[-1] > 1 or y.shape[-1] > 1:
         return np.einsum("ab...,ab...->...", x, y)
     terms = x * y
-    return ordered_sum(terms.reshape((-1,) + terms.shape[2:]))
+    return np.add.accumulate(terms.reshape((-1,) + terms.shape[2:]))[-1]
 
 
 class _SLBasis:
@@ -254,12 +254,12 @@ class _SLBasis:
     def segments(self, times, steps: IndicatorIncrements):
         """(edges (k+2, B), z (2, k+1, k-1, B)) of a batch of tuples, times (k, B)."""
         q = steps.switch_points(self.u, times)
-        edges = np.concatenate([np.zeros_like(q[:1]), q, np.full_like(q[:1], self.n)])
+        edges = np.empty((len(q) + 2,) + q.shape[1:], dtype=q.dtype)
+        edges[0], edges[1:-1], edges[-1] = 0, q, self.n
         c, s = np.cos(times), np.sin(times)
-        cols = np.stack([c[:-1] - c[1:], -c[1:], s[:-1], s[:-1] - s[1:], np.zeros_like(s[1:])])
-        seg, i = np.arange(len(times) + 1)[:, None], np.arange(len(times) - 1)
-        side = np.sign(seg - i - 1) + 1  # x is cols 0, 1, 4 and y 4, 2, 3 before, at, after i+1
-        return edges, cols[np.array([[0, 1, 4], [4, 2, 3]])[:, side], i]
+        cols = np.zeros((5,) + s[1:].shape)
+        cols[0], cols[1], cols[2], cols[3] = c[:-1] - c[1:], -c[1:], s[:-1], s[:-1] - s[1:]
+        return edges, cols[_sl_columns(len(times))]
 
     def pairing(self, h: GridFunction) -> Callable[[Increments], np.ndarray]:
         """Increments -> (g(b) - g(a), h): the steps' pairing plus the segment sums
@@ -292,6 +292,15 @@ class _SLBasis:
         A = _contract(z[:, :, None], gzw[:, :, :, None])
         A += _contract(w[:, :, None], z[:, :, :, None])
         return self.grid.weight * (d.gram() + A.T)
+
+
+@functools.lru_cache
+def _sl_columns(k: int):
+    """z (2, k+1, k-1) from columns (5, k-1): x is 0, 1, 4 and y 4, 2, 3 before, at, after i+1."""
+    i = np.arange(k - 1)
+    col = np.array([[0, 1, 4], [4, 2, 3]])[:, np.sign(np.arange(k + 1)[:, None] - i - 1) + 1]
+    col.flags.writeable = i.flags.writeable = False
+    return col, i
 
 
 def sturm_liouville_model(grid: Grid) -> ProcessModel:
@@ -327,7 +336,7 @@ def counterexample_model(grid: Grid) -> ProcessModel:
         return indicator_values(grid, ts), np.sqrt(ts)[:, None]
 
     def extra(times, steps):
-        return np.diff(np.sqrt(times), axis=0)
+        return np.sqrt(times[1:]) - np.sqrt(times[:-1])
 
     def gram(inc):
         e = inc.extra

@@ -72,19 +72,19 @@ def gap_lattice(
         )
     v, w = gauss_legendre(n_cells)
     floor = 2.0 * min_gap if closure else min_gap  # no closure node may leave [0, T]
-    gaps, wts = np.zeros((1, 0)), np.ones(1)
+    gaps, wts = np.zeros((1, 0)), np.array([1.0])
     for _ in range(k - 1):
-        upper = T - gaps.sum(axis=1)
+        upper = T - np.add.reduce(gaps, axis=1)
         keep = upper > floor * (1.0 + 1e-12)
         gaps, wts, upper = gaps[keep], wts[keep], upper[keep]
         ratio = upper / min_gap
         g = min_gap * ratio[:, None] ** v[None, :]
         gw = g * np.log(ratio)[:, None] * w[None, :]
         if closure:
-            pad = np.full((g.shape[0], 1), min_gap)
+            pad = np.zeros((g.shape[0], 1)) + min_gap
             g = np.concatenate([pad, 2.0 * pad, g], axis=1)
             gw = np.concatenate([1.5 * pad, -0.5 * pad, gw], axis=1)
-        gaps = np.concatenate([np.repeat(gaps, g.shape[1], axis=0), g.reshape(-1, 1)], axis=1)
+        gaps = np.concatenate([gaps.repeat(g.shape[1], axis=0), g.reshape(-1, 1)], axis=1)
         wts = (wts[:, None] * gw).ravel()
     return gaps, wts
 
@@ -104,9 +104,9 @@ def simplex_rule(
     ``gap_cells`` and ``t_cells`` are the Gauss points per gap and in t_1.
     """
     gaps, wts = gap_lattice(T, k, min_gap, gap_cells, closure)
-    rest = T - gaps.sum(axis=1)
+    rest = T - np.add.reduce(gaps, axis=1)
     p, pw = gauss_legendre(t_cells)
-    prefix = np.concatenate([np.zeros((gaps.shape[0], 1)), np.cumsum(gaps, axis=1)], axis=1)
+    prefix = np.concatenate([np.zeros((gaps.shape[0], 1)), np.add.accumulate(gaps, axis=1)], axis=1)
     rows = max(1, chunk // t_cells)
     for lo in range(0, gaps.shape[0], rows):
         r = slice(lo, lo + rows)
@@ -142,9 +142,9 @@ def integrate_simplex_orders(
     for batch in _batches(groups, chunk):
         vals, start = integrand(np.concatenate([times for _, times, _ in batch])), 0
         for j, _, w in batch:
-            partials[j].append(float(np.sum(vals[start : start + w.size].reshape(w.shape) * w)))
-            start += w.size
-    return [float(np.sum(np.asarray(p))) for p in partials]
+            terms, start = vals[start : start + w.size].reshape(w.shape) * w, start + w.size
+            partials[j].append(float(np.add.reduce(terms, None)))
+    return [float(np.add.reduce(np.asarray(p))) for p in partials]
 
 
 def _batches(groups: Iterable[tuple], chunk: int) -> Iterator[list]:

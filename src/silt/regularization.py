@@ -102,7 +102,7 @@ def batch_regularized_integrand(model: ProcessModel, h1: GridFunction, h2: GridF
 
     def f(times: np.ndarray) -> np.ndarray:
         gamma, (y1, y2) = projections(times)
-        return (-np.expm1(-0.5 * (y1**2 + y2**2))).prod(axis=1) / gamma
+        return np.multiply.reduce(-np.expm1(-0.5 * (y1**2 + y2**2)), axis=1) / gamma
 
     return f
 

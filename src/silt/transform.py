@@ -66,11 +66,11 @@ def fw_eps(point: TransformPoint, eps: float) -> float:
     """
     if not 0 < eps < math.inf:
         raise ValidationError(f"eps must be positive and finite, got {eps}")
-    model, times = point.model, np.asarray(point.tt.times)[None]
-    noise = eps * np.eye(point.tt.k - 1)
+    model, noise = point.model, eps * np.eye(point.tt.k - 1)
     noisy = dataclasses.replace(model, _gram=lambda inc: model.increment_gram(inc) + noise)
-    det, ys = batch_projections(noisy, point.h1, point.h2)(times)
-    return point.norm_factor * math.exp(-0.5 * sum(float((y**2).sum()) for y in ys)) / float(det[0])
+    det, ys = batch_projections(noisy, point.h1, point.h2)(np.asarray(point.tt.times)[None])
+    expo = sum(float(np.add.reduce(y**2, None)) for y in ys)
+    return point.norm_factor * math.exp(-0.5 * expo) / float(det[0])
 
 
 def batch_fw_limit(
@@ -89,7 +89,7 @@ def batch_fw_limit(
 
     def f(times: np.ndarray) -> np.ndarray:
         gamma, (y1, y2) = projections(times)
-        proj = (y1**2).sum(axis=1) + (y2**2).sum(axis=1)
+        proj = np.add.reduce(y1**2, axis=1) + np.add.reduce(y2**2, axis=1)
         return _norm_factor(normalization, times.shape[1]) * np.exp(-0.5 * proj) / gamma
 
     return f

@@ -135,9 +135,9 @@ def test_criterion_03_eps_limit():
         b1 = parse_function("sin:1", m.grid, m.aux_dim)
         b2 = parse_function("sin:2", m.grid, m.aux_dim)
         h1 = c[0] * b1 + c[1] * b2
-        h1 = h1 * (1.0 / h1.norm())
+        h1 = h1 * (1.0 / math.sqrt(h1.norm_sq()))
         h2 = c[2] * b1 + c[3] * b2
-        h2 = h2 * (1.0 / h2.norm())
+        h2 = h2 * (1.0 / math.sqrt(h2.norm_sq()))
         pt = TransformPoint(m, TimeTuple(ts), h1, h2)
         worst = max(worst, abs(fw_eps(pt, 1e-6) / fw_limit(pt) - 1.0))
     ok = worst <= 1e-5

@@ -48,7 +48,7 @@ def test_inner_includes_aux_block():
     grid = make_grid(1.0, 8)
     f = GridFunction(grid, np.zeros(8), np.array([3.0, 4.0]))
     assert inner(f, f) == pytest.approx(25.0)
-    assert f.norm() == pytest.approx(5.0)
+    assert f.norm_sq() == pytest.approx(25.0)
 
 
 def test_grid_mismatch_rejected():

@@ -52,6 +52,13 @@ def test_time_tuple_validation():
     assert np.allclose(tt.gaps, [0.3, 0.6])
 
 
+@pytest.mark.parametrize("min_gap", [math.nan, math.inf, 0.0, -1e-9])
+def test_time_tuple_rejects_a_min_gap_that_is_not_positive_and_finite(min_gap):
+    """A NaN floor would let every gap pass ``gaps < min_gap``; inf would reject all."""
+    with pytest.raises(ValidationError, match=re.escape(f"positive and finite, got {min_gap}")):
+        TimeTuple([0.1, 0.5], min_gap=min_gap)
+
+
 def test_wiener_gram_is_diagonal_of_gaps():
     grid = make_grid(1.0, 512)
     dec = decompose(wiener_model(grid), TimeTuple([0.2, 0.5, 0.9]))

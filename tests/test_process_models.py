@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -141,3 +142,19 @@ def test_out_of_range_time_is_named_on_every_route(spec, T, where):
     assert model.covariance(0.3, close) == model.covariance(0.3, T)
     clipped, at_T = (batch_decompose(model, [[0.3, t]])[1:] for t in (close, T))
     assert all(np.array_equal(a, b) for a, b in zip(clipped, at_T))
+
+
+def test_nan_time_is_named_on_every_route():
+    """NaN fails the one time check like a time outside [0, T], before the cast to
+    cell indices could give cells of -2**63, the row of t = 0 or a NaN covariance."""
+    model = wiener_model(make_grid(1.0, 512))
+    named = re.escape(f"model time nan outside [0, {model.grid.T}]")
+    for call in (
+        lambda: model.covariance(math.nan, 0.5),
+        lambda: model.factor_values([math.nan]),
+        lambda: model.increments(np.array([[0.1, math.nan]])),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=named):
+                call()

@@ -11,6 +11,7 @@ kernel's closed form ``fw_eps`` on every model.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -569,6 +570,51 @@ def test_scalar_route_builds_no_factor_rows(no_dense_rows):
             point_projection_norm_sq(model, t[1], h),
         ]
         assert np.all(np.isfinite(values))
+
+
+# numpy's Python-level wrappers around ufuncs and array methods
+_NUMPY_WRAPPERS = {"fromnumeric", "_methods", "numeric", "shape_base", "_function_base_impl"}
+
+
+def test_kernel_route_enters_no_numpy_wrapper(no_dense_rows):
+    """The scalar calls at k = 2, 3 and a batched ``regularized_integral`` on the
+    four models call ufuncs and their reduce/accumulate directly: no call enters
+    numpy's wrapper modules, each of which costs a B = 1 call about 1-3 us.  (The
+    Berman statistic at k = 3 factors a 3 x 3 matrix through ``np.linalg``, whose
+    wrappers lie outside these modules.)  A first unprofiled pass fills the caches."""
+    calls = []
+    for model, h in no_dense_rows:
+        for t in ((0.2, 0.9), (0.2, 0.5, 0.9)):
+            tt = TimeTuple([f * model.grid.T for f in t])
+            pt = TransformPoint(model, tt, h, h)
+            calls += [
+                (decompose, model, tt),
+                (projection_norm_sq, model, tt.times, h),
+                (fw_limit, pt),
+                (fw_eps, pt, 0.1),
+                (regularized_integrand, model, tt, h, h),
+                (slnd_ratio, model, tt, {1}),
+                (berman_stat, model, tt),
+            ]
+        calls.append((regularized_integral, model, 2, h, h, QuadratureSpec(k=2, levels=2)))
+    entered = []
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("numpy."):
+            if module.rsplit(".", 1)[1] in _NUMPY_WRAPPERS:
+                entered.append(f"{module}.{frame.f_code.co_name}")
+
+    for f, *args in calls:
+        f(*args)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for f, *args in calls:
+            f(*args)
+    finally:
+        sys.setprofile(previous)
+    assert entered == []
 
 
 # ---------------------------------------------------------------------------
