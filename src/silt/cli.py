@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import SiltError, ValidationError
-from .function_space import inner, make_grid, parse_function
+from .function_space import inner, make_grid, operator_norm, parse_function
 from .gram import TimeTuple, decompose, projection_norm_sq
 from .nondeterminism import (
     berman_scan,
@@ -34,7 +34,7 @@ from .nondeterminism import (
     slnd_ratio,
     slnd_scan,
 )
-from .process_models import parse_model, wiener_model
+from .process_models import parse_model, sturm_liouville_operator, wiener_model
 from .regularization import (
     QuadratureSpec,
     divergence_probe,
@@ -312,8 +312,10 @@ def _cmd_selftest(cfg: RunConfig, args) -> int:
         1e-15,
     )
     check("wiener slnd ratio = 1", slnd_ratio(model, tt, {1}), 1.0, 1e-12)
-    # the Gram kernel against the dense factor rows it never builds
     msl = parse_model("perturbed:sl", make_grid(math.pi / 2, 256))
+    nrm = operator_norm(sturm_liouville_operator(msl.grid))
+    check("perturbed:sl ||S|| = 2/3 < 1", nrm, 2 / 3, 1e-3)
+    # the Gram kernel against the dense factor rows it never builds
     tsl = TimeTuple([0.2, 0.5, 0.9, 1.3])
     h = parse_function("sin:1", msl.grid)
     E = np.diff(msl.embedded_factors(tsl.times), axis=0)

@@ -15,6 +15,7 @@ Per-call code calls ufuncs' reduce, not numpy's wrappers such as np.sum (1-3 us 
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -44,9 +45,9 @@ class TimeTuple:
             raise ValidationError(f"times must be finite, got {times}")
         if not 0 < min_gap < math.inf:
             raise ValidationError(f"min_gap must be positive and finite, got {min_gap}")
-        gaps = np.diff(np.asarray(times, dtype=float))
-        if np.any(gaps < min_gap):
-            i = int(np.argmin(gaps))
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        if min(gaps) < min_gap:
+            i = gaps.index(min(gaps))
             raise ValidationError(
                 f"gap t[{i + 1}]-t[{i}] = {gaps[i]:.3e} below min_gap {min_gap:.1e}"
             )
@@ -79,11 +80,12 @@ def decreasing_values(values: Sequence[float], what: str) -> List[float]:
 def gap_scan_tuple(times: Sequence[float], indices: Sequence[int], gap: float, T: float):
     """``times`` with the gaps at the 1-based ``indices`` set to ``gap`` and the
     later times shifted to keep the other gaps; it must stay inside [0, T]."""
-    gaps = np.diff(np.asarray(times, dtype=float))
-    if not all(1 <= i <= len(gaps) for i in indices):
-        raise ValidationError(f"gap indices {list(indices)} out of range 1..{len(gaps)}")
-    gaps[np.asarray(indices, dtype=int) - 1] = gap
-    times = np.concatenate([[times[0]], times[0] + np.cumsum(gaps)])
+    times = [float(t) for t in times]
+    if not all(1 <= i < len(times) for i in indices):
+        raise ValidationError(f"gap indices {list(indices)} out of range 1..{len(times) - 1}")
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    gaps = [float(gap) if i in indices else g for i, g in enumerate(gaps, 1)]
+    times = times[:1] + [times[0] + s for s in itertools.accumulate(gaps)]
     if times[-1] > T + 1e-12:
         raise ValidationError(f"scanned tuple at gap {gap} leaves the interval [0, {T}]")
     return TimeTuple(times, min_gap=min(gap / 2, 1e-9))

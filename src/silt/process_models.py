@@ -304,27 +304,17 @@ def _sl_columns(k: int):
 
 
 def sturm_liouville_model(grid: Grid) -> ProcessModel:
-    """perturbed:sl model with the closed-form factor map.
-
-    Uses the analytic expression for S 1I_[0,t] node-wise, so it stays cheap
-    and accurate on very fine grids where the n x n kernel matrix would not
-    fit.  The operator norm precondition is checked on a moderate grid.
-    """
+    """perturbed:sl model from the closed form of S 1I_[0,t] alone: no n x n kernel
+    matrix.  ||S|| < 1 (I+S invertible) holds for this fixed operator, 2/3 in the
+    limit; the tests and ``silt selftest`` check it, not each build."""
     if abs(grid.T - math.pi / 2) > _SL_ENDPOINT_TOL:
         raise ValidationError(
             f"perturbed:sl needs the interval [0, pi/2], got T={grid.T}"
         )
-    probe = grid if grid.n <= 600 else Grid(grid.T, 600)
-    nrm = operator_norm(sturm_liouville_operator(probe))
-    if nrm >= 1.0:
-        raise ValidationError(f"perturbation norm {nrm:.6f} >= 1")
     basis = _SLBasis(grid)
 
     def values(ts):
-        return (
-            indicator_values(grid, ts) + sl_factor_correction(grid, ts),
-            np.zeros((len(ts), 0)),
-        )
+        return indicator_values(grid, ts) + sl_factor_correction(grid, ts), np.zeros((len(ts), 0))
 
     return ProcessModel("perturbed:sl", grid, 0, values, basis.segments, basis.gram, basis.pairing)
 
@@ -351,8 +341,7 @@ def counterexample_model(grid: Grid) -> ProcessModel:
 
 def load_kernel_csv(grid: Grid, path: str) -> KernelOperator:
     """Kernel CSV: rows s,u,value on grid nodes; missing entries are zero."""
-    nodes = grid.nodes
-    w = grid.weight
+    nodes, w = grid.nodes, grid.weight
     M = np.zeros((grid.n, grid.n))
     with open(path, newline="") as fh:
         for row in csv.reader(fh):

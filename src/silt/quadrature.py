@@ -29,6 +29,10 @@ from .errors import ValidationError
 # largest row bound (n_cells + 2 closure)^(k-1) of a gap lattice that may be built
 _MAX_LATTICE_ROWS = 10**6
 
+# Freeing one untouched 2 MiB block raises glibc's heap-trim threshold to 4 MiB, so batch
+# temporaries (2.6 MB at k=3 on perturbed:sl) are not trimmed and refaulted per call.
+np.empty(1 << 18)
+
 
 @functools.lru_cache
 def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -61,6 +65,7 @@ def gap_lattice(
     Each gap takes ``n_cells`` Gauss points in log(gap) on [min_gap, upper].
     ``closure`` adds the gaps min_gap and 2 min_gap, weighted 1.5 and -0.5
     times min_gap: [0, min_gap) at the integrand extrapolated to min_gap / 2.
+    A closure lattice with k*min_gap >= T keeps no row (no room for k-2 gaps and 2 min_gap).
     """
     if not 0 < min_gap < T:
         raise ValidationError(f"min_gap {min_gap} must lie in (0, T)")
@@ -86,6 +91,8 @@ def gap_lattice(
             gw = np.concatenate([1.5 * pad, -0.5 * pad, gw], axis=1)
         gaps = np.concatenate([gaps.repeat(g.shape[1], axis=0), g.reshape(-1, 1)], axis=1)
         wts = (wts[:, None] * gw).ravel()
+    if closure and not wts.size:
+        raise ValidationError(f"a k={k} closure needs k*min_gap < T, got min_gap {min_gap}, T {T}")
     return gaps, wts
 
 

@@ -26,6 +26,7 @@ from silt.gram import (
     batch_decompose,
     batch_ortho_coeffs,
     batch_projections,
+    gap_scan_tuple,
     wiener_projections,
 )
 from silt.process_models import ProcessModel, parse_model
@@ -57,6 +58,25 @@ def test_time_tuple_rejects_a_min_gap_that_is_not_positive_and_finite(min_gap):
     """A NaN floor would let every gap pass ``gaps < min_gap``; inf would reject all."""
     with pytest.raises(ValidationError, match=re.escape(f"positive and finite, got {min_gap}")):
         TimeTuple([0.1, 0.5], min_gap=min_gap)
+
+
+def test_time_tuple_names_the_first_smallest_gap():
+    with pytest.raises(ValidationError, match=re.escape("gap t[2]-t[1] = 9.095e-13 below")):
+        TimeTuple([0.0, 0.25, 0.25 + 2**-40, 0.5, 0.5 + 2**-40])
+
+
+def test_gap_scan_tuple_adds_the_gaps_in_cumsum_order():
+    """The scanned times are bitwise the first time plus np.cumsum of the gaps, on
+    2,000 seeded five-time tuples with 1-4 gaps replaced."""
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        times = np.array(random_tuple(rng, 1.0, 5, 1e-3).times)
+        indices = sorted(int(i) + 1 for i in rng.choice(4, rng.integers(1, 5), replace=False))
+        gap = 10.0 ** rng.uniform(-8, -1)
+        gaps = np.diff(times)
+        gaps[np.array(indices) - 1] = gap
+        want = np.concatenate([[times[0]], times[0] + np.cumsum(gaps)])
+        assert gap_scan_tuple(times, indices, gap, 2.0).times == tuple(want)
 
 
 def test_wiener_gram_is_diagonal_of_gaps():

@@ -1,9 +1,10 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -114,6 +115,35 @@ def test_min_gap_validation():
     gaps, wts = gap_lattice(1.0, 3, 0.6, 16, closure=False)
     assert gaps.shape == (0, 2) and wts.shape == (0,)
     assert integrate_simplex_level(1.0, 3, lambda t: np.ones(t.shape[0]), 0.6, 16, 8, False) == 0.0
+
+
+def test_closure_lattice_with_no_row_is_refused_before_the_integrand(monkeypatch):
+    def integrand(*args):
+        raise AssertionError("integrand called")
+
+    monkeypatch.setattr(regularization, "batch_regularized_integrand", lambda *a: integrand)
+    h = parse_function("const1", make_grid(1.0, 64))
+    model = wiener_model(h.grid)
+    for k, min_gap in ((2, 0.5), (3, 0.34), (4, 0.25)):
+        with pytest.raises(ValidationError, match=f"a k={k} closure needs"):
+            regularized_integral(model, k, h, h, QuadratureSpec(k=k, min_gap=min_gap))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    k=st.sampled_from([2, 3, 4]),
+    T=st.floats(1e-3, 1e3),
+    f=st.floats(1e-6, 2.0, exclude_max=True),
+)
+def test_closure_lattice_is_refused_exactly_when_k_min_gaps_fill_T(k, T, f):
+    """min_gap = f T / k, kept a relative 1e-9 away from k min_gap = T."""
+    min_gap = f * T / k
+    assume(abs(k * min_gap - T) > 1e-9 * T)
+    if k * min_gap >= T:
+        with pytest.raises(ValidationError, match=re.escape(f"got min_gap {min_gap}, T {T}")):
+            gap_lattice(T, k, min_gap, 2, closure=True)
+    else:
+        assert gap_lattice(T, k, min_gap, 2, closure=True)[1].size > 0
 
 
 _MERGE_MODELS = {

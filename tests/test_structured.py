@@ -30,6 +30,7 @@ from silt import (
     fw_eps,
     fw_limit,
     fw_wiener,
+    integrand_diagonal_scan,
     make_grid,
     mc_fw_estimate,
     parse_function,
@@ -41,6 +42,7 @@ from silt import (
     regularized_integral,
     regularized_integrand,
     slnd_ratio,
+    slnd_scan,
     sturm_liouville_model,
     wiener_model,
 )
@@ -577,26 +579,32 @@ _NUMPY_WRAPPERS = {"fromnumeric", "_methods", "numeric", "shape_base", "_functio
 
 
 def test_kernel_route_enters_no_numpy_wrapper(no_dense_rows):
-    """The scalar calls at k = 2, 3 and a batched ``regularized_integral`` on the
-    four models call ufuncs and their reduce/accumulate directly: no call enters
-    numpy's wrapper modules, each of which costs a B = 1 call about 1-3 us.  (The
-    Berman statistic at k = 3 factors a 3 x 3 matrix through ``np.linalg``, whose
-    wrappers lie outside these modules.)  A first unprofiled pass fills the caches."""
-    calls = []
-    for model, h in no_dense_rows:
-        for t in ((0.2, 0.9), (0.2, 0.5, 0.9)):
-            tt = TimeTuple([f * model.grid.T for f in t])
-            pt = TransformPoint(model, tt, h, h)
-            calls += [
-                (decompose, model, tt),
-                (projection_norm_sq, model, tt.times, h),
-                (fw_limit, pt),
-                (fw_eps, pt, 0.1),
-                (regularized_integrand, model, tt, h, h),
-                (slnd_ratio, model, tt, {1}),
-                (berman_stat, model, tt),
-            ]
-        calls.append((regularized_integral, model, 2, h, h, QuadratureSpec(k=2, levels=2)))
+    """The scalar calls at k = 2, 3, with their time tuples, a slnd and a
+    diagonal-integrand scan over two gaps and a batched ``regularized_integral``
+    on the four models call ufuncs and their reduce/accumulate directly: no call
+    enters numpy's wrapper modules, each of which costs a B = 1 call about 1-3 us.
+    (The Berman statistic at k = 3 factors a 3 x 3 matrix through ``np.linalg``,
+    whose wrappers lie outside these modules.)  A first unprofiled pass fills the
+    caches."""
+
+    def route():
+        for model, h in no_dense_rows:
+            T = model.grid.T
+            for t in ((0.2, 0.9), (0.2, 0.5, 0.9)):
+                tt = TimeTuple([f * T for f in t])
+                pt = TransformPoint(model, tt, h, h)
+                decompose(model, tt)
+                projection_norm_sq(model, tt.times, h)
+                fw_limit(pt)
+                fw_eps(pt, 0.1)
+                regularized_integrand(model, tt, h, h)
+                slnd_ratio(model, tt, {1})
+                berman_stat(model, tt)
+            base, gaps = (0.2 * T, 0.5 * T, 0.9 * T), (0.1 * T, 0.01 * T)
+            slnd_scan(model, TimeTuple(base), {1}, gaps)
+            integrand_diagonal_scan(model, base, 1, gaps, h, h)
+            regularized_integral(model, 2, h, h, QuadratureSpec(k=2, levels=2))
+
     entered = []
 
     def profile(frame, event, arg):
@@ -605,13 +613,11 @@ def test_kernel_route_enters_no_numpy_wrapper(no_dense_rows):
             if module.rsplit(".", 1)[1] in _NUMPY_WRAPPERS:
                 entered.append(f"{module}.{frame.f_code.co_name}")
 
-    for f, *args in calls:
-        f(*args)
+    route()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        for f, *args in calls:
-            f(*args)
+        route()
     finally:
         sys.setprofile(previous)
     assert entered == []
