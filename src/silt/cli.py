@@ -286,6 +286,20 @@ def _cmd_pdecay(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _sl_covariance(s, t):
+    """(g(s), g(t)) of perturbed:sl in closed form: with s <= t, the steps' overlap s, the
+    steps against the corrections S 1I_[0,t] = -cos t sin u (u < t), -sin t cos u (u > t),
+    and the corrections against each other on [0, s], [s, t] and [t, pi/2]."""
+    s, t = np.minimum(s, t), np.maximum(s, t)
+    cs, ss, ct, st = np.cos(s), np.sin(s), np.cos(t), np.sin(t)
+    return (
+        s - ct * (1 - cs) - cs * (1 - cs) - ss * (st - ss)
+        + cs * ct * (s / 2 - np.sin(2 * s) / 4)
+        + ss * ct * (st**2 - ss**2) / 2
+        + ss * st * ((math.pi / 2 - t) / 2 - np.sin(2 * t) / 4)
+    )
+
+
 def _cmd_selftest(cfg: RunConfig, args) -> int:
     """Smoke tests over directly checkable identities."""
     checks = []
@@ -315,19 +329,14 @@ def _cmd_selftest(cfg: RunConfig, args) -> int:
     msl = parse_model("perturbed:sl", make_grid(math.pi / 2, 256))
     nrm = operator_norm(sturm_liouville_operator(msl.grid))
     check("perturbed:sl ||S|| = 2/3 < 1", nrm, 2 / 3, 1e-3)
-    # the Gram kernel against the dense factor rows it never builds
-    tsl = TimeTuple([0.2, 0.5, 0.9, 1.3])
-    h = parse_function("sin:1", msl.grid)
-    E = np.diff(msl.embedded_factors(tsl.times), axis=0)
-    Q = np.linalg.qr(E.T)[0]
-    ratio = decompose(msl, tsl).gamma / float(np.linalg.det(E @ E.T))
-    check("perturbed:sl Gamma / dense Gram determinant = 1", ratio, 1.0, 1e-10)
-    check(
-        "perturbed:sl ||Ph||^2 = dense projection",
-        projection_norm_sq(msl, tsl.times, h),
-        float(np.sum((Q.T @ h.embedded()) ** 2)),
-        1e-10,
-    )
+    # the Gram kernel against the closed-form covariance, differenced over the gaps
+    tsl = TimeTuple([0.2, 0.5, 0.8, 1.1])
+    C = _sl_covariance(*np.meshgrid(tsl.times, tsl.times))
+    C = np.diff(np.diff(C, axis=0), axis=1)
+    A = decompose(msl, tsl).A
+    ratio = float(np.linalg.det(A) / np.linalg.det(C))
+    check("perturbed:sl Gamma / closed-form Gram determinant = 1", ratio, 1.0, 1e-12)
+    check("perturbed:sl Gram entries = closed form", float(np.max(np.abs(A - C))), 0.0, 1e-12)
     ok = all(flag for _, flag in checks)
     print(f"{sum(1 for _, f in checks if f)}/{len(checks)} selftest checks passed")
     return 0 if ok else 3

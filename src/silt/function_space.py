@@ -1,21 +1,25 @@
 """Discretized real Hilbert space L2([0,T]) + R^m.
 
-Functions are sampled on a uniform midpoint grid; an optional block of
-auxiliary coordinates (orthonormal to the grid part by construction) carries
-finite-dimensional directions such as the e+0 direction of the
-counterexample process.
+Functions are cellwise constant on a uniform grid of n cells (stored by their
+cell values); an optional block of auxiliary coordinates (orthonormal to the
+grid part by construction) carries finite-dimensional directions such as the
+e+0 direction of the counterexample process.
 
-Indicator elements 1I_[0,t] use a two-cell boundary construction: the two
-cells around t carry values chosen so that ||1I_[0,t]||^2 = t holds to
-machine precision for every t, and so does the mass past the first cell; in
-the first cell the mass is exact only to about eps*sqrt(t*w) (see
-``indicator_params``).  (1I_[0,s], 1I_[0,t]) = min(s, t) is exact when the
-boundary cell pairs {p, p+1} of s and t, with p = min(floor(t/w), n-2), are
-disjoint.  Near T that takes more than two cells between the times: a time
-in the last cell uses the cells n-2 and n-1.  This module owns the cell
-format of the increments 1I_[0,b] - 1I_[0,a]: only ``IndicatorIncrements``
-reads its cells and values, and the models hand it kernels (``kernel_form``),
-nodes (``switch_points``) and functions (``pair``, ``segment_sums``).
+The Gram kernel integrates exactly over intervals.  ``Intervals`` cuts the
+intervals between consecutive times into a head and a tail inside the cells of
+their ends and a block of whole cells between them, and ``interval_integrals``
+integrates a cellwise-constant function, alone or times sin u and cos u, over
+each: a block from prefix sums built once per function, head and tail directly,
+so a sub-cell interval keeps its digits.  Only this module reads that cell
+format; the models get integrals, and the cell parts with their shares.
+
+The dense rows of 1I_[0,t] (``indicator_values``), the discrete model of the
+Monte Carlo sampler, use a two-cell boundary construction: the two cells around
+t carry values chosen so that ||1I_[0,t]||^2 = t holds to machine precision for
+every t, and so does the mass past the first cell; in the first cell the mass
+is exact only to about eps*sqrt(t*w) (see ``indicator_params``).  Inner
+products of such rows are exact only when the boundary cell pairs {p, p+1} of
+the times, p = min(floor(t/w), n-2), are disjoint.
 Per-call code calls ufuncs' reduce/accumulate, not numpy's wrappers (1-3 us slower).
 """
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -174,147 +179,106 @@ def indicator_values(grid: Grid, t) -> np.ndarray:
     return np.where(j < p, 1.0, np.where(j == p, alpha, np.where(j == p + 1, beta, 0.0)))
 
 
-@dataclass(frozen=True)
-class IndicatorIncrements:
-    """Cell representations of 1I_[0,b] - 1I_[0,a] for arrays a <= b, O(1) each.
-
-    The difference is one on the block of cells [cells[0] + 2, cells[2]) (empty
-    when cells[2] <= cells[0] + 2) and takes the ``values`` at the four ``cells`` around
-    the two boundaries; it is zero elsewhere.  A cell listed twice carries value
-    0 at its second listing, and no listed cell lies in the block.  Each
-    boundary value is a difference of two cell values, as in the dense rows, so
-    sums over cells lose no digits to cancellation.
-
-    Storage is tuple-last, so every pass runs over B contiguous values:
-    ``cells`` and ``values`` are (4, m, B) for a (B, m) batch, and the methods
-    return (B, ...) transposed views.
-    """
-
-    cells: np.ndarray
-    values: np.ndarray
-
-    def kernel_form(self, rect, entry, rows=slice(None)) -> np.ndarray:
-        """Sums over cells i, j of d_x[i] K[i, j] d_y[j] for every pair of increments
-        x, y of the tuples ``rows``: (R, m, m).
-
-        rect(x0, x1, y0, y1) is the sum of K over the cells [x0, x1) x [y0, y1),
-        zero when either range is empty, for the block-by-block and block-by-cell
-        terms; entry(i, j) is K[i, j], for the cell-by-cell terms.
-        """
-        x = self.cells[..., rows], self.values[..., rows]
-        (c1, v1), (c2, v2) = (a[:, None] for a in x), (a[:, :, None] for a in x)
-        lo1, hi1, lo2, hi2 = c1[0] + 2, c1[2], c2[0] + 2, c2[2]
-        return (
-            rect(lo1, hi1, lo2, hi2)
-            + np.add.reduce(v1 * rect(c1, c1 + 1, lo2, hi2))
-            + np.add.reduce(v2 * rect(lo1, hi1, c2, c2 + 1))
-            + _cell_pair_sum(v1[:, None] * v2[None, :] * entry(c1[:, None], c2[None, :]))
-        ).T
-
-    def gram(self) -> np.ndarray:
-        """Sums over cells of the products of every pair of differences of a (B, m)
-        batch of consecutive increments, O(m) per tuple: (B, m, m).
-
-        The diagonal is the block length plus the squared boundary values.  When
-        the boundary pairs of consecutive times lie two cells apart or more
-        (cells[2] - cells[0] >= 2), increments i and i+1 meet only at the cells of
-        their common time and increments further apart not at all; the tuples
-        that break that rule go through ``kernel_form`` with the identity kernel.
-        """
-        c, v = self.cells, self.values
-        _, m, B = c.shape
-        A = np.zeros((m * m, B))  # rows i*m + j of the (m, m, B) matrices
-        A[:: m + 1] = np.maximum(c[2] - c[0] - 2, 0) + np.add.reduce(v * v)
-        A[1 :: m + 1] = A[m :: m + 1] = v[2, :-1] * v[0, 1:] + v[3, :-1] * v[1, 1:]
-        A = A.reshape(m, m, B)
-        close = np.logical_or.reduce(c[2] - c[0] < 2).nonzero()[0]
-        if close.size:
-            A[..., close] = self.kernel_form(_overlap, np.equal, close).T
-        return A.T
-
-    def pair(self, x: np.ndarray, cum: np.ndarray) -> np.ndarray:
-        """Sum over cells of the difference times x, given cum = [0, cumsum(x)]."""
-        c = self.cells
-        lo, hi = c[0] + 2, c[2]
-        block = cum.take(np.maximum(hi, lo)) - cum.take(lo)
-        return (block + np.add.reduce(self.values * x.take(c))).T
-
-    def switch_points(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """q(t) = #{nodes < t} for the times (k, B) whose differences these are: the
-        boundary cell p(t) plus the nodes u_p, u_{p+1} below t, shape (k, B)."""
-        p = np.concatenate([self.cells[0, :1], self.cells[2]])
-        return p + (nodes.take(p) < times) + (nodes.take(p + 1) < times)
-
-    def segment_sums(self, edges: np.ndarray, f: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """Sums over cells of the differences times the rows of f (X, n), F = [0,
-        cumsum(f)], in the s segments [edges[j], edges[j+1]) of each tuple: (X, s, m, B).
-
-        edges (s + 1, B) are 0, the ``switch_points`` and n, so the block of
-        increment i lies in segment i + 1 (q(t_i) <= p(t_i) + 2, p(t_{i+1}) <=
-        q(t_{i+1})) and a boundary cell in the segment of the switch points at or
-        below it, one ``bincount`` per row of f.  Temporaries are freed before the
-        caller's, whose peak memory decides whether the heap is trimmed and refaulted.
-        """
-        c = self.cells
-        _, m, B = c.shape
-        s1, slab = len(edges) - 1, m * B
-        bins = sum(edges[s] <= c for s in range(1, s1)) * slab + np.arange(slab).reshape(m, B)
-        boundary = f.take(c, axis=1)
-        boundary *= self.values
-        w = np.empty((len(f), s1 * slab))
-        for wc, bc in zip(w, boundary):
-            wc[:] = np.bincount(bins.ravel(), bc.ravel(), minlength=s1 * slab)
-        w, i = w.reshape(len(f), s1, m, B), np.arange(m)
-        w[:, i + 1, i] += cell_sums(c[0] + 2, c[2], f, F)
-        return w
-
-
-def _overlap(x0, x1, y0, y1):
-    """Cells shared by [x0, x1) and [y0, y1): the rectangle sums of the identity kernel."""
-    return np.maximum(np.minimum(x1, y1) - np.maximum(x0, y0), 0)
-
-
-def _cell_pair_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the leading (4, 4) cell-pair axes in numpy's pairwise order for 16
-    contiguous values (eight partial sums, then a tree), the order of ``np.sum``
-    over the (..., 4, 4) transpose: the sums do not depend on the layout."""
-    r = x[:2] + x[2:]
-    r = r[:, 0::2] + r[:, 1::2]
-    return (r[0, 0] + r[0, 1]) + (r[1, 0] + r[1, 1])
-
-
-def cell_sums(r0, r1, f, F):
-    """Sums of the rows of f (X, n) over the cells [r0, r1), F = [0, cumsum(f)]:
-    (X,) + r0.shape.  A one-cell range is summed directly: a sub-cell increment has
-    at most one cell between its switch points, far smaller than the prefix sums."""
-    r1 = np.maximum(r0, r1)
-    out = F.take(r1, axis=1)
-    out -= F.take(r0, axis=1)
-    np.copyto(out, f.take(np.minimum(r0, f.shape[1] - 1), axis=1), where=r1 - r0 == 1)
+def prefix_sums(x: np.ndarray) -> np.ndarray:
+    """[0, cumsum(x)] along the last axis: range sums as differences."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.add.accumulate(x, axis=-1, out=out[..., 1:])
     return out
 
 
-def indicator_increments(grid: Grid, times) -> IndicatorIncrements:
-    """Differences 1I_[0,b] - 1I_[0,a] of consecutive times (last axis), a <= b.
+def interval_weights(d: np.ndarray, at_start=None) -> np.ndarray:
+    """Integrals over [a, a + d] of 1, or of 1, sin u and cos u given at_start = (sin a,
+    cos a): (1 or 3,) + d.shape.  The trig ones are 2 sin(d/2) times sin and cos of the
+    midpoint, by angle addition from a: one sine per interval, and an interval far
+    shorter than its distance from 0 keeps its digits."""
+    out = np.empty((1 + 2 * (at_start is not None),) + d.shape)
+    out[0] = d
+    if at_start is not None:
+        half = np.sin(0.5 * d)
+        full = np.sqrt(1.0 - half * half)  # cos(d/2)
+        sin_a, cos_a = at_start
+        np.multiply(sin_a, full, out=out[1])
+        out[1] += cos_a * half
+        np.multiply(cos_a, full, out=out[2])
+        out[2] -= sin_a * half
+        half *= 2.0
+        out[1:] *= half
+    return out
 
-    times: (B, k) in [0, T], best the tuple-last view from ``grid_times``.  With
-    d = p_b - p_a >= 0 the boundary values at cells p_a, p_a + 1, p_b, p_b + 1
-    are those of the representation of b less those of a; a cell that d < 2
-    lists twice carries 0 at its second listing.
+
+@dataclass(frozen=True)
+class Intervals:
+    """The intervals [t_j, t_{j+1}] between consecutive tuple-last points t (s + 1, B) of
+    [0, T] (``grid_times``), each cut on the grid into a head, a block and a tail.
+
+    With c_j = min(floor(t_j / w), n - 1) the cell of t_j, the head [t_j, m_j], m_j =
+    min((c_j + 1) w, t_{j+1}), lies in cell c_j; the block is the whole cells [c_j + 1,
+    max(c_{j+1}, c_j + 1)); the tail [max(c_{j+1} w, m_j), t_{j+1}] lies in cell c_{j+1}.
+    Block and tail are empty when both ends share a cell.  ``bounds`` (4, s, B) holds
+    t_j, m_j, the tail start and t_{j+1}; ``cells`` (s + 1, B) the c_j; ``trig``, if
+    asked for, sin t and cos t (2, s + 1, B).
     """
-    p, alpha, beta = indicator_params(grid, np.asarray(times).T)
-    (pa, pb), (aa, ab), (ba, bb) = ((x[:-1], x[1:]) for x in (p, alpha, beta))
-    cells = np.empty((4,) + pa.shape, dtype=pa.dtype)
-    cells[0], cells[2] = pa, pb
-    np.add(cells[::2], 1, out=cells[1::2])
-    d = pb - pa
-    one, two = d >= 1, d >= 2
-    values = np.empty(cells.shape)
-    np.subtract(np.where(one, 1.0, ab), aa, out=values[0])
-    np.subtract(np.where(two, 1.0, np.where(one, ab, bb)), ba, out=values[1])
-    np.multiply(two, ab, out=values[2])
-    np.multiply(one, bb, out=values[3])
-    return IndicatorIncrements(cells, values)
+
+    grid: Grid
+    bounds: np.ndarray
+    cells: np.ndarray
+    trig: Optional[np.ndarray] = None
+
+    @classmethod
+    def between(cls, grid: Grid, t: np.ndarray, trig: bool = False) -> "Intervals":
+        w = grid.weight
+        c = np.minimum(np.floor(t / w), grid.n - 1).astype(np.intp)
+        bounds = np.empty((4,) + t[1:].shape)
+        bounds[0], bounds[3] = t[:-1], t[1:]
+        np.minimum((c[:-1] + 1) * w, t[1:], out=bounds[1])
+        np.maximum(c[1:] * w, bounds[1], out=bounds[2])
+        return cls(grid, bounds, c, np.array([np.sin(t), np.cos(t)]) if trig else None)
+
+    def parts(self):
+        """Head, block and tail as cell ranges [lo, hi) and the share of each of their
+        cells that they cover: three (3, s, B) arrays."""
+        (a, m, tail, b), c, w = self.bounds, self.cells, self.grid.weight
+        first = c[:-1] + 1
+        lo = np.array([c[:-1], first, c[1:]])
+        hi = np.array([first, np.maximum(c[1:], first), c[1:] + 1])
+        share = np.empty(lo.shape)
+        share[0], share[1], share[2] = m - a, w, b - tail
+        return lo, hi, share / w
+
+
+def interval_integrals(grid: Grid, f: np.ndarray, trig: bool = False):
+    """Intervals -> exact integrals over each of the cellwise-constant f (n,), (1, s, B),
+    or of f, f sin u and f cos u with ``trig`` (Intervals built with trig), (3, s, B).
+
+    A block is a difference of prefix sums of f times the cell integrals, built here
+    once per f; head and tail are f on their cell times the integrals over them, so a
+    sub-cell interval is never a difference of sums over [0, t].  A tail starts on the
+    edge of its cell, or is empty.
+    """
+    edges = np.arange(grid.n + 1) * grid.weight
+    at_edges = np.array([np.sin(edges), np.cos(edges)]) if trig else None
+    cells = interval_weights(edges[1:] - edges[:-1], at_edges[:, :-1] if trig else None)
+    cum = prefix_sums(f * cells)
+
+    def integrate(iv: Intervals) -> np.ndarray:
+        (a, m, tail, b), c = iv.bounds, iv.cells
+        heads, tails = (iv.trig[:, :-1], at_edges.take(c[1:], axis=1)) if trig else (None, None)
+        first = c[:-1] + 1
+        out = cum.take(np.maximum(c[1:], first), axis=1)
+        out -= cum.take(first, axis=1)
+        out += f.take(c[:-1]) * interval_weights(m - a, heads)
+        out += f.take(c[1:]) * interval_weights(b - tail, tails)
+        return out
+
+    return integrate
+
+
+def cumulative(h: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
+    """Cell edges and the exact cumulative integral of h at them: with ``np.interp``, the
+    cumulative H(t) = int_0^t h of the cellwise-constant h at any t."""
+    w = h.grid.weight
+    edges = np.arange(h.grid.n + 1) * w
+    return edges, np.concatenate([[0.0], np.cumsum(h.values) * w])
 
 
 def indicator(grid: Grid, t: float) -> GridFunction:

@@ -6,21 +6,21 @@ reduce to inner products of factors.
 
 The structured primitives (``increments``, ``increment_gram``, ``pairing``
 and ``covariance``) give every Gram matrix, projection and ratio the package
-computes, from the two-cell parameters of the indicators and O(n) prefix sums
-built once per model or shift.  They work on increments g(b) - g(a), so that
-the large common part of g(a) and g(b) never enters a difference.  The cell
-format of the indicator steps belongs to ``function_space``: this module
-reads the steps only through their methods and keeps the model math, the
-perturbed:sl coefficients z, segment sums G and contractions, and the shift
-and kernel tables.  A Gram matrix costs O(k) per tuple: the steps form a band
-(``IndicatorIncrements.gram``).  The perturbed:sl corrections of a tuple live
-in one basis of sin u and cos u on the k+1 segments between its times
-(``_SLBasis``); perturbed:file pairs the steps through the 2-D prefix table
-of its kernel (``kernel_form``).  Every per-tuple array is stored with the
-tuple axis last, (..., B); ``increments`` checks and transposes the times
-once, and the (B, m) and (B, m, m) arrays the primitives return are
-transposed views.  ``factor_values`` builds the dense grid rows of g(t);
-only the Monte Carlo sampler, ``silt selftest`` and the tests use them.
+computes as exact integrals over the intervals between the times, in O(1) per
+time, from closed forms and from prefix sums built once per model or shift.
+They work on increments g(b) - g(a), so that the large common part of g(a) and
+g(b) never enters a difference.  The indicator steps of consecutive times have
+the Gram matrix diag(gaps), to which wiener adds nothing and counterexample its
+sqrt(t) aux coordinate.  perturbed:sl writes the corrections of a tuple in one
+basis of sin u and cos u on the k+1 segments between its times, with
+closed-form integrals; perturbed:file sums its kernel's 2-D prefix table over
+the cell parts of the intervals.  A pairing integrates the cellwise-constant
+shift, alone or times sin u and cos u, over the intervals
+(``interval_integrals``).  Every per-tuple array is stored with the tuple axis
+last, (..., B); ``increments`` checks and transposes the times once, and the
+(B, m) and (B, m, m) arrays the primitives return are transposed views.
+``factor_values`` builds the dense two-cell grid rows of g(t), the discrete
+model of the Monte Carlo sampler; only the sampler and the tests use them.
 """
 
 from __future__ import annotations
@@ -38,14 +38,15 @@ from .errors import ValidationError
 from .function_space import (
     Grid,
     GridFunction,
-    KernelOperator,
     GridMismatchError,
-    IndicatorIncrements,
-    cell_sums,
+    Intervals,
+    KernelOperator,
     grid_times,
-    indicator_increments,
     indicator_values,
+    interval_integrals,
+    interval_weights,
     operator_norm,
+    prefix_sums,
 )
 
 _SL_ENDPOINT_TOL = 1e-12
@@ -53,13 +54,10 @@ _SL_ENDPOINT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Increments:
-    """Increments g(b) - g(a) of consecutive times, in a model's structured form.
+    """Increments g(b) - g(a) of consecutive tuple-last times (k, B) in a model's form:
+    ``extra`` holds what the model's Gram matrices and pairings read."""
 
-    ``steps`` are the indicator differences 1I_[0,b] - 1I_[0,a]; ``extra`` is
-    what the model adds to them: None, an array, or a tuple of arrays.
-    """
-
-    steps: IndicatorIncrements
+    times: np.ndarray
     extra: Any
 
 
@@ -68,10 +66,9 @@ class ProcessModel:
     """A process x(t) = (g(t), xi) described by its factor map g.
 
     ``_values`` is the dense factor map.  The structured primitives are
-    ``_extra(times, steps)``, the model's part of ``Increments`` from the
-    tuple-last times (k, B) and the steps; ``_gram(inc)``, the Gram matrices
-    of a (B, m) batch of increments; and ``_pairing(h)``, which returns
-    increments -> (g(b) - g(a), h).
+    ``_extra(times)``, the model's part of ``Increments`` from the tuple-last
+    times (k, B); ``_gram(inc)``, the Gram matrices of a (B, m) batch of
+    increments; and ``_pairing(h)``, which returns increments -> (g(b) - g(a), h).
     """
 
     name: str
@@ -94,9 +91,8 @@ class ProcessModel:
     def increments(self, times) -> Increments:
         """Structured increments g(b) - g(a) of consecutive times, O(1) each:
         (B, k) nondecreasing times -> (B, k-1) increments, stored tuple-last."""
-        times = grid_times(self.grid, times)
-        steps = indicator_increments(self.grid, times)
-        return Increments(steps, self._extra(times.T, steps))
+        times = grid_times(self.grid, times).T
+        return Increments(times, self._extra(times))
 
     def covariance(self, s, t) -> np.ndarray:
         """(g(s), g(t)) for broadcastable time arrays, O(1) per pair: A00 + A01 of the
@@ -120,21 +116,19 @@ class ProcessModel:
         return self._pairing(h)
 
 
-def _prefix(x: np.ndarray) -> np.ndarray:
-    """[0, cumsum(x)] along the last axis: range sums as differences."""
-    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
-    np.add.accumulate(x, axis=-1, out=out[..., 1:])
-    return out
-
-
-def _no_extra(times, steps):
-    return None
+def _gap_gram(times: np.ndarray) -> np.ndarray:
+    """diag(gaps) (m, m, B) of tuple-last times (k, B): the Gram matrices of the
+    indicator steps 1I_[t_i, t_{i+1}]."""
+    m, B = len(times) - 1, times.shape[1]
+    A = np.zeros((m * m, B))
+    np.subtract(times[1:], times[:-1], out=A[:: m + 1])
+    return A.reshape(m, m, B)
 
 
 def _steps_pairing(grid: Grid, x: np.ndarray) -> Callable[[Increments], np.ndarray]:
-    """Increments -> sum over cells of the indicator differences times x, in L2 units."""
-    cum = _prefix(x)
-    return lambda inc: grid.weight * inc.steps.pair(x, cum)
+    """Increments -> int of the cellwise-constant x over each [t_i, t_{i+1}], (B, m)."""
+    integrate = interval_integrals(grid, x)
+    return lambda inc: integrate(inc.extra)[0].T
 
 
 def wiener_model(grid: Grid) -> ProcessModel:
@@ -144,21 +138,26 @@ def wiener_model(grid: Grid) -> ProcessModel:
         return indicator_values(grid, ts), np.zeros((len(ts), 0))
 
     def gram(inc):
-        return grid.weight * inc.steps.gram()
+        return _gap_gram(inc.times).T
 
     def pairing(h):
         return _steps_pairing(grid, h.values)
 
-    return ProcessModel("wiener", grid, 0, values, _no_extra, gram, pairing)
+    extra = functools.partial(Intervals.between, grid)
+    return ProcessModel("wiener", grid, 0, values, extra, gram, pairing)
 
 
 def perturbed_model(grid: Grid, S: KernelOperator, name: str = "perturbed") -> ProcessModel:
     """Compact perturbation of the Wiener process: g(t) = (I+S) 1I_[0,t].
 
     Requires ||S|| < 1 (checked on the discretization); norms in [0.95, 1)
-    only warn, at or above 1 the model is rejected.  The structured
-    primitives hold the 2-D prefix table of K = (I+S)^T (I+S) - I, O(n^2) like
-    the operator itself.
+    only warn, at or above 1 the model is rejected.  S acts on the cell averages:
+    S 1I_[a,b] is M x on the cells, x the share of each cell that [a, b] covers, so
+    the Gram entries are the overlaps plus w x^T K y, K = M + M^T + M^T M, which
+    the rectangle sums of K's 2-D prefix table give over the head, block and tail
+    of each interval, weighted by their shares: the bilinear extension of the table
+    to fractional cell positions, in which a sub-cell interval's terms carry its
+    small share.  The table is O(n^2), like the operator itself.
     """
     if S.grid != grid:
         raise GridMismatchError("perturbation operator lives on a different grid")
@@ -174,24 +173,28 @@ def perturbed_model(grid: Grid, S: KernelOperator, name: str = "perturbed") -> P
         )
 
     M = S.matrix
-    K = M + M.T + M.T @ M
-    P = _prefix(_prefix(K).T).T
-
-    def rect(x0, x1, y0, y1):
-        x1, y1 = np.maximum(x0, x1), np.maximum(y0, y1)
-        return P[x1, y1] - P[x0, y1] - P[x1, y0] + P[x0, y0]
+    P = prefix_sums(prefix_sums(M + M.T + M.T @ M).T).T
 
     def values(ts):
         ind = indicator_values(grid, ts)
         return ind + ind @ M.T, np.zeros((len(ts), 0))
 
     def gram(inc):
-        return grid.weight * (inc.steps.gram() + inc.steps.kernel_form(rect, lambda i, j: K[i, j]))
+        lo, hi, share = inc.extra.parts()
+        x, y = (slice(None), slice(None), None, None), (None, None)  # parts (3, m, 3, m, B)
+        rect = P[hi[x], hi[y]] - P[hi[x], lo[y]]  # grouped so that an empty range gives 0
+        rect -= P[lo[x], hi[y]] - P[lo[x], lo[y]]
+        rect *= share[x] * share[y]
+        A = np.add.reduce(np.add.reduce(rect, axis=2))
+        A *= grid.weight
+        A += _gap_gram(inc.times)
+        return A.T
 
     def pairing(h):
         return _steps_pairing(grid, h.values + M.T @ h.values)
 
-    return ProcessModel(name, grid, 0, values, _no_extra, gram, pairing)
+    extra = functools.partial(Intervals.between, grid)
+    return ProcessModel(name, grid, 0, values, extra, gram, pairing)
 
 
 def sturm_liouville_operator(grid: Grid) -> KernelOperator:
@@ -229,71 +232,6 @@ def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms.reshape((-1,) + terms.shape[2:]))[-1]
 
 
-class _SLBasis:
-    """S 1I_[0,b] - S 1I_[0,a] on the nodes, for the increments of a batch of
-    tuples (B, k), in one basis of segments per tuple.
-
-    With q(t) = #{nodes u_j < t}, the switch point of ``sl_factor_correction``,
-    the times cut the cells into the k+1 segments [edges[s], edges[s+1]) with
-    edges = (0, q(t_0), ..., q(t_{k-1}), n).  On segment s the difference of
-    increment i (times t_i, t_{i+1}) is z[0, s, i] sin u + z[1, s, i] cos u:
-    (cos t_i - cos t_{i+1}, 0) for s <= i, (-cos t_{i+1}, sin t_i) for s = i+1
-    and (0, sin t_i - sin t_{i+1}) beyond.  Sums over segments are differences
-    of the node-sampled prefix sums of sin u, cos u and their products.  The
-    tuple axis is last, so that every pass over these arrays runs over B
-    contiguous values.
-    """
-
-    def __init__(self, grid: Grid):
-        self.grid, self.n, self.u = grid, grid.n, grid.nodes
-        self.trig = np.stack([np.sin(self.u), np.cos(self.u)])
-        self.trig_sums = _prefix(self.trig)
-        self.products = self.trig[[0, 0, 1]] * self.trig[[0, 1, 1]]  # sin^2, sin cos, cos^2
-        self.product_sums = _prefix(self.products)
-
-    def segments(self, times, steps: IndicatorIncrements):
-        """(edges (k+2, B), z (2, k+1, k-1, B)) of a batch of tuples, times (k, B)."""
-        q = steps.switch_points(self.u, times)
-        edges = np.empty((len(q) + 2,) + q.shape[1:], dtype=q.dtype)
-        edges[0], edges[1:-1], edges[-1] = 0, q, self.n
-        c, s = np.cos(times), np.sin(times)
-        cols = np.zeros((5,) + s[1:].shape)
-        cols[0], cols[1], cols[2], cols[3] = c[:-1] - c[1:], -c[1:], s[:-1], s[:-1] - s[1:]
-        return edges, cols[_sl_columns(len(times))]
-
-    def pairing(self, h: GridFunction) -> Callable[[Increments], np.ndarray]:
-        """Increments -> (g(b) - g(a), h): the steps' pairing plus the segment sums
-        of h sin u and h cos u times the correction coefficients."""
-        steps, f = _steps_pairing(self.grid, h.values), h.values * self.trig
-        F = _prefix(f)
-
-        def pair(inc):
-            edges, z = inc.extra
-            sums = cell_sums(edges[:-1], edges[1:], f, F)
-            return steps(inc) + self.grid.weight * _contract(sums[:, :, None], z).T
-
-        return pair
-
-    def gram(self, inc: Increments) -> np.ndarray:
-        """Gram matrices (B, m, m), a view of (m, m, B), of a batch of sl increments.
-
-        The corrections give z^T G z, G the 2x2 sums of the products of sin u
-        and cos u over each segment, except that a one-cell segment enters
-        through its cell's values, which keeps their digits; steps times
-        corrections give w^T z, w the segment sums of each increment's steps
-        times sin u and cos u.
-        """
-        d, (edges, z) = inc.steps, inc.extra
-        w = d.segment_sums(edges, self.trig, self.trig_sums)
-        G = cell_sums(edges[:-1], edges[1:], self.products, self.product_sums)[:, :, None]
-        gzw = G[:2] * z[:1]
-        gzw += G[1:] * z[1:]
-        gzw += w
-        A = _contract(z[:, :, None], gzw[:, :, :, None])
-        A += _contract(w[:, :, None], z[:, :, :, None])
-        return self.grid.weight * (d.gram() + A.T)
-
-
 @functools.lru_cache
 def _sl_columns(k: int):
     """z (2, k+1, k-1) from columns (5, k-1): x is 0, 1, 4 and y 4, 2, 3 before, at, after i+1."""
@@ -306,17 +244,70 @@ def _sl_columns(k: int):
 def sturm_liouville_model(grid: Grid) -> ProcessModel:
     """perturbed:sl model from the closed form of S 1I_[0,t] alone: no n x n kernel
     matrix.  ||S|| < 1 (I+S invertible) holds for this fixed operator, 2/3 in the
-    limit; the tests and ``silt selftest`` check it, not each build."""
+    limit; the tests and ``silt selftest`` check it, not each build.
+
+    The times t_0 < ... < t_{k-1} cut [0, pi/2] into the k+1 segments between (0, t, pi/2).
+    On segment s the correction S 1I_[0,b] - S 1I_[0,a] of increment i is z[0, s, i] sin u
+    + z[1, s, i] cos u: (cos t_i - cos t_{i+1}, 0) for s <= i, (-cos t_{i+1}, sin t_i) for
+    s = i+1 and (0, sin t_i - sin t_{i+1}) beyond.  So A = diag(gaps) + z^T G z + w^T z +
+    z^T w, with G the closed-form integrals of sin^2, sin cos and cos^2 over each segment
+    and w those of sin and cos over segment i+1, the only one the step of increment i
+    meets; a pairing adds the integrals of h sin u and h cos u over the segments times z.
+    Differences of sin and cos over a gap are products, which keep the digits of short gaps.
+    """
     if abs(grid.T - math.pi / 2) > _SL_ENDPOINT_TOL:
         raise ValidationError(
             f"perturbed:sl needs the interval [0, pi/2], got T={grid.T}"
         )
-    basis = _SLBasis(grid)
 
     def values(ts):
         return indicator_values(grid, ts) + sl_factor_correction(grid, ts), np.zeros((len(ts), 0))
 
-    return ProcessModel("perturbed:sl", grid, 0, values, basis.segments, basis.gram, basis.pairing)
+    def extra(times):
+        """(segments, z (2, k+1, k-1, B), w (2, k-1, B)) of times (k, B)."""
+        points = np.empty((len(times) + 2,) + times.shape[1:])
+        points[0], points[1:-1], points[-1] = 0.0, times, grid.T
+        iv = Intervals.between(grid, points, trig=True)
+        s, c = iv.trig[:, 1:-1]
+        # cos t_i - cos t_{i+1}, sin t_{i+1} - sin t_i
+        w = interval_weights(times[1:] - times[:-1], (s[:-1], c[:-1]))[1:]
+        cols = np.zeros((5,) + w.shape[1:])
+        cols[0], cols[1], cols[2], cols[3] = w[0], -c[1:], s[:-1], -w[1]
+        return iv, cols[_sl_columns(len(times))], w
+
+    def gram(inc):
+        iv, z, w = inc.extra
+        a, b = iv.bounds[0], iv.bounds[3]
+        d, mid = b - a, a + b
+        sd = np.sin(d)
+        sc = sd * np.cos(mid)
+        G = np.empty((3,) + d.shape)  # int sin^2, sin cos, cos^2 over each segment
+        np.subtract(d, sc, out=G[0])
+        np.multiply(sd, np.sin(mid), out=G[1])
+        np.add(d, sc, out=G[2])
+        G *= 0.5
+        G = G[:, :, None]
+        gz = G[:2] * z[:1]
+        gz += G[1:] * z[1:]
+        A = _contract(z[:, :, None], gz[:, :, :, None])
+        wz = w[:, :, None] * z[:, 1:-1]
+        wz = wz[0] + wz[1]
+        A += wz
+        A += wz.transpose(1, 0, 2)
+        A += _gap_gram(inc.times)
+        return A.T
+
+    def pairing(h):
+        integrate = interval_integrals(grid, h.values, trig=True)
+
+        def pair(inc):
+            iv, z, _ = inc.extra
+            f = integrate(iv)
+            return (f[0, 1:-1] + _contract(f[1:, :, None], z)).T
+
+        return pair
+
+    return ProcessModel("perturbed:sl", grid, 0, values, extra, gram, pairing)
 
 
 def counterexample_model(grid: Grid) -> ProcessModel:
@@ -325,16 +316,16 @@ def counterexample_model(grid: Grid) -> ProcessModel:
     def values(ts):
         return indicator_values(grid, ts), np.sqrt(ts)[:, None]
 
-    def extra(times, steps):
-        return np.sqrt(times[1:]) - np.sqrt(times[:-1])
+    def extra(times):
+        return Intervals.between(grid, times), np.sqrt(times[1:]) - np.sqrt(times[:-1])
 
     def gram(inc):
-        e = inc.extra
-        return grid.weight * inc.steps.gram() + (e[:, None] * e[None, :]).T
+        e = inc.extra[1]
+        return (_gap_gram(inc.times) + e[:, None] * e[None, :]).T
 
     def pairing(h):
-        steps, e = _steps_pairing(grid, h.values), h.aux[0]
-        return lambda inc: steps(inc) + e * inc.extra.T
+        integrate, e = interval_integrals(grid, h.values), h.aux[0]
+        return lambda inc: (integrate(inc.extra[0])[0] + e * inc.extra[1]).T
 
     return ProcessModel("counterexample", grid, 1, values, extra, gram, pairing)
 

@@ -30,7 +30,7 @@ from .errors import ValidationError
 _MAX_LATTICE_ROWS = 10**6
 
 # Freeing one untouched 2 MiB block raises glibc's heap-trim threshold to 4 MiB, so batch
-# temporaries (2.6 MB at k=3 on perturbed:sl) are not trimmed and refaulted per call.
+# temporaries (3.4 MB at k=3 on perturbed:sl) are not trimmed and refaulted per call.
 np.empty(1 << 18)
 
 

@@ -18,7 +18,15 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .function_space import Grid, GridFunction, KernelOperator, inner, make_grid, operator_norm
+from .function_space import (
+    Grid,
+    GridFunction,
+    KernelOperator,
+    cumulative,
+    inner,
+    make_grid,
+    operator_norm,
+)
 from .gram import (
     TimeTuple,
     batch_projections,
@@ -194,14 +202,6 @@ def integrand_diagonal_scan(
 # Schur-test machinery behind the finiteness proof
 
 
-def _cumulative(h: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
-    """Breakpoints and exact cumulative integral of a cellwise-constant h."""
-    w = h.grid.weight
-    edges = np.arange(h.grid.n + 1) * w
-    cum = np.concatenate([[0.0], np.cumsum(h.values) * w])
-    return edges, cum
-
-
 def _norm_sq_on(h: GridFunction, a: float) -> float:
     """Exact integral of h^2 over [a, T] for cellwise-constant h."""
     w = h.grid.weight
@@ -222,7 +222,7 @@ def schur_bound_check(h: GridFunction, a: float = 0.0) -> Tuple[float, float, bo
     T = h.grid.T
     if not 0 <= a < T:
         raise ValidationError(f"left endpoint a={a} must lie in [0, T={T})")
-    edges, cum = _cumulative(h)
+    edges, cum = cumulative(h)
     x, wts = gap_lattice(T - a, 2, (T - a) * 1e-10, _SCHUR_CELLS, closure=True)
     x = x[:, 0]                                # t - a, log-graded
     H = np.interp(a + x, edges, cum) - np.interp(a, edges, cum)
@@ -254,7 +254,7 @@ def iterated_bound_check(h: GridFunction, k: int) -> Tuple[float, float, bool]:
         raise ValidationError(f"iterated bound check supports k in {{2, 3}}, got {k}")
     if np.any(h.values < -1e-12):
         raise ValidationError("the bound applies to nonnegative h only")
-    edges, cum = _cumulative(h)
+    edges, cum = cumulative(h)
     nsq = inner(h, h)
     bound = (8.0 * nsq) ** (k - 1)
     if nsq == 0.0:

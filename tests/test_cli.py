@@ -80,6 +80,36 @@ def test_slnd_subcommand(capsys):
     assert doc["result"]["ratio"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sub_cell_gap_gram_is_exact(capsys):
+    """A gap of 1e-4 inside one cell of n=512 (w = 1.95e-3): Gamma / prod(gaps) = 1;
+    the two-cell rows read 0.0787 there and exited 0."""
+    times = [0.5003, 0.5004, 0.9]
+    doc = run_json(capsys, "gram", "--times", ",".join(map(str, times)))
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    assert doc["result"]["gamma"] / math.prod(gaps) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+def test_diverge_below_the_cell_is_exact(capsys):
+    """diverge --k 2 at delta 1e-2 and 1e-3 on n=512 (delta = 1e-3 is half a cell)
+    lies within its quadrature error (rounding) of ln(1/delta) - 1 + delta, at the
+    CLI's lattice and at a smaller one; the two-cell rows read 5.9% high."""
+    deltas = (1e-2, 1e-3)
+    code, out, err = run(
+        capsys, "diverge", "--k", "2", "--h1", "zero", "--h2", "zero", "--deltas", "1e-2,1e-3"
+    )
+    assert code == 0, err
+    rows = [tuple(map(float, line.split(","))) for line in out.strip().splitlines()[3:]]
+    grid = silt.make_grid(1.0, 512)
+    zero = silt.parse_function("zero", grid)
+    small = silt.divergence_probe(
+        silt.wiener_model(grid), 2, zero, zero, deltas, gap_cells=64, t_cells=32
+    )
+    for got in (rows, small):
+        for (d, v), want in zip(got, deltas):
+            assert d == want
+            assert v == pytest.approx(math.log(1 / d) - 1 + d, rel=1e-12, abs=0.0)
+
+
 def test_diverge_emits_csv(capsys):
     code, out, err = run(
         capsys,
@@ -371,6 +401,8 @@ def test_selftest_passes(capsys):
     code, out, err = run(capsys, "selftest")
     assert code == 0
     assert "PASS perturbed:sl ||S|| = 2/3 < 1: 0.66667" in out
+    assert "PASS perturbed:sl Gamma / closed-form Gram determinant = 1" in out
+    assert "PASS perturbed:sl Gram entries = closed form" in out
     assert "9/9 selftest checks passed" in out
 
 

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from continuum import increment_rows
 from silt import (
     DegenerateConfigurationError,
     TimeTuple,
@@ -86,17 +87,17 @@ def test_wiener_gram_is_diagonal_of_gaps():
     assert dec.gamma == pytest.approx(0.12, abs=1e-12)
 
 
-def dense_projection_norm_sq(model, tt, h):
-    """||P h||^2 from an orthonormal basis of the dense increment rows."""
-    E = np.diff(model.embedded_factors(tt.times), axis=0)
-    Q = np.linalg.qr(E.T)[0]
-    return float(np.sum((Q.T @ h.embedded()) ** 2))
+def continuum_projection_norm_sq(model, tt, h):
+    """||P h||^2 from an orthonormal basis of the continuum increment rows."""
+    rows, (h_rows,) = increment_rows(model, tt.times, (h,))
+    Q = np.linalg.qr(rows.T)[0]
+    return float(np.sum((Q.T @ h_rows) ** 2))
 
 
 def test_identity_quadratic_form_equals_projection():
     """A^{-1}(u,u) computed from the Gram matrix equals the squared norm of
     the projection on the increment span (sum over an orthonormal basis of
-    the dense increment rows) for all three models."""
+    the continuum increment rows) for all three models."""
     grid = make_grid(1.0, 512)
     gpi = make_grid(math.pi / 2, 512)
     models = [wiener_model(grid), counterexample_model(grid), sturm_liouville_model(gpi)]
@@ -109,7 +110,7 @@ def test_identity_quadratic_form_equals_projection():
         dec = decompose(m, tt)
         u = m.pairing(h)(m.increments(np.asarray(tt.times)[None]))[0]
         quad = float(u @ np.linalg.solve(dec.A, u))
-        basis = dense_projection_norm_sq(m, tt, h)
+        basis = continuum_projection_norm_sq(m, tt, h)
         assert abs(quad - basis) <= 1e-8 * (1.0 + h.norm_sq())
         assert projection_norm_sq(m, tt.times, h) == pytest.approx(quad, abs=1e-10)
 
@@ -154,23 +155,25 @@ def test_batch_decompose_names_the_degenerate_tuple():
 def test_ill_conditioned_tuple_is_rejected_on_every_path(capsys):
     """A positive definite Gram matrix with condition number above 1e12 in the
     middle of a batch: the batched kernel, its B=1 call and the CLI reject it
-    by name."""
-    m = wiener_model(make_grid(1.0, 64))
-    bad = [0.3, 0.30000001, 0.7]
+    by name.  Gram entries are exact, so on Wiener that takes gaps 2e-9 and
+    9000 apart (T = 1e4)."""
+    m = wiener_model(make_grid(1e4, 64))
+    bad = [0.3, 0.300000002, 9000.0]
     times = np.array([[0.1, 0.4, 0.8], bad, [0.2, 0.5, 0.9]])
     A = m.increment_gram(m.increments(np.array([bad])))
     np.linalg.cholesky(A)
     assert np.linalg.cond(A[0]) > COND_CUTOFF
     named = (
-        r"tuple \(0\.3, 0\.30000001, 0\.7\): condition number \d\.\d\de\+\d\d "
-        r"\(smallest gap 1\.000e-08\)"
+        r"tuple \(0\.3, 0\.300000002, 9000\.0\): condition number \d\.\d\de\+\d\d "
+        r"\(smallest gap 2\.000e-09\)"
     )
     with pytest.raises(DegenerateConfigurationError, match=named):
         batch_decompose(m, times)
     with pytest.raises(DegenerateConfigurationError, match=named):
         decompose(m, TimeTuple(bad))
-    assert main(["gram", "--grid-n", "64", "--times", "0.3,0.30000001,0.7"]) == 3
-    assert "0.30000001" in capsys.readouterr().err
+    argv = ["gram", "--grid-T", "1e4", "--grid-n", "64", "--times", "0.3,0.300000002,9000"]
+    assert main(argv) == 3
+    assert "0.300000002" in capsys.readouterr().err
 
 
 def test_closed_form_2x2_check_decides_like_eigvalsh():

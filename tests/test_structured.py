@@ -1,23 +1,30 @@
-"""The structured covariance route against the dense factor rows.
+"""The structured covariance route against the continuum oracle.
 
-The batched quadrature computes Gram matrices and shift coefficients from
-O(1)-per-time primitives; ``embedded_factors`` builds the dense rows that
-the same inner products used to come from.  These tests hold the two to
-rounding: random tuples drawn by hypothesis, the acceptance quadratures
-level by level, and a run in which building a dense row is an error.  The
-Monte Carlo sampler, which draws from the dense rows alone, closes on the
-kernel's closed form ``fw_eps`` on every model.
+The batched quadrature computes Gram matrices and shift coefficients as exact
+integrals over intervals, in O(1) per time.  ``continuum`` builds the oracle:
+rows of the increments on a refined grid that holds every cell edge and every
+time, whose dot products are the continuum inner products (``scipy``'s
+``quad`` for the perturbed:sl Gram entries).  These tests hold the kernel to
+that oracle: random tuples drawn by hypothesis, the nodes of the
+``regularized_integral`` lattices, the acceptance quadratures level by level
+against closed forms, and a run in which building a dense row is an error.
+The dense two-cell rows stay the discrete model of the Monte Carlo sampler,
+which closes on the Gaussian closed form of those rows on every model.
 """
 
 import dataclasses
+import functools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
+from continuum import increment_rows, interval_rows, sl_correction
 from silt import (
     DegenerateConfigurationError,
     QuadratureSpec,
@@ -47,73 +54,105 @@ from silt import (
     wiener_model,
 )
 from silt import function_space, gram, process_models, regularization, transform
-from silt.function_space import KernelOperator
+from silt.cli import _sl_covariance
+from silt.function_space import Intervals, KernelOperator, interval_integrals
 from silt.gram import batch_decompose, batch_ortho_coeffs, batch_projections
 from silt.process_models import ProcessModel
-from silt.quadrature import integrate_simplex_level
-from silt.regularization import batch_fw_limit, batch_regularized_integrand, default_min_gap
+from silt.quadrature import gap_lattice, gauss_legendre, simplex_rule
+from silt.regularization import (
+    _ORDERS,
+    batch_fw_limit,
+    batch_regularized_integrand,
+    default_min_gap,
+)
 from silt.transform import MC_CHUNK
 
 HALF_PI = math.pi / 2
 N = 64
+_FILE_MATRIX = np.random.default_rng(5).uniform(size=(N, N))
+_FILE_MATRIX *= 0.5 / np.linalg.norm(_FILE_MATRIX, 2)
 
 
 def _file_model():
     """perturbed:file with a seeded nonnegative kernel of norm 1/2."""
     grid = make_grid(1.0, N)
-    M = np.random.default_rng(5).uniform(size=(N, N))
-    return perturbed_model(grid, KernelOperator(grid, 0.5 * M / np.linalg.norm(M, 2)), "file")
+    return perturbed_model(grid, KernelOperator(grid, _FILE_MATRIX), "file")
 
 
 MODELS = {
     "wiener": (wiener_model(make_grid(1.0, N)), 1e-12),
     "counterexample": (counterexample_model(make_grid(1.0, N)), 1e-12),
     "perturbed:sl": (sturm_liouville_model(make_grid(HALF_PI, N)), 1e-12),
-    "perturbed:file": (_file_model(), 1e-10),
+    "perturbed:file": (_file_model(), 1e-12),
 }
+KERNELS = {"perturbed:file": _FILE_MATRIX}
 
 
 # ---------------------------------------------------------------------------
-# the dense oracle: increments of embedded factor rows
+# the oracles: continuum rows, quad and closed forms
 
 
-def dense_decompose(model, times, hs):
-    """(A, gamma, ortho coefficients per shift) from the dense factor rows."""
-    B, k = times.shape
-    inc = np.diff(model.embedded_factors(times.ravel()).reshape(B, k, -1), axis=1)
-    A = inc @ inc.transpose(0, 2, 1)
-    L = np.linalg.cholesky(A)
-    gamma = np.prod(np.einsum("bii->bi", L), axis=1) ** 2
-    ys = [np.linalg.solve(L, (inc @ h.embedded())[..., None])[..., 0] for h in hs]
-    return A, gamma, ys
+def sl_quad_gram(times):
+    """Gram matrix of the perturbed:sl increments of ``times``, each entry by ``quad``
+    of the closed form, with break points at the times."""
+    times = [float(t) for t in times]
+
+    def increment(a, b):
+        return lambda u: float(a <= u < b) + sl_correction(a, b, u)
+
+    incs = [increment(a, b) for a, b in zip(times, times[1:])]
+    A = np.empty((len(incs), len(incs)))
+    for i, f in enumerate(incs):
+        for j, g in enumerate(incs[: i + 1]):
+            with warnings.catch_warnings():  # roundoff near a zero entry, far below the bounds
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                A[i, j] = A[j, i] = integrate.quad(
+                    lambda u: f(u) * g(u), 0.0, HALF_PI, points=times, epsabs=0.0,
+                    epsrel=1e-13, limit=200,
+                )[0]
+    return A
 
 
-def dense_normalized(rows):
+def continuum_gram(name, times):
+    """The continuum Gram matrix of one tuple: ``quad`` for perturbed:sl, the rows
+    of the refined grid for the other models."""
+    if name == "perturbed:sl":
+        return sl_quad_gram(times)
+    rows, _ = increment_rows(MODELS[name][0], times, (), KERNELS.get(name))
+    return rows @ rows.T
+
+
+def normalized(rows):
     """Gram matrix of the rows scaled to unit norm."""
     U = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     return U @ U.T
 
 
-def dense_regularized_integrand(model, h1, h2):
+def closed_form_integrand(spec, limit=False):
+    """Times (B, k) -> the regularized integrand with const1 shifts (or, with ``limit``,
+    the limit integrand with zero shifts) from the closed-form covariance and pairing:
+    min(s, t) and t on wiener, ``cli._sl_covariance`` and t + 1 - cos t - sin t (the
+    integral of g(t)) on perturbed:sl."""
+    cov, mass = {
+        "wiener": (np.minimum, lambda t: t),
+        "perturbed:sl": (_sl_covariance, lambda t: t + 1.0 - np.cos(t) - np.sin(t)),
+    }[spec]
+
     def f(times):
-        _, gamma, (y1, y2) = dense_decompose(model, times, (h1, h2))
-        return np.prod(-np.expm1(-0.5 * (y1**2 + y2**2)), axis=1) / gamma
-
-    return f
-
-
-def dense_fw_limit(model, h1, h2, normalization="paper"):
-    assert normalization == "paper"
-
-    def f(times):
-        _, gamma, (y1, y2) = dense_decompose(model, times, (h1, h2))
-        return np.exp(-0.5 * (y1**2 + y2**2).sum(axis=1)) / gamma
+        C = cov(times[:, :, None], times[:, None, :])
+        A = np.diff(np.diff(C, axis=1), axis=2)
+        L = np.linalg.cholesky(A)
+        gamma = np.prod(np.einsum("bii->bi", L), axis=1) ** 2
+        if limit:
+            return 1.0 / gamma
+        y = np.linalg.solve(L, np.diff(mass(times), axis=1)[..., None])[..., 0]
+        return np.prod(-np.expm1(-(y**2)), axis=1) / gamma
 
     return f
 
 
 # ---------------------------------------------------------------------------
-# property: structured == dense at random tuples
+# property: structured == continuum at random tuples
 
 
 @st.composite
@@ -121,9 +160,8 @@ def time_tuples(draw, grid):
     """Tuples with closure gaps (min_gap), at most one sub-cell gap, and
     first or last times at 0, at T or in the last cell.
 
-    Sub-cell gaps go down to 1/20 of a cell.  Below that the dense rows of
-    the perturbed models lose digits themselves: a cell of S 1I_[0,b] -
-    S 1I_[0,a] is a difference of O(1) numbers worth about b - a.
+    Sub-cell gaps go down to 1/20 of a cell; far shorter gaps are the cases of
+    ``test_tiny_gap_keeps_the_gram_entries_of_its_neighbours``.
     """
     T, w = grid.T, grid.weight
     min_gap = default_min_gap(grid)
@@ -174,20 +212,30 @@ def _rel(a, b):
 @pytest.mark.parametrize("name", list(MODELS))
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_structured_route_matches_dense_factor_rows(name, data):
+def test_structured_route_matches_the_continuum(name, data):
     model, rtol = MODELS[name]
+    kernel = KERNELS.get(name)
     times = data.draw(time_tuples(model.grid))
     h1, h2 = _shifts(model, data.draw(st.floats(2.0, 3.0)), data.draw(st.floats(2.0, 3.0)))
+    k, t = times.shape[1], times[0]
 
-    A, gamma_d, (y1_d, y2_d) = dense_decompose(model, times, (h1, h2))
-    d = np.sqrt(np.diag(A[0]))
-    cond = np.linalg.cond(A[0] / np.outer(d, d))
-    tol = rtol * cond
+    # g(t_1) and the increments on one refined grid, and the values g(t_j)
+    rows, shifts = interval_rows(
+        model, np.concatenate([[0.0], t[:-1], np.zeros(k)]), np.concatenate([t, t]),
+        (h1, h2), kernel,
+    )
+    inc_d, E = rows[1:k], rows[k:]
+    A = inc_d @ inc_d.T
+    L_d = np.linalg.cholesky(A)
+    gamma_d = np.prod(np.diag(L_d)) ** 2
+    us = [inc_d @ h for h in shifts]
+    y1_d, y2_d = (np.linalg.solve(L_d, u) for u in us)
+    d = np.sqrt(np.diag(A))
+    tol = rtol * np.linalg.cond(A / np.outer(d, d))
 
-    s, t = np.repeat(times[0], k := times.shape[1]), np.tile(times[0], k)
-    E = model.embedded_factors(times[0])
+    s_, t_ = np.repeat(t, k), np.tile(t, k)
     cov = (E @ E.T).ravel()
-    assert np.max(np.abs(model.covariance(s, t) - cov)) <= rtol * np.max(cov)
+    assert np.max(np.abs(model.covariance(s_, t_) - cov)) <= rtol * np.max(cov)
 
     inc, _, L, gamma = batch_decompose(model, times)
     assert _rel(gamma, gamma_d) <= tol
@@ -195,14 +243,13 @@ def test_structured_route_matches_dense_factor_rows(name, data):
         y = batch_ortho_coeffs(L, model.pairing(h)(inc))
         assert np.max(np.abs(y - y_d)) <= tol * np.max(np.abs(y_d))
 
-    for structured, dense in (
-        (batch_regularized_integrand, dense_regularized_integrand),
-        (batch_fw_limit, dense_fw_limit),
-    ):
-        assert _rel(structured(model, h1, h2)(times), dense(model, h1, h2)(times)) <= tol
+    reg_d = np.prod(-np.expm1(-0.5 * (y1_d**2 + y2_d**2))) / gamma_d
+    limit_d = np.exp(-0.5 * np.sum(y1_d**2 + y2_d**2)) / gamma_d
+    assert _rel(batch_regularized_integrand(model, h1, h2)(times), reg_d) <= tol
+    assert _rel(batch_fw_limit(model, h1, h2)(times), limit_d) <= tol
 
     # the scalar route: B=1 calls into the same kernel
-    tt = TimeTuple(times[0])
+    tt = TimeTuple(t)
     dec = decompose(model, tt)
     for h in (h1, h2):
         assert 0.0 <= projection_norm_sq(model, tt.times, h) <= h.norm_sq() * (1.0 + tol)
@@ -211,26 +258,23 @@ def test_structured_route_matches_dense_factor_rows(name, data):
     assert reg == regularized_integrand(model, tt, h2, h1)
     swapped = TransformPoint(model, tt, h2, h1)
     assert fw_limit(TransformPoint(model, tt, h1, h2)) == fw_limit(swapped)
-    inc_d = np.diff(E, axis=0)
     M = sorted(data.draw(st.sets(st.integers(1, k - 1), min_size=1)))
     comp = [i - 1 for i in range(1, k) if i not in M]
-    G = dense_normalized(inc_d)
+    G = normalized(inc_d)
     want = np.linalg.det(G) / (np.linalg.det(G[np.ix_(comp, comp)]) if comp else 1.0)
     assert abs(slnd_ratio(model, tt, M) / want - 1.0) <= tol
 
-    # a dense row of g(t_1) with subnormal entries has no accurate norm
-    if times[0, 0] >= np.finfo(float).tiny:
-        G = dense_normalized(np.vstack([E[:1], inc_d]))
+    if t[0] > 0.0:
+        G = normalized(rows[:k])
         assert abs(berman_stat(model, tt) / np.linalg.det(G) - 1.0) <= rtol * np.linalg.cond(G)
 
-    eps = 0.1 * np.mean(np.diag(A[0]))
-    Ae = A[0] + eps * np.eye(k - 1)
-    us = (inc_d @ h1.embedded(), inc_d @ h2.embedded())
+    eps = 0.1 * np.mean(np.diag(A))
+    Ae = A + eps * np.eye(k - 1)
     want = np.exp(-0.5 * sum(u @ np.linalg.solve(Ae, u) for u in us)) / np.linalg.det(Ae)
     assert abs(fw_eps(TransformPoint(model, tt, h1, h2), eps) / want - 1.0) <= tol
 
-    got = [projection_decay(model, a, b, h1) for a, b in zip(times[0, :-1], times[0, 1:])]
-    assert _rel(np.array(got), np.abs(us[0]) / np.linalg.norm(inc_d, axis=1)) <= tol
+    got = [projection_decay(model, a, b, h1) for a, b in zip(t[:-1], t[1:])]
+    assert _rel(np.array(got), np.abs(us[0]) / d) <= tol
 
 
 @st.composite
@@ -262,18 +306,37 @@ def cell_tuples(draw, grid):
     return np.minimum((first + cells + np.array(fracs)) * grid.weight, grid.T)[None, :]
 
 
+@functools.lru_cache
+def _lattice(T, k, order, min_gap):
+    """Gap rows (R, k-1) of ``regularized_integral``'s order-``order`` lattice and its
+    Gauss points in t_1, as ``simplex_rule`` combines them."""
+    return gap_lattice(T, k, min_gap, order, closure=True)[0], gauss_legendre(order)[0]
+
+
+@st.composite
+def lattice_tuples(draw, grid):
+    """A node of the ``regularized_integral`` lattice of any k = 2..4 and any order."""
+    k, order = draw(st.integers(2, 4)), draw(st.sampled_from(_ORDERS))
+    gaps, p = _lattice(grid.T, k, order, default_min_gap(grid))
+    row = gaps[draw(st.integers(0, len(gaps) - 1))]
+    t1 = (grid.T - np.add.reduce(row)) * p[draw(st.integers(0, order - 1))]
+    return (t1 + np.concatenate([[0.0], np.add.accumulate(row)]))[None]
+
+
 @pytest.mark.parametrize("name", list(MODELS))
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_band_gram_matches_dense_factor_rows(name, data):
-    """``increment_gram`` (the band, its pairwise fallback and the sl segment
-    basis) against the dense factor rows, entry by entry."""
-    model, rtol = MODELS[name]
-    times = data.draw(cell_tuples(model.grid))
+def test_gram_entries_match_the_continuum(name, data):
+    """``increment_gram`` on lattice nodes and on k = 2..5 tuples with sub-cell gaps,
+    t_k in the last cell or at T: every entry within 1e-13 sqrt(A_ii A_jj) of the
+    continuum (``quad`` of the closed form on perturbed:sl)."""
+    model, _ = MODELS[name]
+    times = data.draw(st.one_of(lattice_tuples(model.grid), cell_tuples(model.grid)))
+    assume(np.min(np.diff(times)) > 0.0)
     A = model.increment_gram(model.increments(times))[0]
-    E = np.diff(model.embedded_factors(times[0]), axis=0)
-    d = np.sqrt(np.diag(E @ E.T))
-    assert np.all(np.abs(A - E @ E.T) <= rtol * np.outer(d, d))
+    want = continuum_gram(name, times[0])
+    d = np.sqrt(np.diag(want))
+    assert np.all(np.abs(A - want) <= 1e-13 * np.outer(d, d))
 
 
 @pytest.mark.parametrize("name", list(MODELS))
@@ -318,87 +381,121 @@ def test_scalar_calls_equal_rows_of_the_batch(name, data):
         assert abs(got - want) <= 4 * np.spacing(abs(want))
 
 
+def _arrays(x):
+    """The arrays inside an increments' ``extra``: arrays, ``Intervals`` and tuples."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if isinstance(x, Intervals):
+        return [x.bounds, x.cells]
+    return [a for y in (x if isinstance(x, tuple) else ()) for a in _arrays(y)]
+
+
 @pytest.mark.parametrize("name", list(MODELS))
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_kernel_arrays_keep_the_tuple_axis_innermost(name, k):
     """The Gram kernel stores every per-tuple array tuple-last: the (B, ...)
-    arrays that ``increments``, ``increment_gram``, the pairings and
-    ``batch_decompose`` return are views whose tuple axis has a stride of one
-    item, and the model's extra arrays end with the tuple axis."""
+    arrays that ``increment_gram``, the pairings and ``batch_decompose`` return
+    are views whose tuple axis has a stride of one item, and the increments'
+    times and the model's extra arrays end with the tuple axis."""
     model, _ = MODELS[name]
     T, B = model.grid.T, 6
     times = T * (np.arange(1, k + 1) / (k + 1) + 0.01 * np.arange(B)[:, None])
     inc = model.increments(times)
     _, _, L, _ = batch_decompose(model, times)
     u = model.pairing(parse_function("sin:1", model.grid, model.aux_dim))(inc)
-    for a in (inc.steps.cells, inc.steps.values):
-        assert a.shape[-1] == B and a.strides[-1] == a.itemsize
     for a in (model.increment_gram(inc), L, u):
         assert a.shape[0] == B and a.strides[0] == a.itemsize
-    extra = inc.extra if isinstance(inc.extra, tuple) else (inc.extra,) * (inc.extra is not None)
-    for a in extra:
+    extra = _arrays(inc.extra)
+    assert extra
+    for a in [inc.times] + extra:
         assert a.shape[-1] == B and a.strides[-1] == a.itemsize
 
 
-@pytest.mark.parametrize("spec, T", [("wiener", 1.0), ("perturbed:sl", HALF_PI)])
-def test_pairwise_dot_gets_exactly_the_rows_that_break_the_separation_rule(
-    monkeypatch, spec, T
-):
-    """On the order-12, k=3 lattice of ``regularized_integral`` at n=512, the 4
-    tuples whose boundary cells p of consecutive times differ by less than 2
-    (t_3 in the last cell) go through ``IndicatorIncrements.kernel_form``, and no
-    other; on the others the band equals the pairwise form of the same kernel."""
-    grid = make_grid(T, 512)
-    model = process_models.parse_model(spec, grid)
-    lattice = []
+@pytest.mark.parametrize("name", list(MODELS))
+@pytest.mark.parametrize("gap", [1e-100, 1e-12, 1e-6])
+def test_tiny_gap_keeps_the_gram_entries_of_its_neighbours(name, gap):
+    """An interval far shorter than a cell, from 0 or from inside a cell, next to
+    one of many cells: every Gram entry within 1e-13 sqrt(A_ii A_jj) of the
+    continuum.  A rectangle sum over an empty cell range is exactly 0."""
+    model, _ = MODELS[name]
+    T = model.grid.T
+    for times in ([0.0, gap, 0.25 * T], [0.3 * T, 0.3 * T + gap, 0.7 * T]):
+        A = model.increment_gram(model.increments(np.array([times])))[0]
+        want = continuum_gram(name, times)
+        d = np.sqrt(np.diag(want))
+        assert np.all(np.abs(A - want) <= 1e-13 * np.outer(d, d))
 
-    def record(times):
-        lattice.append(times)
-        return np.zeros(len(times))
 
-    integrate_simplex_level(T, 3, record, default_min_gap(grid), 12, 12, closure=True)
-    times = np.concatenate(lattice)
-    p = function_space.indicator_params(grid, times)[0]
-    breaks = np.any(np.diff(p, axis=1) < 2, axis=1)
-    assert breaks.sum() == 4 and np.all(p[breaks, -1] == grid.n - 2)
-    inc = model.increments(times)
-    seen = []
-    form = function_space.IndicatorIncrements.kernel_form
+def test_wiener_gram_is_the_gap_diagonal_on_every_lattice():
+    """On every lattice of ``regularized_integral`` at n=512 (k = 2..4, every order)
+    the Wiener Gram matrices are diag(gaps) exactly, also on the tuples whose t_k
+    lies in the last cell (up to 105,080 per lattice), where the two-cell rows
+    were off."""
+    grid = make_grid(1.0, 512)
+    model = wiener_model(grid)
+    last = []
+    for k in (2, 3, 4):
+        for order in _ORDERS:
+            for times, _ in simplex_rule(1.0, k, default_min_gap(grid), order, order, True, 4096):
+                A = model.increment_gram(model.increments(times))
+                gaps = np.diff(times, axis=1)
+                assert np.array_equal(A, gaps[:, :, None] * np.eye(k - 1))
+                last.append(np.sum(times[:, -1] > 1.0 - grid.weight))
+    assert min(last) == 0 and max(last) > 0
 
-    def spy(d, rect, entry, rows):
-        seen.append((d, rect, entry, rows))
-        return form(d, rect, entry, rows)
 
-    monkeypatch.setattr(function_space.IndicatorIncrements, "kernel_form", spy)
-    A = inc.steps.gram()
-    assert len(seen) == 1
-    d, rect, entry, rows = seen[0]
-    assert np.array_equal(d.cells[..., rows], inc.steps.cells[..., breaks])
-    monkeypatch.undo()
-    pairwise = inc.steps.kernel_form(rect, entry)
-    assert np.max(np.abs(A - pairwise)) <= 1e-15 * np.max(np.abs(pairwise))
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_wiener_const1_integrand_is_the_product_form_at_every_node(k):
+    """Wiener with const1 shifts: the regularized integrand is prod (1 - e^{-g_i}) / g_i
+    to 1e-13 at every node of every order of ``regularized_integral`` at n=512."""
+    grid = make_grid(1.0, 512)
+    one = parse_function("const1", grid)
+    f = batch_regularized_integrand(wiener_model(grid), one, one)
+    orders = _ORDERS if k < 4 else _ORDERS[:-1]  # the order-32 k=4 lattice is 1.2 M nodes
+    for order in orders:
+        for times, _ in simplex_rule(1.0, k, default_min_gap(grid), order, order, True, 4096):
+            g = np.diff(times, axis=1)
+            assert _rel(f(times), np.prod(-np.expm1(-g) / g, axis=1)) <= 1e-13
 
 
 @pytest.mark.parametrize("frac", [0.1, 0.3, 0.6, 0.9])
 def test_sub_cell_gap_around_a_node_keeps_its_digits(frac):
-    """perturbed:sl on the diverge grid, gaps a fraction of a cell straddling a node.
+    """perturbed:sl on the diverge grid, gaps a fraction of a cell straddling a node
+    or a cell edge: Gamma within 1e-12 of ``quad``.
 
-    Such an increment has one cell between the switch points q(a) and q(b).
-    Summed through prefix sums of size O(T), that cell would cost about
-    eps T / (frac^2 w) of Gamma (1e-10 at frac 0.1); it is summed directly.
+    Head and tail of such an increment are integrated directly; summed through
+    prefix sums of size O(T), they would cost about eps T / (frac^2 w) of Gamma.
     """
     grid = make_grid(HALF_PI, 8192)
     model = sturm_liouville_model(grid)
-    half, node = 0.5 * frac * grid.weight, grid.nodes
+    half, node, w = 0.5 * frac * grid.weight, grid.nodes, grid.weight
     rows = [[node[j] - half, node[j] + half, node[j] + half + 0.3] for j in (17, 2900, 6000)]
-    times = np.array(rows + [[0.2, node[4000] - half, node[4000] + half]])
-    A, gamma_d, _ = dense_decompose(model, times, ())
-    gamma = batch_decompose(model, times)[3]
-    assert _rel(gamma, gamma_d) <= 1e-12
+    rows += [[0.2, 4000 * w - half, 4000 * w + half]]
+    gamma = batch_decompose(model, np.array(rows))[3]
+    want = [np.linalg.det(sl_quad_gram(t)) for t in rows]
+    assert _rel(gamma, np.array(want)) <= 1e-12
+
+
+def test_sl_gamma_of_a_sub_cell_tuple_matches_quad():
+    """Gamma(0.3, 0.30092, 1.0) of perturbed:sl at n=512, a gap of half a cell: within
+    1e-12 of ``quad`` of the closed form (the two-cell rows were 48% low)."""
+    model = sturm_liouville_model(make_grid(HALF_PI, 512))
+    times = [0.3, 0.30092, 1.0]
+    gamma = decompose(model, TimeTuple(times)).gamma
+    assert abs(gamma / np.linalg.det(sl_quad_gram(times)) - 1.0) <= 1e-12
+
+
+def test_wiener_tuple_ending_in_the_last_cell_has_the_gap_diagonal():
+    """t_3 in the last cell and t_2 two cells before it, where the two-cell rows
+    were 3.35% off on the diagonal: A = diag(gaps) exactly."""
+    grid = make_grid(1.0, 512)
+    times = np.array([[0.5, 0.99509766, 0.99900391]])
+    A = wiener_model(grid).increment_gram(wiener_model(grid).increments(times))[0]
+    assert np.array_equal(A, np.diag(np.diff(times[0])))
 
 
 # ---------------------------------------------------------------------------
-# the acceptance quadratures agree level by level
+# the acceptance quadratures agree level by level with the closed forms
 
 
 @pytest.mark.parametrize(
@@ -410,31 +507,34 @@ def test_sub_cell_gap_around_a_node_keeps_its_digits(frac):
         ("perturbed:sl", HALF_PI, 3),
     ],
 )
-def test_regularized_levels_match_dense_integrand(monkeypatch, spec, T, k):
+def test_regularized_levels_match_the_closed_form_integrand(monkeypatch, spec, T, k):
     grid = make_grid(T, 512)
     model = process_models.parse_model(spec, grid)
     one = parse_function("const1", grid)
     quad = QuadratureSpec(k=k, levels=4, tol=5e-3)
     got = regularized_integral(model, k, one, one, quad)
-    monkeypatch.setattr(regularization, "batch_regularized_integrand", dense_regularized_integrand)
+    oracle = closed_form_integrand(spec)
+    monkeypatch.setattr(regularization, "batch_regularized_integrand", lambda *a: oracle)
     want = regularized_integral(model, k, one, one, quad)
     assert np.allclose(got.level_estimates, want.level_estimates, rtol=1e-12, atol=0.0)
 
 
-def test_divergence_probe_matches_dense_integrand(monkeypatch):
-    grid = make_grid(1.0, 8192)
+@pytest.mark.parametrize("n", [512, 8192])
+def test_divergence_probe_matches_the_closed_form_integrand(monkeypatch, n):
+    grid = make_grid(1.0, n)
     model = wiener_model(grid)
     zero = parse_function("zero", grid)
     args = (model, 2, zero, zero, (1e-2, 1e-3, 1e-4))
     kw = dict(gap_cells=64, t_cells=32, chunk=1024)
     got = divergence_probe(*args, **kw)
-    monkeypatch.setattr(regularization, "batch_fw_limit", dense_fw_limit)
+    oracle = closed_form_integrand("wiener", limit=True)
+    monkeypatch.setattr(regularization, "batch_fw_limit", lambda *a: oracle)
     want = divergence_probe(*args, **kw)
     assert np.allclose([v for _, v in got], [v for _, v in want], rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
-# the separation rule of the two-cell indicators
+# the intervals of the kernel, and the separation rule of the dense rows
 
 
 @st.composite
@@ -454,10 +554,11 @@ def boundary_times(draw, grid):
 @pytest.mark.parametrize("n", [8, 64, 512])
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_separated_increments_have_exact_gram_entries(n, data):
-    """(1I_[0,s], 1I_[0,t]) = min(s, t) when the boundary cell pairs {p, p+1}
-    of s and t, p = min(floor(t/w), n-2), are disjoint.  So the Gram entries
-    of increments are exact when those pairs of their distinct times are.
+def test_separated_dense_rows_have_exact_gram_entries(n, data):
+    """The dense rows of the sampler's discrete model: (1I_[0,s], 1I_[0,t]) =
+    min(s, t) when the boundary cell pairs {p, p+1} of s and t, p = min(floor(t/w),
+    n-2), are disjoint, so the Gram entries of their increments are then exact.
+    The kernel's are exact on every tuple.
 
     Boundary cells two cells apart are not enough: a time in the last cell
     has p = n-2, the pair of a time in cell n-3.
@@ -465,50 +566,58 @@ def test_separated_increments_have_exact_gram_entries(n, data):
     grid = make_grid(1.0, n)
     model = wiener_model(grid)
     times = data.draw(boundary_times(grid))
-    p = function_space.indicator_params(grid, times)[0]
-    same = times[:, None] == times[None, :]
-    assume(np.all(same | (np.abs(p[:, None] - p[None, :]) >= 2)))
     a, b = times[:-1], times[1:]
     exact = np.maximum(np.minimum(b[:, None], b) - np.maximum(a[:, None], a), 0.0)
     A = model.increment_gram(model.increments(times[None]))[0]
-    assert np.max(np.abs(A - exact)) <= 1e-14
+    assert np.array_equal(A, np.diag(b - a))
+    p = function_space.indicator_params(grid, times)[0]
+    same = times[:, None] == times[None, :]
+    assume(np.all(same | (np.abs(p[:, None] - p[None, :]) >= 2)))
     E = np.diff(model.embedded_factors(times), axis=0)
     assert np.max(np.abs(E @ E.T - exact)) <= 1e-14
 
 
-def _assert_dense_differences(grid, times):
-    """Each row of ``indicator_increments`` rebuilt from its cells and values (the
-    block [cells[0] + 2, cells[2]) of ones plus the four boundary values) is
-    bitwise the difference of the dense rows of its two times."""
-    inc = function_space.indicator_increments(grid, times)
-    cells, values = inc.cells.T, inc.values.T  # (R, m, 4)
-    R, m, _ = cells.shape
+def _assert_exact_cover(grid, times):
+    """``Intervals.parts`` rebuilt as cell shares (R, m, n) equal the share of each
+    cell that each interval covers, and ``interval_integrals`` of a seeded f with and
+    without sin u and cos u equal the sums of f times the integrals over those shares."""
+    times = np.asarray(times, dtype=float)
+    iv = Intervals.between(grid, np.ascontiguousarray(times.T), trig=True)
+    lo, hi, share = (x.T for x in iv.parts())  # (R, m, 3)
+    R, m, _ = lo.shape
     cols = np.arange(grid.n)
-    rows = (cols >= cells[..., :1] + 2) & (cols < cells[..., 2:3])
-    rows = rows.astype(float)
-    r, i = np.indices((R, m))
-    for j in range(4):
-        rows[r, i, cells[..., j]] += values[..., j]
-    dense = function_space.indicator_values(grid, times.ravel()).reshape(R, -1, grid.n)
-    np.testing.assert_array_equal(rows, dense[:, 1:] - dense[:, :-1])
+    got = np.zeros((R, m, grid.n))
+    for j in range(3):
+        got += ((cols >= lo[..., j : j + 1]) & (cols < hi[..., j : j + 1])) * share[..., j : j + 1]
+    edges = np.arange(grid.n + 1) * grid.weight
+    a, b = times[:, :-1, None], times[:, 1:, None]
+    lo_u, hi_u = np.maximum(a, edges[:-1]), np.minimum(b, edges[1:])
+    want = np.maximum(hi_u - lo_u, 0.0) / grid.weight
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    f = np.random.default_rng(3).normal(size=grid.n)
+    hi_u = np.maximum(hi_u, lo_u)
+    parts = [hi_u - lo_u, np.cos(lo_u) - np.cos(hi_u), np.sin(hi_u) - np.sin(lo_u)]
+    for trig, count in ((False, 1), (True, 3)):
+        got = interval_integrals(grid, f, trig)(iv)
+        want = np.array([np.sum(x * f, axis=-1).T for x in parts[:count]])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [8, 64, 512])
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_indicator_increments_are_the_dense_differences(n, data):
-    """The closed-form boundary values of ``indicator_increments`` on times a
-    cell difference 0, 1, 2, 3 or more apart, at 0, on cell edges, in the last
-    cell and at T (``cell_tuples`` needs n >= 64)."""
+def test_intervals_cover_the_cells_exactly(n, data):
+    """Intervals between times a cell difference 0, 1, 2, 3 or more apart, at 0, on
+    cell edges, in the last cell and at T (``cell_tuples`` needs n >= 64)."""
     grid = make_grid(1.0, n)
     tuples = boundary_times(grid).map(lambda t: t[None])
     times = data.draw(st.one_of(tuples, cell_tuples(grid)) if n >= 64 else tuples)
-    _assert_dense_differences(grid, times)
+    _assert_exact_cover(grid, times)
 
 
 @pytest.mark.parametrize("n", [8, 64, 512])
-def test_indicator_increments_lattice(n):
-    """Every p-difference 0..3 from a time at 0, in the middle, ending in the
+def test_intervals_lattice(n):
+    """Every cell difference 0..3 from a time at 0, in the middle, ending in the
     last cell and ending at T, with cell fractions 0, 0.3 and 0.999."""
     grid, w = make_grid(1.0, n), 1.0 / n
     pairs = []
@@ -521,10 +630,10 @@ def test_indicator_increments_lattice(n):
                         pairs.append((a, b))
                 pairs += [(0.0, (d + fb) * w), (1.0 - (d + fa) * w, 1.0)]
     times = np.clip(np.array(pairs), 0.0, 1.0)
-    p = function_space.indicator_params(grid, times)[0]
-    assert set(np.diff(p, axis=1).ravel()) >= {0, 1, 2, 3}
+    cells = Intervals.between(grid, np.ascontiguousarray(times.T)).cells
+    assert set(np.diff(cells, axis=0).ravel()) >= {0, 1, 2, 3}
     assert np.any(times == 0.0) and np.any(times == 1.0) and np.any(times[:, 1] > 1.0 - w)
-    _assert_dense_differences(grid, times)
+    _assert_exact_cover(grid, times)
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +748,20 @@ def _mc_point(model, rng, k):
     return TransformPoint(model, TimeTuple(times), h1, h2, "analytic")
 
 
+def dense_fw_eps(point, eps):
+    """fw_eps's Gaussian closed form on the dense factor rows, the sampler's model."""
+    E = np.diff(point.model.embedded_factors(point.tt.times), axis=0)
+    Ae = E @ E.T + eps * np.eye(len(E))
+    us = [E @ h.embedded() for h in (point.h1, point.h2)]
+    expo = sum(u @ np.linalg.solve(Ae, u) for u in us)
+    return point.norm_factor * math.exp(-0.5 * expo) / np.linalg.det(Ae)
+
+
 @pytest.mark.parametrize("name", list(MODELS))
 def test_mc_sampler_closes_on_fw_eps(name):
     """mc_fw_estimate (eps = 0.5, 200k samples, seed 0) within 4 standard
-    errors of fw_eps at 3 seeded points for each k = 2, 3, 4.
+    errors of the closed form of fw_eps on the same dense rows, at 3 seeded
+    points for each k = 2, 3, 4.
 
     A correct sampler misses this bound on one of the 36 checks over the
     four models with probability about 0.2%.
@@ -654,7 +773,7 @@ def test_mc_sampler_closes_on_fw_eps(name):
         for _ in range(3):
             pt = _mc_point(model, rng, k)
             mean, stderr = mc_fw_estimate(pt, 0.5, 200_000, seed=0)
-            z.append(abs(mean - fw_eps(pt, 0.5)) / stderr)
+            z.append(abs(mean - dense_fw_eps(pt, 0.5)) / stderr)
     print(f"{name}: max |z| {max(z):.2f}")
     assert max(z) <= 4.0, z
 

@@ -120,11 +120,11 @@ def test_mc_estimate_within_three_sigma():
 
 
 def test_fw_eps_exists_where_the_gram_matrix_is_singular(grid, model):
-    # four times inside one grid cell: the increments are parallel and cond(A)
-    # is about 1e16, but A + eps I is well conditioned and the sampler closes
+    # a gap of 1e-13 next to one of 0.8: cond(A) is about 1e13, above the
+    # cutoff, but A + eps I is well conditioned and the sampler closes
     h1 = parse_function("sin:1", grid)
     pt = TransformPoint(
-        model, TimeTuple([0.1001, 0.1002, 0.1003, 0.1004]), h1, zero(grid), "analytic"
+        model, TimeTuple([0.1, 0.1 + 1e-13, 0.9], min_gap=1e-14), h1, zero(grid), "analytic"
     )
     value = fw_eps(pt, 0.5)
     mean, stderr = mc_fw_estimate(pt, 0.5, 400_000, seed=0)
