@@ -13,13 +13,14 @@ each: a block from prefix sums built once per function, head and tail directly,
 so a sub-cell interval keeps its digits.  Only this module reads that cell
 format; the models get integrals, and the cell parts with their shares.
 
-The dense rows of 1I_[0,t] (``indicator_values``), the discrete model of the
-Monte Carlo sampler, use a two-cell boundary construction: the two cells around
-t carry values chosen so that ||1I_[0,t]||^2 = t holds to machine precision for
-every t, and so does the mass past the first cell; in the first cell the mass
-is exact only to about eps*sqrt(t*w) (see ``indicator_params``).  Inner
-products of such rows are exact only when the boundary cell pairs {p, p+1} of
-the times, p = min(floor(t/w), n-2), are disjoint.
+The grid functions 1I_[0,t] (``indicator``, behind the ``indicator:a:b`` shift)
+use a two-cell boundary construction: the two cells around t carry values
+chosen so that ||1I_[0,t]||^2 = t holds to machine precision for every t, and
+so does the mass past the first cell; in the first cell the mass is exact only
+to about eps*sqrt(t*w) (see ``indicator_params``).  Inner products of such
+functions are exact only when the boundary cell pairs {p, p+1} of the times,
+p = min(floor(t/w), n-2), are disjoint.  No model reads them: the process
+increments are the exact interval integrals above.
 Per-call code calls ufuncs' reduce/accumulate, not numpy's wrappers (1-3 us slower).
 """
 
@@ -99,13 +100,6 @@ class GridFunction:
             raise GridMismatchError(
                 "grid functions live on different grids or aux dimensions"
             )
-
-    def embedded(self) -> np.ndarray:
-        """Euclidean embedding: (values * sqrt(weight), aux) concatenated.
-
-        Plain dot products of embedded vectors equal the Hilbert inner product.
-        """
-        return np.concatenate([self.values * math.sqrt(self.grid.weight), self.aux])
 
     def norm_sq(self) -> float:
         return inner(self, self)

@@ -18,9 +18,8 @@ the cell parts of the intervals.  A pairing integrates the cellwise-constant
 shift, alone or times sin u and cos u, over the intervals
 (``interval_integrals``).  Every per-tuple array is stored with the tuple axis
 last, (..., B); ``increments`` checks and transposes the times once, and the
-(B, m) and (B, m, m) arrays the primitives return are transposed views.
-``factor_values`` builds the dense two-cell grid rows of g(t), the discrete
-model of the Monte Carlo sampler; only the sampler and the tests use them.
+(B, m) and (B, m, m) arrays the primitives return are transposed views.  Every
+path, the Monte Carlo sampler too, reads the process through these primitives.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Tuple
+from typing import Any, Callable
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from .function_space import (
     Intervals,
     KernelOperator,
     grid_times,
-    indicator_values,
     interval_integrals,
     interval_weights,
     operator_norm,
@@ -65,8 +63,7 @@ class Increments:
 class ProcessModel:
     """A process x(t) = (g(t), xi) described by its factor map g.
 
-    ``_values`` is the dense factor map.  The structured primitives are
-    ``_extra(times)``, the model's part of ``Increments`` from the tuple-last
+    The structured primitives are ``_extra(times)``, the model's part of ``Increments`` from the tuple-last
     times (k, B); ``_gram(inc)``, the Gram matrices of a (B, m) batch of
     increments; and ``_pairing(h)``, which returns increments -> (g(b) - g(a), h).
     """
@@ -74,19 +71,9 @@ class ProcessModel:
     name: str
     grid: Grid
     aux_dim: int
-    _values: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     _extra: Callable[[np.ndarray], Any]
     _gram: Callable[[Increments], np.ndarray]
     _pairing: Callable[[GridFunction], Callable[[Increments], np.ndarray]]
-
-    def factor_values(self, times) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized factor map: (B,) times -> grid values (B,n), aux (B,m)."""
-        return self._values(grid_times(self.grid, np.atleast_1d(times)))
-
-    def embedded_factors(self, times) -> np.ndarray:
-        """Euclidean embeddings of g(t) for an array of times, shape (B, n+m)."""
-        V, X = self.factor_values(times)
-        return np.concatenate([V * math.sqrt(self.grid.weight), X], axis=1)
 
     def increments(self, times) -> Increments:
         """Structured increments g(b) - g(a) of consecutive times, O(1) each:
@@ -134,9 +121,6 @@ def _steps_pairing(grid: Grid, x: np.ndarray) -> Callable[[Increments], np.ndarr
 def wiener_model(grid: Grid) -> ProcessModel:
     """Planar Wiener process: g(t) = 1I_[0,t]."""
 
-    def values(ts):
-        return indicator_values(grid, ts), np.zeros((len(ts), 0))
-
     def gram(inc):
         return _gap_gram(inc.times).T
 
@@ -144,7 +128,7 @@ def wiener_model(grid: Grid) -> ProcessModel:
         return _steps_pairing(grid, h.values)
 
     extra = functools.partial(Intervals.between, grid)
-    return ProcessModel("wiener", grid, 0, values, extra, gram, pairing)
+    return ProcessModel("wiener", grid, 0, extra, gram, pairing)
 
 
 def perturbed_model(grid: Grid, S: KernelOperator, name: str = "perturbed") -> ProcessModel:
@@ -175,10 +159,6 @@ def perturbed_model(grid: Grid, S: KernelOperator, name: str = "perturbed") -> P
     M = S.matrix
     P = prefix_sums(prefix_sums(M + M.T + M.T @ M).T).T
 
-    def values(ts):
-        ind = indicator_values(grid, ts)
-        return ind + ind @ M.T, np.zeros((len(ts), 0))
-
     def gram(inc):
         lo, hi, share = inc.extra.parts()
         x, y = (slice(None), slice(None), None, None), (None, None)  # parts (3, m, 3, m, B)
@@ -194,7 +174,7 @@ def perturbed_model(grid: Grid, S: KernelOperator, name: str = "perturbed") -> P
         return _steps_pairing(grid, h.values + M.T @ h.values)
 
     extra = functools.partial(Intervals.between, grid)
-    return ProcessModel(name, grid, 0, values, extra, gram, pairing)
+    return ProcessModel(name, grid, 0, extra, gram, pairing)
 
 
 def sturm_liouville_operator(grid: Grid) -> KernelOperator:
@@ -212,13 +192,6 @@ def sturm_liouville_operator(grid: Grid) -> KernelOperator:
         return np.where(u >= s, np.sin(u) * np.sin(s), -np.cos(u) * np.cos(s))
 
     return KernelOperator.from_kernel(grid, kernel)
-
-
-def sl_factor_correction(grid: Grid, ts: np.ndarray) -> np.ndarray:
-    """(S 1I_[0,t]) evaluated in closed form on the grid nodes, shape (B, n)."""
-    u = grid.nodes[None, :]
-    t = np.asarray(ts, dtype=float)[:, None]
-    return np.where(u < t, -np.cos(t) * np.sin(u), -np.sin(t) * np.cos(u))
 
 
 def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -259,9 +232,6 @@ def sturm_liouville_model(grid: Grid) -> ProcessModel:
         raise ValidationError(
             f"perturbed:sl needs the interval [0, pi/2], got T={grid.T}"
         )
-
-    def values(ts):
-        return indicator_values(grid, ts) + sl_factor_correction(grid, ts), np.zeros((len(ts), 0))
 
     def extra(times):
         """(segments, z (2, k+1, k-1, B), w (2, k-1, B)) of times (k, B)."""
@@ -307,14 +277,11 @@ def sturm_liouville_model(grid: Grid) -> ProcessModel:
 
         return pair
 
-    return ProcessModel("perturbed:sl", grid, 0, values, extra, gram, pairing)
+    return ProcessModel("perturbed:sl", grid, 0, extra, gram, pairing)
 
 
 def counterexample_model(grid: Grid) -> ProcessModel:
     """x(t) = w(t) + sqrt(t) xi: grid part 1I_[0,t], one aux coordinate sqrt(t)."""
-
-    def values(ts):
-        return indicator_values(grid, ts), np.sqrt(ts)[:, None]
 
     def extra(times):
         return Intervals.between(grid, times), np.sqrt(times[1:]) - np.sqrt(times[:-1])
@@ -327,7 +294,7 @@ def counterexample_model(grid: Grid) -> ProcessModel:
         integrate, e = interval_integrals(grid, h.values), h.aux[0]
         return lambda inc: (integrate(inc.extra[0])[0] + e * inc.extra[1]).T
 
-    return ProcessModel("counterexample", grid, 1, values, extra, gram, pairing)
+    return ProcessModel("counterexample", grid, 1, extra, gram, pairing)
 
 
 def load_kernel_csv(grid: Grid, path: str) -> KernelOperator:

@@ -1,5 +1,7 @@
 """Pointwise Fourier-Wiener transform values and their Monte Carlo validator.
 
+The validator samples the law of the increments and shifts that ``fw_eps``
+integrates in closed form, from the same exact Gram matrix and pairings.
 Two normalization conventions are carried throughout: ``paper`` reproduces
 the printed limit formula, ``analytic`` keeps the (2 pi)^{-(k-1)} constant
 that the Gaussian integral produces so that direct Monte Carlo sampling can
@@ -121,12 +123,14 @@ def mc_fw_estimate(
 ) -> Tuple[float, float]:
     """Direct sampling estimate of E[prod f_eps(dx(t_i)) E(h1, h2)].
 
-    Exact k-dimensional draws from a thin QR of the dense increment and shift
-    columns C = [dg_1 .. dg_{k-1}, h1, h2] = QR: white noise Z enters only
-    through Z.C, which has the law of xi R for xi ~ N(0, I), also when C is
-    rank-deficient.  A counter-based generator (Philox) keyed by the seed and
-    a fixed chunk size make the estimate reproducible.  Converges to fw_eps
-    with the analytic normalization.
+    White noise Z enters only through (Z.dg_1 .. Z.dg_{k-1}, Z.h_j), Gaussian with
+    covariance [[A, u_j], [u_j^T, ||h_j||^2]] from the model's exact Gram matrix A
+    and pairings u_j.  Its draws are xi sqrt(lambda) V^T for xi ~ N(0, I), from the
+    eigendecomposition, so a singular A and a shift in the increment span sample too.
+    A counter-based generator (Philox) keyed by the seed and a fixed chunk size make
+    the estimate reproducible; the chunks' means and squared deviations are merged
+    (Chan et al.), so memory does not grow with n_samples.  Converges to fw_eps with
+    the analytic normalization.
     """
     if not 0 < eps < math.inf:
         raise ValidationError(f"eps must be positive and finite, got {eps}")
@@ -134,21 +138,35 @@ def mc_fw_estimate(
         raise ValidationError(f"seed {seed} must lie in [0, 2**128)")
     if n_samples < 1000:
         raise ValidationError("need at least 1000 samples")
-    # dense increments, so that the sampler stays independent of the Gram kernel
-    E_inc = np.diff(point.model.embedded_factors(point.tt.times), axis=0)  # (k-1, D)
-    C = np.column_stack([E_inc.T, point.h1.embedded(), point.h2.embedded()])
-    R = np.linalg.qr(C, mode="r")
-    k1 = E_inc.shape[0]
+    model, k1 = point.model, point.tt.k - 1
+    inc = model.increments(np.asarray(point.tt.times)[None])
+    cov = np.empty((k1 + 1, k1 + 1))
+    cov[:k1, :k1] = model.increment_gram(inc)[0]
+    factors = []
+    for h in (point.h1, point.h2):
+        cov[:k1, k1] = cov[k1, :k1] = model.pairing(h)(inc)[0]
+        cov[k1, k1] = h.norm_sq()
+        lam, V = np.linalg.eigh(cov)
+        factors.append(np.sqrt(np.maximum(lam, 0.0))[:, None] * V.T)
     # log of the density constant (2 pi eps)^{-(k-1)} and of the tilt's normalization
     log_c = -k1 * math.log(2.0 * math.pi * eps)
     log_c -= 0.5 * (point.h1.norm_sq() + point.h2.norm_sq())
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    vals = np.empty(n_samples)
+
+    def chunk(b: int) -> Tuple[float, float]:
+        """Mean and sum of squared deviations of b samples; the draws die on return."""
+        Y1, Y2 = (rng.standard_normal((b, k1 + 1)) @ R for R in factors)
+        Q = (Y1[:, :k1] ** 2 + Y2[:, :k1] ** 2).sum(axis=1)
+        vals = np.exp(log_c - Q / (2.0 * eps) + Y1[:, k1] + Y2[:, k1])
+        m = float(vals.mean())
+        return m, float(((vals - m) ** 2).sum())
+
+    mean = m2 = 0.0
     for done in range(0, n_samples, MC_CHUNK):
         b = min(MC_CHUNK, n_samples - done)
-        Y1 = rng.standard_normal((b, R.shape[0])) @ R
-        Y2 = rng.standard_normal((b, R.shape[0])) @ R
-        Q = (Y1[:, :k1] ** 2 + Y2[:, :k1] ** 2).sum(axis=1)
-        vals[done : done + b] = np.exp(log_c - Q / (2.0 * eps) + Y1[:, k1] + Y2[:, k1 + 1])
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_samples))
+        chunk_mean, chunk_m2 = chunk(b)
+        delta, n = chunk_mean - mean, done + b
+        mean += delta * b / n
+        m2 += chunk_m2 + delta**2 * done * b / n
+    return mean, math.sqrt(m2 / (n_samples - 1) / n_samples)

@@ -58,14 +58,6 @@ def test_grid_mismatch_rejected():
         inner(f, g)
 
 
-def test_embedded_dot_equals_inner():
-    grid = make_grid(1.5, 32)
-    rng = np.random.default_rng(0)
-    f = GridFunction(grid, rng.normal(size=32), rng.normal(size=2))
-    g = GridFunction(grid, rng.normal(size=32), rng.normal(size=2))
-    assert float(f.embedded() @ g.embedded()) == pytest.approx(inner(f, g))
-
-
 def test_indicator_norm_exact_for_arbitrary_t():
     grid = make_grid(1.0, 37)
     for t in [0.0, 0.013, 0.25, 1 / 3, 0.5, 0.731, 0.999, 1.0]:

@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from continuum import sl_correction
 from silt import (
     ValidationError,
     counterexample_model,
     make_grid,
     operator_norm,
+    parse_function,
     parse_model,
     perturbed_model,
     sturm_liouville_model,
@@ -19,7 +21,6 @@ from silt import (
 from silt import process_models
 from silt.function_space import KernelOperator, indicator, indicator_values
 from silt.gram import batch_decompose
-from silt.process_models import sl_factor_correction
 
 
 def test_wiener_covariance_is_min():
@@ -43,7 +44,7 @@ def test_sl_operator_action_on_indicator_matches_closed_form():
     S = sturm_liouville_operator(grid)
     t = 0.8
     out = S.matrix @ indicator(grid, t).values
-    exact = sl_factor_correction(grid, np.array([t]))[0]
+    exact = sl_correction(0.0, t, grid.nodes)  # S 1I_[0,t], as S 1I_[0,0] = 0
     # midpoint-rule error of a piecewise-smooth kernel
     assert np.max(np.abs(out - exact)) < 5e-4
 
@@ -73,14 +74,16 @@ def test_sl_model_builds_no_kernel_operator(monkeypatch, n):
 
 
 def test_perturbed_with_zero_kernel_equals_wiener():
+    """Bitwise-equal Gram matrices and pairings, sub-cell and last-cell gaps too."""
     grid = make_grid(1.0, 128)
     S = KernelOperator(grid, np.zeros((grid.n, grid.n)))
     mp = perturbed_model(grid, S)
     mw = wiener_model(grid)
-    ts = np.array([0.1, 0.55, 0.99])
-    Vp, _ = mp.factor_values(ts)
-    Vw, _ = mw.factor_values(ts)
-    assert np.array_equal(Vp, Vw)
+    ts = np.array([[0.1, 0.55, 0.99], [0.0, 0.5003, 0.5004], [0.3, 0.999, 1.0]])
+    h = parse_function("hat:0.4:0.3", grid)
+    incs = mp.increments(ts), mw.increments(ts)
+    assert np.array_equal(*(m.increment_gram(inc) for m, inc in zip((mp, mw), incs)))
+    assert np.array_equal(*(m.pairing(h)(inc) for m, inc in zip((mp, mw), incs)))
 
 
 def test_perturbed_rejects_large_norm():
@@ -91,13 +94,15 @@ def test_perturbed_rejects_large_norm():
 
 
 def test_sl_model_matches_matrix_perturbation():
+    """The Gram entries of closed-form perturbed:sl and of perturbed_model on the
+    midpoint-rule matrix of S agree to the discretization error of S, which falls
+    as 1/n: 1.8e-3 at n = 500, 6.1e-4 at n = 1500, 3.0e-4 at n = 3000."""
     grid = make_grid(math.pi / 2, 1500)
     closed = sturm_liouville_model(grid)
     matrix = perturbed_model(grid, sturm_liouville_operator(grid))
-    ts = np.array([0.3, 0.9, 1.4])
-    Vc, _ = closed.factor_values(ts)
-    Vm, _ = matrix.factor_values(ts)
-    assert np.max(np.abs(Vc - Vm)) < 1e-3
+    ts = np.array([[0.0, 0.3, 0.9, 1.4, math.pi / 2]])
+    Ac, Am = (m.increment_gram(m.increments(ts))[0] for m in (closed, matrix))
+    assert np.max(np.abs(Ac - Am)) < 1e-3
 
 
 def test_sl_model_requires_half_pi_interval():
@@ -116,9 +121,8 @@ def test_counterexample_covariance_and_increments():
     # normalized-increment correlation of x(t) = w(t) + sqrt(t) xi:
     # corr = (1/2) (1-sqrt(t0/t1))^{1/2} (1-sqrt(t2/t3))^{1/2} for disjoint intervals
     t0, t1, t2, t3 = 0.2, 0.4, 0.6, 0.9
-    E = m.embedded_factors([t0, t1, t2, t3])
-    d1, d2 = E[1] - E[0], E[3] - E[2]
-    got = float(d1 @ d2) / (np.linalg.norm(d1) * np.linalg.norm(d2))
+    A = m.increment_gram(m.increments([[t0, t1, t2, t3]]))[0]
+    got = A[0, 2] / math.sqrt(A[0, 0] * A[2, 2])
     want = 0.5 * math.sqrt(1 - math.sqrt(t0 / t1)) * math.sqrt(1 - math.sqrt(t2 / t3))
     assert got == pytest.approx(want, abs=1e-10)
 
@@ -134,7 +138,7 @@ def test_parse_model_strings():
 def test_model_rejects_times_outside_interval():
     m = wiener_model(make_grid(1.0, 64))
     with pytest.raises(ValidationError):
-        m.factor_values([1.5])
+        m.increments([[0.2, 1.5]])
 
 
 @pytest.mark.parametrize("spec, T", [("wiener", 1.0), ("perturbed:sl", math.pi / 2)])
@@ -169,7 +173,6 @@ def test_nan_time_is_named_on_every_route():
     named = re.escape(f"model time nan outside [0, {model.grid.T}]")
     for call in (
         lambda: model.covariance(math.nan, 0.5),
-        lambda: model.factor_values([math.nan]),
         lambda: model.increments(np.array([[0.1, math.nan]])),
     ):
         with warnings.catch_warnings():
