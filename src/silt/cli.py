@@ -67,9 +67,9 @@ class RunConfig:
     levels: int = _setting(
         QuadratureSpec.levels, "run.levels", "--levels", int, help="most Gauss orders to try (2..6)"
     )
-    # None resolves per grid: max(1e-6, 2T/n)
     min_gap: Optional[float] = _setting(
-        None, "run.min_gap", "--min-gap", float, help="diagonal exclusion floor"
+        None, "run.min_gap", "--min-gap", float,
+        help="truncate the regularize simplex at this gap (default: no floor)",
     )
     out: Optional[str] = _setting(None, "run.out", "--out", help="output path (default stdout)")
 

@@ -1,12 +1,12 @@
 """Gauss–Legendre quadrature over the ordered simplex.
 
 Coordinates are (t_1, gap_1, ..., gap_{k-1}).  Each gap variable is
-integrated in log(gap), from a diagonal exclusion floor up to its
-row-dependent upper limit; the first time t_1 is scaled onto the leftover
-interval, so the lattice covers the simplex exactly with no boundary
-indicator.  Every coordinate uses the same Gauss–Legendre rule on [0, 1].
-An optional closure accounts for the sliver below the exclusion floor by
-linear extrapolation of the (bounded) integrand.
+integrated over its row-dependent range [0, upper], linearly in the gap; the
+first time t_1 is scaled onto the leftover interval, so the lattice covers the
+simplex exactly with no boundary indicator.  Every coordinate uses the same
+Gauss–Legendre rule on [0, 1], whose nodes are interior: no gap is ever zero.
+A given floor ``min_gap`` truncates the simplex instead, integrating each gap
+in log(gap) on [min_gap, upper], for integrands that grow like 1/gap.
 
 ``simplex_rule`` gives one order's nodes and weights in groups of lattice
 rows, and ``integrate_simplex_orders`` evaluates the groups of several orders
@@ -20,13 +20,13 @@ on the rest of its batch.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 
-# largest row bound (n_cells + 2 closure)^(k-1) of a gap lattice that may be built
+# largest row bound n_cells^(k-1) of a gap lattice that may be built
 _MAX_LATTICE_ROWS = 10**6
 
 # Freeing one untouched 2 MiB block raises glibc's heap-trim threshold to 4 MiB, so batch
@@ -56,53 +56,47 @@ def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
 def gap_lattice(
     T: float,
     k: int,
-    min_gap: float,
+    min_gap: Optional[float],
     n_cells: int,
-    closure: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Gap tuples (B, k-1) and weights (B,) covering the simplex gap region.
 
-    Each gap takes ``n_cells`` Gauss points in log(gap) on [min_gap, upper].
-    ``closure`` adds the gaps min_gap and 2 min_gap, weighted 1.5 and -0.5
-    times min_gap: [0, min_gap) at the integrand extrapolated to min_gap / 2.
-    A closure lattice with k*min_gap >= T keeps no row (no room for k-2 gaps and 2 min_gap).
+    With ``min_gap`` None each gap takes ``n_cells`` Gauss points linearly on
+    [0, upper].  A given ``min_gap`` truncates the region: each gap takes them in
+    log(gap) on [min_gap, upper], and a row with no room above min_gap is dropped,
+    so an empty truncation integrates to 0.
     """
-    if not 0 < min_gap < T:
+    if min_gap is not None and not 0 < min_gap < T:
         raise ValidationError(f"min_gap {min_gap} must lie in (0, T)")
-    rows = (n_cells + 2 * closure) ** (k - 1)
+    rows = n_cells ** (k - 1)
     if rows > _MAX_LATTICE_ROWS:
         raise ValidationError(
             f"a k={k} lattice with {n_cells} points per gap has up to {rows} gap rows, "
             f"above the limit of {_MAX_LATTICE_ROWS}"
         )
     v, w = gauss_legendre(n_cells)
-    floor = 2.0 * min_gap if closure else min_gap  # no closure node may leave [0, T]
     gaps, wts = np.zeros((1, 0)), np.array([1.0])
     for _ in range(k - 1):
         upper = T - np.add.reduce(gaps, axis=1)
-        keep = upper > floor * (1.0 + 1e-12)
-        gaps, wts, upper = gaps[keep], wts[keep], upper[keep]
-        ratio = upper / min_gap
-        g = min_gap * ratio[:, None] ** v[None, :]
-        gw = g * np.log(ratio)[:, None] * w[None, :]
-        if closure:
-            pad = np.zeros((g.shape[0], 1)) + min_gap
-            g = np.concatenate([pad, 2.0 * pad, g], axis=1)
-            gw = np.concatenate([1.5 * pad, -0.5 * pad, gw], axis=1)
-        gaps = np.concatenate([gaps.repeat(g.shape[1], axis=0), g.reshape(-1, 1)], axis=1)
+        if min_gap is None:
+            g, gw = upper[:, None] * v, upper[:, None] * w
+        else:
+            keep = upper > min_gap * (1.0 + 1e-12)
+            gaps, wts, upper = gaps[keep], wts[keep], upper[keep]
+            ratio = upper / min_gap
+            g = min_gap * ratio[:, None] ** v[None, :]
+            gw = g * np.log(ratio)[:, None] * w[None, :]
+        gaps = np.concatenate([gaps.repeat(n_cells, axis=0), g.reshape(-1, 1)], axis=1)
         wts = (wts[:, None] * gw).ravel()
-    if closure and not wts.size:
-        raise ValidationError(f"a k={k} closure needs k*min_gap < T, got min_gap {min_gap}, T {T}")
     return gaps, wts
 
 
 def simplex_rule(
     T: float,
     k: int,
-    min_gap: float,
+    min_gap: Optional[float],
     gap_cells: int,
     t_cells: int,
-    closure: bool,
     chunk: int,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """One order's rule over the ordered simplex, in groups of max(1, chunk // t_cells)
@@ -110,7 +104,7 @@ def simplex_rule(
 
     ``gap_cells`` and ``t_cells`` are the Gauss points per gap and in t_1.
     """
-    gaps, wts = gap_lattice(T, k, min_gap, gap_cells, closure)
+    gaps, wts = gap_lattice(T, k, min_gap, gap_cells)
     rest = T - np.add.reduce(gaps, axis=1)
     p, pw = gauss_legendre(t_cells)
     prefix = np.concatenate([np.zeros((gaps.shape[0], 1)), np.add.accumulate(gaps, axis=1)], axis=1)
@@ -125,9 +119,8 @@ def integrate_simplex_orders(
     T: float,
     k: int,
     integrand: Callable[[np.ndarray], np.ndarray],
-    min_gap: float,
+    min_gap: Optional[float],
     orders: Sequence[Tuple[int, int]],
-    closure: bool,
     chunk: int = 4096,
 ) -> List[float]:
     """Fixed-order estimates of the integral over the ordered simplex, one per
@@ -143,7 +136,7 @@ def integrate_simplex_orders(
     groups = (
         (j, *group)
         for j, (gap_cells, t_cells) in enumerate(orders)
-        for group in simplex_rule(T, k, min_gap, gap_cells, t_cells, closure, chunk)
+        for group in simplex_rule(T, k, min_gap, gap_cells, t_cells, chunk)
     )
     partials: List[List[float]] = [[] for _ in orders]
     for batch in _batches(groups, chunk):
@@ -173,14 +166,11 @@ def integrate_simplex_level(
     T: float,
     k: int,
     integrand: Callable[[np.ndarray], np.ndarray],
-    min_gap: float,
+    min_gap: Optional[float],
     gap_cells: int,
     t_cells: int,
-    closure: bool,
     chunk: int = 4096,
 ) -> float:
     """One fixed-order estimate of the integral over the ordered simplex: the
     one-order call of ``integrate_simplex_orders``."""
-    return integrate_simplex_orders(
-        T, k, integrand, min_gap, [(gap_cells, t_cells)], closure, chunk
-    )[0]
+    return integrate_simplex_orders(T, k, integrand, min_gap, [(gap_cells, t_cells)], chunk)[0]

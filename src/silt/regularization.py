@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .function_space import (
-    Grid,
     GridFunction,
     KernelOperator,
     cumulative,
@@ -55,14 +54,10 @@ def _check_k(k: int) -> None:
         raise ValidationError(f"multiplicity k must be 2, 3 or 4, got {k}")
 
 
-def default_min_gap(grid: Grid) -> float:
-    """Diagonal exclusion floor tied to grid resolution."""
-    return max(1e-6, 2.0 * grid.T / grid.n)
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Parameters of the Gauss simplex quadrature; ``levels`` caps the orders tried."""
+    """Parameters of the Gauss simplex quadrature; ``levels`` caps the orders tried, and a
+    ``min_gap`` truncates the simplex at that gap (None integrates all of it)."""
 
     k: int
     levels: int = 6
@@ -141,12 +136,11 @@ def regularized_integral(
     spec = spec if spec is not None else QuadratureSpec(k=k)
     if spec.k != k:
         raise ValidationError(f"spec.k={spec.k} does not match k={k}")
-    min_gap = spec.min_gap if spec.min_gap is not None else default_min_gap(model.grid)
     f = batch_regularized_integrand(model, h1, h2)
     T, estimates, orders = model.grid.T, [], [(o, o) for o in _ORDERS[: spec.levels]]
     # the stop rule needs three estimates, so the first three orders share one stream
     for run in (orders[:3], *([order] for order in orders[3:])):
-        estimates += integrate_simplex_orders(T, k, f, min_gap, run, closure=True)
+        estimates += integrate_simplex_orders(T, k, f, spec.min_gap, run)
         last = estimates[-3:]
         diffs = [abs(b - a) for a, b in zip(last, last[1:])]
         converged = len(diffs) == 2 and diffs[1] <= min(diffs[0], spec.tol * (1 + abs(last[-1])))
@@ -168,14 +162,14 @@ def divergence_probe(
 ) -> List[Tuple[float, float]]:
     """Unregularized integral over the delta-truncated simplex, per delta.
 
-    No diagonal closure: the point is to watch the truncated values grow
-    without bound as delta decreases.
+    Each truncation is integrated in log(gap) above delta: the point is to
+    watch the truncated values grow without bound as delta decreases.
     """
     _check_k(k)
     deltas = decreasing_values(deltas, "deltas")
     T, f = model.grid.T, batch_fw_limit(model, h1, h2, normalization)
     return [
-        (d, integrate_simplex_level(T, k, f, d, gap_cells, t_cells, closure=False, chunk=chunk))
+        (d, integrate_simplex_level(T, k, f, d, gap_cells, t_cells, chunk=chunk))
         for d in deltas
     ]
 
@@ -213,9 +207,8 @@ def _norm_sq_on(h: GridFunction, a: float) -> float:
 def schur_bound_check(h: GridFunction, a: float = 0.0) -> Tuple[float, float, bool]:
     """Check int_a^T (int_a^t h)^2 / (t-a)^2 dt <= 8 ||h||^2 on [a, T].
 
-    The left side is integrated at Gauss points in log(t - a), with the
-    linear closure toward t = a (the integrand is bounded there,
-    approaching h(a)^2).
+    The left side is integrated at Gauss points linear in t - a on (a, T): the
+    integrand is bounded toward t = a, approaching h(a)^2.
     """
     if np.any(h.values < -1e-12):
         raise ValidationError("the bound applies to nonnegative h only")
@@ -223,8 +216,8 @@ def schur_bound_check(h: GridFunction, a: float = 0.0) -> Tuple[float, float, bo
     if not 0 <= a < T:
         raise ValidationError(f"left endpoint a={a} must lie in [0, T={T})")
     edges, cum = cumulative(h)
-    x, wts = gap_lattice(T - a, 2, (T - a) * 1e-10, _SCHUR_CELLS, closure=True)
-    x = x[:, 0]                                # t - a, log-graded
+    x, wts = gap_lattice(T - a, 2, None, _SCHUR_CELLS)
+    x = x[:, 0]                                # t - a
     H = np.interp(a + x, edges, cum) - np.interp(a, edges, cum)
     lhs = float(np.sum((H / x) ** 2 * wts))
     rhs = 8.0 * _norm_sq_on(h, a)
@@ -267,7 +260,6 @@ def iterated_bound_check(h: GridFunction, k: int) -> Tuple[float, float, bool]:
         return np.prod((dH / g) ** 2, axis=1)
 
     val = integrate_simplex_level(
-        h.grid.T, k, integrand, _ITERATED_MIN_GAP, _ITERATED_GAP_CELLS, _ITERATED_T_CELLS,
-        closure=False,
+        h.grid.T, k, integrand, _ITERATED_MIN_GAP, _ITERATED_GAP_CELLS, _ITERATED_T_CELLS
     )
     return float(val), bound, val <= bound * (1.0 + 1e-6)

@@ -208,7 +208,7 @@ def test_criterion_06_divergence_contrast():
     one = parse_function("const1", grid)
     f = batch_regularized_integrand(m, one, one)
     reg = [
-        integrate_simplex_level(1.0, 2, f, d, 256, 128, closure=False, chunk=1024)
+        integrate_simplex_level(1.0, 2, f, d, 256, 128, chunk=1024)
         for d in deltas
     ]
     diffs = [abs(b - a) for a, b in zip(reg, reg[1:])]

@@ -1,13 +1,13 @@
 import inspect
 import math
-import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from continuum import schur_lhs
 from silt import (
     DegenerateConfigurationError,
     QuadratureSpec,
@@ -41,7 +41,6 @@ from silt.regularization import (
     _ORDERS,
     _SCHUR_CELLS,
     batch_regularized_integrand,
-    default_min_gap,
 )
 
 
@@ -61,24 +60,46 @@ def model(grid):
 
 def test_gap_lattice_integrates_simple_function():
     # integral of 1/(gap) over gaps in [min_gap, T] is log(T/min_gap)
-    gaps, wts = gap_lattice(1.0, 2, 1e-4, 400, closure=False)
+    gaps, wts = gap_lattice(1.0, 2, 1e-4, 400)
     got = float(np.sum(wts.ravel() / gaps.ravel()))
     assert got == pytest.approx(math.log(1e4), rel=1e-6)
 
 
 def test_integrate_simplex_volume():
     # volume of the ordered simplex {0 < t1 < t2 < T} is T^2/2
-    val = integrate_simplex_level(
-        1.0, 2, lambda t: np.ones(t.shape[0]), 1e-6, 400, 64, closure=True
-    )
-    assert val == pytest.approx(0.5, rel=1e-4)
+    val = integrate_simplex_level(1.0, 2, lambda t: np.ones(t.shape[0]), None, 400, 64)
+    assert val == pytest.approx(0.5, rel=1e-13)
 
 
 def test_integrate_simplex_volume_k3():
-    val = integrate_simplex_level(
-        1.0, 3, lambda t: np.ones(t.shape[0]), 1e-5, 128, 32, closure=True
-    )
-    assert val == pytest.approx(1.0 / 6.0, rel=1e-3)
+    val = integrate_simplex_level(1.0, 3, lambda t: np.ones(t.shape[0]), None, 128, 32)
+    assert val == pytest.approx(1.0 / 6.0, rel=1e-13)
+
+
+def _dirichlet(T, k, powers):
+    """Integral over the ordered simplex of t_1^a_0 prod_i gap_i^a_i, for
+    powers = (a_0, ..., a_{k-1})."""
+    num = math.prod(math.factorial(a) for a in powers)
+    return T ** (k + sum(powers)) * num / math.factorial(k + sum(powers))
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_floor_free_lattice_is_exact_for_low_monomials(k, order):
+    """Per coordinate the nested linear rule is a Gauss rule times a polynomial
+    Jacobian, so a monomial of degree <= 3 in t_1 and the gaps is integrated to
+    its Dirichlet integral: 1 to T^k / k!, at every order and every T."""
+    t1, first, last = np.eye(k, dtype=int)[[0, 1, -1]]
+    powers = [0 * t1, first, 2 * last, t1 + first + last]
+    for T in np.exp(np.random.default_rng(order + k).uniform(-5.0, 5.0, 3)):
+        sums = np.zeros(len(powers))
+        for times, w in simplex_rule(T, k, None, order, order, 4096):
+            coords = np.concatenate([times[:, :1], np.diff(times, axis=1)], axis=1)
+            for j, a in enumerate(powers):
+                sums[j] += np.sum(np.prod(coords**a, axis=1) * w.ravel())
+        for got, a in zip(sums, powers):
+            want = _dirichlet(T, k, a)
+            assert abs(got - want) <= 1e-13 * want, (T, a, got, want)
 
 
 def _probe_orders():
@@ -108,42 +129,13 @@ def test_gauss_legendre_is_exact_to_degree_2n_minus_1(n):
 
 def test_min_gap_validation():
     with pytest.raises(ValidationError):
-        gap_lattice(1.0, 2, 0.0, 16, closure=False)
+        gap_lattice(1.0, 2, 0.0, 16)
     with pytest.raises(ValidationError):
-        gap_lattice(1.0, 2, 2.0, 16, closure=False)
+        gap_lattice(1.0, 2, 2.0, 16)
     # no second gap fits above a floor of 0.6: an empty lattice integrates to 0
-    gaps, wts = gap_lattice(1.0, 3, 0.6, 16, closure=False)
+    gaps, wts = gap_lattice(1.0, 3, 0.6, 16)
     assert gaps.shape == (0, 2) and wts.shape == (0,)
-    assert integrate_simplex_level(1.0, 3, lambda t: np.ones(t.shape[0]), 0.6, 16, 8, False) == 0.0
-
-
-def test_closure_lattice_with_no_row_is_refused_before_the_integrand(monkeypatch):
-    def integrand(*args):
-        raise AssertionError("integrand called")
-
-    monkeypatch.setattr(regularization, "batch_regularized_integrand", lambda *a: integrand)
-    h = parse_function("const1", make_grid(1.0, 64))
-    model = wiener_model(h.grid)
-    for k, min_gap in ((2, 0.5), (3, 0.34), (4, 0.25)):
-        with pytest.raises(ValidationError, match=f"a k={k} closure needs"):
-            regularized_integral(model, k, h, h, QuadratureSpec(k=k, min_gap=min_gap))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    k=st.sampled_from([2, 3, 4]),
-    T=st.floats(1e-3, 1e3),
-    f=st.floats(1e-6, 2.0, exclude_max=True),
-)
-def test_closure_lattice_is_refused_exactly_when_k_min_gaps_fill_T(k, T, f):
-    """min_gap = f T / k, kept a relative 1e-9 away from k min_gap = T."""
-    min_gap = f * T / k
-    assume(abs(k * min_gap - T) > 1e-9 * T)
-    if k * min_gap >= T:
-        with pytest.raises(ValidationError, match=re.escape(f"got min_gap {min_gap}, T {T}")):
-            gap_lattice(T, k, min_gap, 2, closure=True)
-    else:
-        assert gap_lattice(T, k, min_gap, 2, closure=True)[1].size > 0
+    assert integrate_simplex_level(1.0, 3, lambda t: np.ones(t.shape[0]), 0.6, 16, 8) == 0.0
 
 
 _MERGE_MODELS = {
@@ -169,18 +161,16 @@ def test_merged_orders_equal_one_call_per_order(name, k, levels, chunk):
     grid = make_grid(T, 64)
     one = parse_function("const1", grid)
     f = batch_regularized_integrand(make(grid), one, parse_function("sin:1", grid))
-    min_gap, orders = default_min_gap(grid), [(o, o) for o in _ORDERS[:levels]]
-    merged = integrate_simplex_orders(T, k, f, min_gap, orders, closure=True, chunk=chunk)
-    single = [
-        integrate_simplex_level(T, k, f, min_gap, g, t, closure=True, chunk=chunk)
-        for g, t in orders
-    ]
+    orders = [(o, o) for o in _ORDERS[:levels]]
+    merged = integrate_simplex_orders(T, k, f, None, orders, chunk=chunk)
+    single = [integrate_simplex_level(T, k, f, None, g, t, chunk=chunk) for g, t in orders]
     assert [x.hex() for x in merged] == [x.hex() for x in single]
 
 
 def test_first_three_orders_take_one_integrand_call(monkeypatch):
-    """The k=3 Wiener case of the regularize benchmark evaluates the 3,296 nodes
-    of orders 4, 8 and 12 in one integrand call, then one call per later order."""
+    """The k=3 Wiener case of the regularize benchmark evaluates the 4^3 + 8^3 + 12^3
+    = 2,304 nodes of orders 4, 8 and 12 in one integrand call, then one call per later
+    order."""
     grid = make_grid(1.0, 512)
     model, one = wiener_model(grid), parse_function("const1", grid)
     sizes = []
@@ -191,12 +181,11 @@ def test_first_three_orders_take_one_integrand_call(monkeypatch):
 
     monkeypatch.setattr(regularization, "batch_regularized_integrand", counted)
     rv = regularized_integral(model, 3, one, one, QuadratureSpec(k=3, levels=4, tol=5e-3))
-    min_gap = default_min_gap(grid)
     nodes = [
-        sum(len(times) for times, _ in simplex_rule(1.0, 3, min_gap, o, o, True, 4096))
+        sum(len(times) for times, _ in simplex_rule(1.0, 3, None, o, o, 4096))
         for o in _ORDERS[: len(rv.level_estimates)]
     ]
-    assert sum(nodes[:3]) == 3296
+    assert sum(nodes[:3]) == 2304
     assert sizes == [sum(nodes[:3]), *nodes[3:]]
 
 
@@ -205,8 +194,7 @@ def test_degenerate_node_fails_on_the_same_tuple_as_one_call_per_order():
     merged stream as in one call per order, on the node of order 8."""
     grid = make_grid(1.0, 512)
     f = batch_regularized_integrand(wiener_model(grid), *[parse_function("const1", grid)] * 2)
-    min_gap = default_min_gap(grid)
-    first_groups = {o: next(simplex_rule(1.0, 3, min_gap, o, o, True, 4096))[0] for o in (8, 12)}
+    first_groups = {o: next(simplex_rule(1.0, 3, None, o, o, 4096))[0] for o in (8, 12)}
     bad = [first_groups[12][7], first_groups[8][40]]
 
     def rejecting(times):
@@ -217,9 +205,9 @@ def test_degenerate_node_fails_on_the_same_tuple_as_one_call_per_order():
 
     with pytest.raises(DegenerateConfigurationError) as single:
         for o in _ORDERS[:3]:
-            integrate_simplex_level(1.0, 3, rejecting, min_gap, o, o, closure=True)
+            integrate_simplex_level(1.0, 3, rejecting, None, o, o)
     with pytest.raises(DegenerateConfigurationError) as merged:
-        integrate_simplex_orders(1.0, 3, rejecting, min_gap, [(o, o) for o in _ORDERS[:3]], True)
+        integrate_simplex_orders(1.0, 3, rejecting, None, [(o, o) for o in _ORDERS[:3]])
     assert str(merged.value) == str(single.value) == f"degenerate tuple {tuple(bad[1])}"
 
 
@@ -322,6 +310,71 @@ def test_wiener_default_spec_matches_oracles(grid, model):
         assert rv.converged
         assert abs(rv.value - oracle) <= 1e-6, (k, rv.value, oracle)
         assert rv.error_estimate == abs(rv.level_estimates[-1] - rv.level_estimates[-2])
+
+
+def _wiener_oracle(c: float, k: int, T: float = 1.0) -> float:
+    """int_0^T (T - s) phi^{*(k-1)}(s) ds for phi(g) = (1 - e^{-c^2 g}) / g, the simplex
+    integral of the Wiener integrand with shifts c const1.
+
+    phi has the Laplace transform log(1 + a/p), a = c^2, cut along [-a, 0], so
+    phi^{*(k-1)}(s) = (1/pi) int_0^a e^{-rs} Im (l(r) + i pi)^{k-1} dr with
+    l(r) = log((a - r) / r), and the s-integral is T^2 ramp(rT).  The weight's
+    first k-2 moments vanish (phi^{*(k-1)}(s) = O(s^{k-2})), so the ramp's first k-2
+    Taylor terms are left out, which spares quad their cancellation.  The pair r, a - r
+    (where l changes sign) is taken at once in y = -log(r / a), y > log 2.
+    """
+    a = c * c
+
+    def ramp(x):  # int_0^1 (1 - s) e^{-xs} ds = sum_m (-x)^m / (m + 2)!, from m = k - 2
+        if x < 0.5:
+            return math.fsum((-x) ** m / math.factorial(m + 2) for m in range(k - 2, 14))
+        head = math.fsum((-x) ** m / math.factorial(m + 2) for m in range(k - 2))
+        return (x + math.expm1(-x)) / (x * x) - head
+
+    def f(y):
+        u = math.exp(-y)
+        l = math.log1p(-u) + y
+        return u * sum(
+            (complex(sign * l, math.pi) ** (k - 1)).imag * ramp(a * T * r)
+            for sign, r in ((1, u), (-1, 1.0 - u))
+        )
+
+    val, err = integrate.quad(f, math.log(2.0), math.inf, epsabs=1e-15, epsrel=1e-12, limit=200)
+    return a * T * T * val / math.pi
+
+
+def test_wiener_oracle_matches_the_direct_quad():
+    """The branch-cut form against the nested quad of ``test_wiener_default_spec_matches_oracles``."""
+    assert _wiener_oracle(1.0, 3) == pytest.approx(0.13161676748529, abs=1e-13)
+    for c in (0.1, 1.0, 3.0):
+        direct, err = integrate.quad(
+            lambda s: (1 - s) * -math.expm1(-c * c * s) / s, 0.0, 1.0, epsabs=1e-15
+        )
+        assert err < 1e-13
+        assert _wiener_oracle(c, 2) == pytest.approx(direct, abs=1e-14)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(c=st.floats(0.1, 3.0), k=st.sampled_from([2, 3, 4]))
+def test_wiener_const_shifts_converge_to_the_oracle(grid, model, c, k):
+    """Wiener with shifts c const1: the converged value lies within its error estimate
+    (plus rounding) of the 1-D oracle."""
+    one = parse_function("const1", grid)
+    rv = regularized_integral(model, k, c * one, c * one, QuadratureSpec(k=k))
+    oracle = _wiener_oracle(c, k)
+    assert rv.converged
+    assert abs(rv.value - oracle) <= rv.error_estimate + 1e-12 * (1 + abs(oracle)), (rv, oracle)
+
+
+@pytest.mark.parametrize("floor", [0.01, 0.1, 0.33])
+def test_min_gap_truncates_the_simplex(grid, model, floor):
+    """A given floor integrates the gaps above it only: Wiener const1 at k = 2 is
+    int_floor^T (T - s) phi(s) ds."""
+    one = parse_function("const1", grid)
+    rv = regularized_integral(model, 2, one, one, QuadratureSpec(k=2, min_gap=floor))
+    want, err = integrate.quad(lambda s: (1 - s) * _phi(s), floor, 1.0, epsabs=1e-15)
+    assert err < 1e-13 and rv.converged
+    assert abs(rv.value - want) <= 1e-12, (rv, want)
 
 
 def test_growing_differences_do_not_converge(grid, model, monkeypatch):
@@ -430,6 +483,17 @@ def test_schur_bound_random_nonnegative(grid):
         lhs, rhs, ok = schur_bound_check(h)
         assert ok
         assert lhs <= rhs * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.77])
+def test_schur_lhs_matches_the_exact_cellwise_form(grid, a):
+    """The Gauss rule of ``schur_bound_check``, linear in t - a, against the exact
+    per-cell integral of (int_a^t h)^2 / (t - a)^2, for random nonnegative h."""
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        h = GridFunction(grid, np.abs(rng.normal(size=grid.n)))
+        lhs, _, _ = schur_bound_check(h, a)
+        assert lhs == pytest.approx(schur_lhs(h, a), rel=1e-4)
 
 
 def test_schur_bound_nonzero_left_endpoint(grid):

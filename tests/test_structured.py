@@ -61,12 +61,7 @@ from silt.function_space import Intervals, KernelOperator, interval_integrals
 from silt.gram import batch_decompose, batch_ortho_coeffs, batch_projections
 from silt.process_models import ProcessModel
 from silt.quadrature import gap_lattice, gauss_legendre, simplex_rule
-from silt.regularization import (
-    _ORDERS,
-    batch_fw_limit,
-    batch_regularized_integrand,
-    default_min_gap,
-)
+from silt.regularization import _ORDERS, batch_fw_limit, batch_regularized_integrand
 from silt.transform import MC_CHUNK
 
 HALF_PI = math.pi / 2
@@ -166,14 +161,14 @@ def closed_form_integrand(spec, limit=False):
 
 @st.composite
 def time_tuples(draw, grid):
-    """Tuples with closure gaps (min_gap), at most one sub-cell gap, and
+    """Tuples with gaps of two cells, at most one sub-cell gap, and
     first or last times at 0, at T or in the last cell.
 
     Sub-cell gaps go down to 1/20 of a cell; far shorter gaps are the cases of
     ``test_tiny_gap_keeps_the_gram_entries_of_its_neighbours``.
     """
     T, w = grid.T, grid.weight
-    min_gap = default_min_gap(grid)
+    two_cells = 2.0 * w
     k = draw(st.integers(2, 4))
     sub = draw(st.integers(-1, k - 2))  # index of the sub-cell gap, -1 for none
     gaps = []
@@ -181,9 +176,9 @@ def time_tuples(draw, grid):
         if i == sub:
             gaps.append(draw(st.floats(0.05, 0.999)) * w)
         elif draw(st.booleans()):
-            gaps.append(min_gap)
+            gaps.append(two_cells)
         else:
-            gaps.append(draw(st.floats(min_gap, 0.3 * T)))
+            gaps.append(draw(st.floats(two_cells, 0.3 * T)))
     span = sum(gaps)
     where = draw(st.sampled_from(["zero", "end", "last_cell", "free"]))
     if where == "zero":
@@ -316,17 +311,17 @@ def cell_tuples(draw, grid):
 
 
 @functools.lru_cache
-def _lattice(T, k, order, min_gap):
+def _lattice(T, k, order):
     """Gap rows (R, k-1) of ``regularized_integral``'s order-``order`` lattice and its
     Gauss points in t_1, as ``simplex_rule`` combines them."""
-    return gap_lattice(T, k, min_gap, order, closure=True)[0], gauss_legendre(order)[0]
+    return gap_lattice(T, k, None, order)[0], gauss_legendre(order)[0]
 
 
 @st.composite
 def lattice_tuples(draw, grid):
     """A node of the ``regularized_integral`` lattice of any k = 2..4 and any order."""
     k, order = draw(st.integers(2, 4)), draw(st.sampled_from(_ORDERS))
-    gaps, p = _lattice(grid.T, k, order, default_min_gap(grid))
+    gaps, p = _lattice(grid.T, k, order)
     row = gaps[draw(st.integers(0, len(gaps) - 1))]
     t1 = (grid.T - np.add.reduce(row)) * p[draw(st.integers(0, order - 1))]
     return (t1 + np.concatenate([[0.0], np.add.accumulate(row)]))[None]
@@ -438,14 +433,14 @@ def test_tiny_gap_keeps_the_gram_entries_of_its_neighbours(name, gap):
 def test_wiener_gram_is_the_gap_diagonal_on_every_lattice():
     """On every lattice of ``regularized_integral`` at n=512 (k = 2..4, every order)
     the Wiener Gram matrices are diag(gaps) exactly, also on the tuples whose t_k
-    lies in the last cell (up to 105,080 per lattice), where the two-cell rows
+    lies in the last cell (up to 349,548 per lattice), where the two-cell rows
     were off."""
     grid = make_grid(1.0, 512)
     model = wiener_model(grid)
     last = []
     for k in (2, 3, 4):
         for order in _ORDERS:
-            for times, _ in simplex_rule(1.0, k, default_min_gap(grid), order, order, True, 4096):
+            for times, _ in simplex_rule(1.0, k, None, order, order, 4096):
                 A = model.increment_gram(model.increments(times))
                 gaps = np.diff(times, axis=1)
                 assert np.array_equal(A, gaps[:, :, None] * np.eye(k - 1))
@@ -462,7 +457,7 @@ def test_wiener_const1_integrand_is_the_product_form_at_every_node(k):
     f = batch_regularized_integrand(wiener_model(grid), one, one)
     orders = _ORDERS if k < 4 else _ORDERS[:-1]  # the order-32 k=4 lattice is 1.2 M nodes
     for order in orders:
-        for times, _ in simplex_rule(1.0, k, default_min_gap(grid), order, order, True, 4096):
+        for times, _ in simplex_rule(1.0, k, None, order, order, 4096):
             g = np.diff(times, axis=1)
             assert _rel(f(times), np.prod(-np.expm1(-g) / g, axis=1)) <= 1e-13
 
