@@ -2,8 +2,8 @@
 
 Subcommands: gram, transform (``--mc`` for the Monte Carlo estimate),
 regularize, diverge, schur, slnd, berman, pdecay, selftest.  Scalar results
-are emitted as JSON, scans as CSV; every artifact embeds the effective run
-configuration and tool version, so identical configurations produce
+are emitted as JSON, scans as CSV; every artifact embeds the run settings its
+subcommand read and the tool version, so identical configurations produce
 byte-identical bodies.  Exit codes: 0 ok,
 2 validation error, 3 numerical failure (non-convergence, degenerate Gram).
 """
@@ -45,45 +45,59 @@ from .regularization import (
 from .transform import NORMALIZATIONS, TransformPoint, fw_eps, fw_limit, mc_fw_estimate
 
 
-def _setting(default, ini: str, flag: str, conv=str, **arg):
-    """A run setting: default, INI ``section.key``, converter, flag and argparse options."""
-    return dataclasses.field(default=default, metadata=dict(ini=ini, flag=flag, conv=conv, arg=arg))
+def _setting(default, ini: str, flag: str, reads, conv=str, **arg):
+    """A run setting: default, INI ``section.key``, flag, readers, converter, argparse options."""
+    meta = dict(ini=ini, flag=flag, reads=reads, conv=conv, arg=arg)
+    return dataclasses.field(default=default, metadata=meta)
+
+
+# the subcommands that build a model on the grid, and those that build a grid
+_MODELED = ("gram", "transform", "regularize", "diverge", "slnd", "berman", "pdecay")
+_GRIDDED = _MODELED + ("schur",)
 
 
 @dataclass
 class RunConfig:
-    """Effective configuration, serialized into every output artifact."""
+    """Effective configuration of one subcommand.  Each setting names the subcommands that
+    read it, and that alone decides each subcommand's flags, INI keys and echoed settings."""
 
+    command: str
     model: str = _setting(
-        "wiener", "model.spec", "--model",
+        "wiener", "model.spec", "--model", _MODELED,
         help="wiener | perturbed:sl | perturbed:file=<csv> | counterexample",
     )
-    T: float = _setting(1.0, "grid.T", "--grid-T", float, help="interval endpoint")
-    n: int = _setting(512, "grid.n", "--grid-n", int, help="number of grid cells")
-    seed: int = _setting(0, "run.seed", "--seed", int, help="random seed")
+    T: float = _setting(1.0, "grid.T", "--grid-T", _GRIDDED, float, help="interval endpoint")
+    n: int = _setting(512, "grid.n", "--grid-n", _GRIDDED, int, help="number of grid cells")
+    seed: int = _setting(0, "run.seed", "--seed", ("transform",), int, help="random seed")
     normalization: str = _setting(
-        "paper", "run.normalization", "--normalization", choices=NORMALIZATIONS
+        "paper", "run.normalization", "--normalization", ("transform", "diverge"),
+        choices=NORMALIZATIONS,
     )
     levels: int = _setting(
-        QuadratureSpec.levels, "run.levels", "--levels", int, help="most Gauss orders to try (2..6)"
+        QuadratureSpec.levels, "run.levels", "--levels", ("regularize",), int,
+        help="most Gauss orders to try (2..6)",
     )
     min_gap: Optional[float] = _setting(
-        None, "run.min_gap", "--min-gap", float,
+        None, "run.min_gap", "--min-gap", ("regularize",), float,
         help="truncate the regularize simplex at this gap (default: no floor)",
     )
-    out: Optional[str] = _setting(None, "run.out", "--out", help="output path (default stdout)")
+    out: Optional[str] = _setting(
+        None, "run.out", "--out", _GRIDDED, help="output path (default stdout)"
+    )
 
-    def as_dict(self):
-        d = dataclasses.asdict(self)
-        d.pop("out", None)
-        return d
+    def as_dict(self):  # the settings the subcommand read, but the output path
+        return {f.name: getattr(self, f.name) for f in _settings(self.command) if f.name != "out"}
 
 
-def load_config(path: str) -> RunConfig:
+def _settings(command: str):  # the run settings that ``command`` reads
+    return [f for f in dataclasses.fields(RunConfig) if command in f.metadata.get("reads", ())]
+
+
+def load_config(path: str, command: str) -> RunConfig:
     """INI-style config with sections [grid] [model] [run]; flags override it.
 
     Keys are case-insensitive and section names case-sensitive, as configparser
-    reads them.
+    reads them.  A known key that ``command`` does not read is ignored.
     """
     parser = configparser.ConfigParser()
     try:
@@ -94,10 +108,10 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ValidationError(f"config parse error in '{path}': {exc}") from exc
     settings = {}
-    for f in dataclasses.fields(RunConfig):
+    for f in dataclasses.fields(RunConfig)[1:]:  # all but the command
         section, _, key = f.metadata["ini"].partition(".")
         settings[section, key.lower()] = f
-    cfg = RunConfig()
+    cfg = RunConfig(command)
     for section in parser.sections():
         for key, raw in parser.items(section):
             f = settings.get((section, key.lower()))
@@ -105,6 +119,8 @@ def load_config(path: str) -> RunConfig:
                 raise ValidationError(
                     f"unknown config key '{key}' in section [{section}] of '{path}'"
                 )
+            if command not in f.metadata["reads"]:
+                continue
             try:
                 value = f.metadata["conv"](raw)
                 choices = f.metadata["arg"].get("choices")
@@ -123,13 +139,6 @@ def _parse_floats(text: str, what: str = "float list") -> List[float]:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ValidationError(f"malformed {what} '{text}'") from exc
-
-
-def _parse_times(text: str) -> List[float]:
-    times = _parse_floats(text, "times")
-    if len(times) < 2:
-        raise ValidationError(f"need at least two times, got '{text}'")
-    return times
 
 
 def _emit_json(cfg: RunConfig, result: dict) -> None:
@@ -177,7 +186,7 @@ def _build(cfg: RunConfig):
 
 def _cmd_gram(cfg: RunConfig, args) -> int:
     grid, model = _build(cfg)
-    tt = TimeTuple(_parse_times(args.times))
+    tt = TimeTuple(_parse_floats(args.times, "times"))
     dec = decompose(model, tt)
     result = {
         "gamma": dec.gamma,
@@ -193,7 +202,7 @@ def _cmd_gram(cfg: RunConfig, args) -> int:
 
 def _cmd_transform(cfg: RunConfig, args) -> int:
     grid, model = _build(cfg)
-    tt = TimeTuple(_parse_times(args.times))
+    tt = TimeTuple(_parse_floats(args.times, "times"))
     h1 = parse_function(args.h1, grid, model.aux_dim)
     h2 = parse_function(args.h2, grid, model.aux_dim)
     point = TransformPoint(model, tt, h1, h2, cfg.normalization)
@@ -240,8 +249,7 @@ def _cmd_diverge(cfg: RunConfig, args) -> int:
 
 
 def _cmd_schur(cfg: RunConfig, args) -> int:
-    grid, _ = _build(cfg)
-    h = parse_function(args.h, grid)
+    h = parse_function(args.h, make_grid(cfg.T, cfg.n))
     lhs, rhs, ok = schur_bound_check(h, args.a)
     _emit_json(cfg, {"lhs": lhs, "rhs": rhs, "pass": ok})
     if not ok:
@@ -251,7 +259,7 @@ def _cmd_schur(cfg: RunConfig, args) -> int:
 
 def _cmd_slnd(cfg: RunConfig, args) -> int:
     grid, model = _build(cfg)
-    tt = TimeTuple(_parse_times(args.times))
+    tt = TimeTuple(_parse_floats(args.times, "times"))
     try:
         M = [int(tok) for tok in args.subset.split(",") if tok.strip() != ""]
     except ValueError as exc:
@@ -266,12 +274,12 @@ def _cmd_slnd(cfg: RunConfig, args) -> int:
 
 def _cmd_berman(cfg: RunConfig, args) -> int:
     grid, model = _build(cfg)
-    times = _parse_times(args.times)
+    tt = TimeTuple(_parse_floats(args.times, "times"))
     if args.scan:
-        report = berman_scan(model, times[0], len(times), _parse_floats(args.scan))
+        report = berman_scan(model, tt.times[0], tt.k, _parse_floats(args.scan))
         _emit_csv(cfg, ["gap", "value"], list(zip(report.gaps, report.ratios)))
     else:
-        _emit_json(cfg, {"stat": berman_stat(model, TimeTuple(times))})
+        _emit_json(cfg, {"stat": berman_stat(model, tt)})
     return 0
 
 
@@ -354,15 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"silt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="INI config file ([grid] [model] [run])")
-    for f in dataclasses.fields(RunConfig):
-        m = f.metadata
-        common.add_argument(m["flag"], dest=f.name, type=m["conv"], **m["arg"])
-
     def command(name, handler, summary):
-        p = sub.add_parser(name, parents=[common], help=summary)
-        p.set_defaults(handler=handler)
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, config=None)
+        settings = _settings(name)
+        if settings:
+            p.add_argument("--config", help="INI config file ([grid] [model] [run])")
+        for f in settings:
+            m = f.metadata
+            p.add_argument(m["flag"], dest=f.name, type=m["conv"], **m["arg"])
         return p
 
     p = command("gram", _cmd_gram, "Gram determinant, matrix and projections")
@@ -412,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    for f in dataclasses.fields(RunConfig):
+    cfg = load_config(args.config, args.command) if args.config else RunConfig(args.command)
+    for f in _settings(args.command):
         val = getattr(args, f.name)
         if val is not None:
             setattr(cfg, f.name, val)

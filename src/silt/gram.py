@@ -30,34 +30,28 @@ from .function_space import GridFunction, cumulative
 from .process_models import ProcessModel
 
 COND_CUTOFF = 1e12
-DEFAULT_MIN_GAP = 1e-9
 
 
 @dataclass(frozen=True)
 class TimeTuple:
-    """Strictly increasing times in [0, T], a point of the open simplex."""
+    """Strictly increasing times in [0, T], a point of the open simplex; how near the
+    diagonal it may lie is ``batch_cholesky``'s to decide, on every path alike."""
 
     times: Tuple[float, ...]
-    min_gap: float = DEFAULT_MIN_GAP
 
-    def __init__(self, times: Sequence[float], min_gap: float = DEFAULT_MIN_GAP):
+    def __init__(self, times: Sequence[float]):
         times = tuple(float(t) for t in times)
         if len(times) < 2:
-            raise ValidationError("a time tuple needs at least two times")
+            raise ValidationError(f"a time tuple needs at least two times, got {times}")
         if not all(map(math.isfinite, times)):
             raise ValidationError(f"times must be finite, got {times}")
-        if not 0 < min_gap < math.inf:
-            raise ValidationError(f"min_gap must be positive and finite, got {min_gap}")
         gaps = [b - a for a, b in zip(times, times[1:])]
-        if min(gaps) < min_gap:
+        if min(gaps) <= 0:
             i = gaps.index(min(gaps))
-            raise ValidationError(
-                f"gap t[{i + 1}]-t[{i}] = {gaps[i]:.3e} below min_gap {min_gap:.1e}"
-            )
+            raise ValidationError(f"gap t[{i + 1}]-t[{i}] = {gaps[i]:.3e} is not positive")
         if times[0] < 0:
             raise ValidationError(f"times must be nonnegative, got {times[0]}")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "min_gap", min_gap)
 
     @property
     def k(self) -> int:
@@ -91,7 +85,7 @@ def gap_scan_tuple(times: Sequence[float], indices: Sequence[int], gap: float, T
     times = times[:1] + [times[0] + s for s in itertools.accumulate(gaps)]
     if times[-1] > T + 1e-12:
         raise ValidationError(f"scanned tuple at gap {gap} leaves the interval [0, {T}]")
-    return TimeTuple(times, min_gap=min(gap / 2, 1e-9))
+    return TimeTuple(times)
 
 
 @dataclass(frozen=True)

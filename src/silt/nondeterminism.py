@@ -114,7 +114,7 @@ def berman_scan(
         times = t1 + np.linspace(0.0, wdw, m)
         if times[-1] > model.grid.T + 1e-12:
             raise ValidationError(f"window {wdw} leaves the interval [0, {model.grid.T}]")
-        stats.append(berman_stat(model, TimeTuple(times, min_gap=min(wdw / (2 * m), 1e-9))))
+        stats.append(berman_stat(model, TimeTuple(times)))
     limit = abs(stats[-1] - 1.0) < SCAN_TOL
     return SLNDReport(tuple(window_sequence), tuple(stats), limit)
 

@@ -34,14 +34,13 @@ from .gram import (
     wiener_projections,
 )
 from .process_models import ProcessModel
-from .quadrature import gap_lattice, integrate_simplex_level, integrate_simplex_orders
+from .quadrature import integrate_simplex_level, integrate_simplex_orders
 from .transform import batch_fw_limit
 
 # Gauss points per coordinate of the orders that regularized_integral tries in turn
 _ORDERS = (4, 8, 12, 16, 24, 32)
-# Gauss orders of the Schur-test checks, and truncation and orders of the
-# iterated-product bound check
-_SCHUR_CELLS = 1024
+# grid of the Schur kernel norm, and truncation and orders of the iterated-product
+# bound check
 _SCHUR_KERNEL_CELLS = 512
 _ITERATED_MIN_GAP = 1e-6
 _ITERATED_GAP_CELLS = 32
@@ -196,31 +195,28 @@ def integrand_diagonal_scan(
 # Schur-test machinery behind the finiteness proof
 
 
-def _norm_sq_on(h: GridFunction, a: float) -> float:
-    """Exact integral of h^2 over [a, T] for cellwise-constant h."""
-    w = h.grid.weight
-    edges = np.arange(h.grid.n) * w
-    cover = np.clip((edges + w - a) / w, 0.0, 1.0)
-    return float(np.sum(h.values**2 * cover) * w)
-
-
 def schur_bound_check(h: GridFunction, a: float = 0.0) -> Tuple[float, float, bool]:
     """Check int_a^T (int_a^t h)^2 / (t-a)^2 dt <= 8 ||h||^2 on [a, T].
 
-    The left side is integrated at Gauss points linear in t - a on (a, T): the
-    integrand is bounded toward t = a, approaching h(a)^2.
+    Both sides are exact for cellwise-constant h.  On a cell [a + x0, a + x1] past a,
+    int_a^t h = s x + d with x = t - a, s the cell's value and d = int_a^{a + x0} h - s x0,
+    so the cell adds s^2 D + 2 s d log1p(D / x0) + d^2 D / (x0 x1) to the left side and
+    s^2 D to ||h||^2, D = x1 - x0; the cell holding a has x0 = d = 0 and adds s^2 D to both.
     """
     if np.any(h.values < -1e-12):
         raise ValidationError("the bound applies to nonnegative h only")
     T = h.grid.T
     if not 0 <= a < T:
         raise ValidationError(f"left endpoint a={a} must lie in [0, T={T})")
-    edges, cum = cumulative(h)
-    x, wts = gap_lattice(T - a, 2, None, _SCHUR_CELLS)
-    x = x[:, 0]                                # t - a
-    H = np.interp(a + x, edges, cum) - np.interp(a, edges, cum)
-    lhs = float(np.sum((H / x) ** 2 * wts))
-    rhs = 8.0 * _norm_sq_on(h, a)
+    edges = cumulative(h)[0]
+    past = edges[1:] > a
+    x0, x1, s = np.maximum(edges[:-1][past] - a, 0.0), edges[1:][past] - a, h.values[past]
+    D = x1 - x0
+    d = np.concatenate([[0.0], np.cumsum(s * D)[:-1]]) - s * x0
+    norm_sq = float(np.sum(s * s * D))
+    x0, x1, s, d, D = x0[1:], x1[1:], s[1:], d[1:], D[1:]
+    lhs = norm_sq + float(np.sum(2.0 * s * d * np.log1p(D / x0) + d * d * D / (x0 * x1)))
+    rhs = 8.0 * norm_sq
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-6)
 
 

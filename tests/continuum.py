@@ -70,21 +70,3 @@ def continuum_decompose(model, times, hs=(), kernel=None):
     A = rows @ rows.T
     L = np.linalg.cholesky(A)
     return A, np.prod(np.diag(L)) ** 2, [np.linalg.solve(L, rows @ h) for h in shifts]
-
-
-def schur_lhs(h, a):
-    """Exact int_a^T (int_a^t h)^2 / (t - a)^2 dt for a cellwise-constant h.
-
-    On a cell [a + x0, a + x1] past a, int_a^t h = s x + d with x = t - a, s the
-    cell's value and d = int_a^{a + x0} h - s x0, so the cell contributes
-    s^2 D + 2 s d log1p(D / x0) + d^2 (1/x0 - 1/x1), D = x1 - x0; the cell holding a
-    has d = 0 and contributes s^2 D.
-    """
-    edges = np.arange(h.grid.n + 1) * h.grid.weight
-    past = edges[1:] > a
-    x0, x1, s = np.maximum(edges[:-1][past] - a, 0.0), edges[1:][past] - a, h.values[past]
-    D = x1 - x0
-    d = np.concatenate([[0.0], np.cumsum(s * D)[:-1]]) - s * x0
-    x0, x1, s1, d, D1 = x0[1:], x1[1:], s[1:], d[1:], D[1:]
-    cells = s1 * s1 * D1 + 2.0 * s1 * d * np.log1p(D1 / x0) + d * d * D1 / (x0 * x1)
-    return float(s[0] * s[0] * D[0] + np.sum(cells))

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import silt
-from silt.cli import main
+from silt.cli import RunConfig, build_parser, main
 
 
 def run(capsys, *argv):
@@ -355,9 +357,15 @@ def test_unknown_model_exits_2(capsys):
 
 
 def test_degenerate_tuple_exits_3(capsys):
-    code, out, err = run(capsys, "gram", "--times", "0.5,0.500000001,0.9")
-    # gap below TimeTuple min_gap -> validation (2); truly degenerate Gram -> 3
-    assert code in (2, 3)
+    """No floor on the gaps: the Gram kernel's condition check alone refuses a tuple."""
+    code, out, err = run(capsys, "gram", "--times", "0.5,0.5000000000001,0.9")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: degenerate tuple (0.5, 0.5000000000001, 0.9)" in err
+    times = [0.5, 0.5000000001, 0.9]
+    doc = run_json(capsys, "gram", "--times", ",".join(map(str, times)))
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    assert doc["result"]["gamma"] == pytest.approx(math.prod(gaps), rel=1e-9, abs=0.0)
 
 
 def test_output_file_and_determinism(tmp_path, capsys):
@@ -380,56 +388,180 @@ def test_selftest_passes(capsys):
     assert "9/9 selftest checks passed" in out
 
 
-# one row per run setting: INI section and key, config field, INI value and the
-# value it gives, flag, flag value and the value it gives, and a value the
-# setting's converter or choices reject (None for text settings, which take any string)
-SETTINGS = [
-    ("grid", "T", "T", "2.0", 2.0, "--grid-T", "1.5", 1.5, "abc"),
-    ("grid", "n", "n", "64", 64, "--grid-n", "32", 32, "1.5"),
-    ("model", "spec", "model", "counterexample", "counterexample", "--model", "wiener", "wiener", None),
-    ("run", "seed", "seed", "7", 7, "--seed", "9", 9, "x"),
-    ("run", "normalization", "normalization", "analytic", "analytic",
-     "--normalization", "paper", "paper", "weird"),
-    ("run", "levels", "levels", "3", 3, "--levels", "4", 4, "two"),
-    ("run", "min_gap", "min_gap", "0.05", 0.05, "--min-gap", "0.01", 0.01, "small"),
-    ("run", "out", "out", "ini.json", "ini.json", "--out", "flag.json", "flag.json", None),
-]
 GRAM = ("gram", "--times", "0.2,0.5,0.9")
+TRANSFORM = ("transform", "--times", "0.3,0.8", "--h1", "sin:1", "--h2", "zero")
+REGULARIZE = ("regularize", "--k", "2", "--h1", "const1", "--h2", "const1")
+
+# one row per run setting: a subcommand that reads it, INI section and key, config
+# field, INI value and the value it gives, flag, flag value and the value it gives,
+# and a value the setting's converter or choices reject (None for text settings,
+# which take any string)
+SETTINGS = [
+    (GRAM, "grid", "T", "T", "2.0", 2.0, "--grid-T", "1.5", 1.5, "abc"),
+    (GRAM, "grid", "n", "n", "64", 64, "--grid-n", "32", 32, "1.5"),
+    (GRAM, "model", "spec", "model", "counterexample", "counterexample", "--model", "wiener",
+     "wiener", None),
+    (TRANSFORM + ("--mc", "1000"), "run", "seed", "seed", "7", 7, "--seed", "9", 9, "x"),
+    (TRANSFORM, "run", "normalization", "normalization", "analytic", "analytic",
+     "--normalization", "paper", "paper", "weird"),
+    (REGULARIZE, "run", "levels", "levels", "3", 3, "--levels", "4", 4, "two"),
+    (REGULARIZE + ("--levels", "3"), "run", "min_gap", "min_gap", "0.05", 0.05,
+     "--min-gap", "0.01", 0.01, "small"),
+    (GRAM, "run", "out", "out", "ini.json", "ini.json", "--out", "flag.json", "flag.json", None),
+]
 
 
-def _setting_value(capsys, tmp_path, attr, *argv):
-    """The value of one setting in the effective configuration of a gram run."""
-    code, out, err = run(capsys, *GRAM, *argv)
+def _config(capsys, tmp_path, *argv):
+    """The configuration echoed by a run in ``tmp_path``, and the name of the file
+    it was written to (None for stdout)."""
+    code, out, err = run(capsys, *argv)
     assert code == 0, err
-    if attr != "out":
-        return json.loads(out)["config"][attr]
-    assert out == ""
+    if out:
+        return _echo(out), None
     (written,) = tmp_path.glob("*.json")
+    text = written.read_text()
     written.unlink()
-    return written.name
+    return _echo(text), written.name
 
 
-@pytest.mark.parametrize("row", SETTINGS, ids=[f"{r[0]}.{r[1]}" for r in SETTINGS])
+def _echo(text):
+    if text.startswith("# silt"):
+        return json.loads(text.splitlines()[1][len("# config "):])
+    return json.loads(text)["config"]
+
+
+@pytest.mark.parametrize("row", SETTINGS, ids=[f"{r[1]}.{r[2]}" for r in SETTINGS])
 def test_every_config_setting(tmp_path, capsys, monkeypatch, row):
-    section, key, attr, ini, ini_value, flag, flag_arg, flag_value, bad = row
+    argv, section, key, attr, ini, ini_value, flag, flag_arg, flag_value, bad = row
     monkeypatch.chdir(tmp_path)
+
+    def value(*extra):
+        config, written = _config(capsys, tmp_path, *argv, *extra)
+        return written if attr == "out" else config[attr]
+
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[{section}]\n{key} = {ini}\n")
-    assert _setting_value(capsys, tmp_path, attr, "--config", str(cfg)) == ini_value
-    assert _setting_value(capsys, tmp_path, attr, "--config", str(cfg), flag, flag_arg) == flag_value
+    assert value("--config", str(cfg)) == ini_value
+    assert value("--config", str(cfg), flag, flag_arg) == flag_value
     # keys are case-insensitive
     cfg.write_text(f"[{section}]\n{key.swapcase()} = {ini}\n")
-    assert _setting_value(capsys, tmp_path, attr, "--config", str(cfg)) == ini_value
+    assert value("--config", str(cfg)) == ini_value
     # section names are not
     cfg.write_text(f"[{section.upper()}]\n{key} = {ini}\n")
-    code, out, err = run(capsys, *GRAM, "--config", str(cfg))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
     assert code == 2
     assert f"unknown config key '{key.lower()}' in section [{section.upper()}]" in err
     if bad is not None:
         cfg.write_text(f"[{section}]\n{key} = {bad}\n")
-        code, out, err = run(capsys, *GRAM, "--config", str(cfg))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
         assert code == 2
         assert f"validation error: bad value '{bad}' for {section}.{key.lower()} in" in err
+        if attr not in READS["schur"]:
+            # a known key that the subcommand does not read is not even converted
+            code, out, err = run(capsys, *ARGV["schur"], "--config", str(cfg))
+            assert code == 0, err
+
+
+# the run settings each subcommand reads, its runnable argv, and for every setting a
+# flag value and the value it gives; a subcommand that reads any setting takes --config
+BUILD = {"model", "T", "n", "out"}
+READS = {
+    "gram": BUILD,
+    "slnd": BUILD,
+    "berman": BUILD,
+    "pdecay": BUILD,
+    "transform": BUILD | {"normalization", "seed"},
+    "regularize": BUILD | {"levels", "min_gap"},
+    "diverge": BUILD | {"normalization"},
+    "schur": {"T", "n", "out"},
+    "selftest": set(),
+}
+ARGV = {
+    "gram": GRAM,
+    "slnd": ("slnd", "--times", "0.2,0.5,0.9", "--subset", "1"),
+    "berman": ("berman", "--times", "0.2,0.5,0.9"),
+    "pdecay": ("pdecay", "--t1", "0.3", "--t2", "0.5", "--h", "const1"),
+    "transform": TRANSFORM,
+    "regularize": REGULARIZE,
+    "diverge": ("diverge", "--k", "2", "--h1", "zero", "--h2", "zero", "--deltas", "0.1"),
+    "schur": ("schur", "--h", "const1"),
+    "selftest": ("selftest",),
+}
+FLAGS = {
+    "model": ("--model", "counterexample", "counterexample"),
+    "T": ("--grid-T", "2.0", 2.0),
+    "n": ("--grid-n", "64", 64),
+    "seed": ("--seed", "7", 7),
+    "normalization": ("--normalization", "analytic", "analytic"),
+    "levels": ("--levels", "3", 3),
+    "min_gap": ("--min-gap", "0.01", 0.01),
+    "out": ("--out", "x.json", "x.json"),
+}
+# every known INI key, set to the values above; each subcommand applies those it reads
+ALL_KEYS_INI = """[grid]
+T = 2.0
+n = 64
+[model]
+spec = counterexample
+[run]
+seed = 7
+normalization = analytic
+levels = 3
+min_gap = 0.01
+out = x.json
+"""
+
+
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_the_parser_takes_exactly_the_settings_each_subcommand_reads():
+    """Every setting has a row; each subcommand's parser takes the flags of the
+    settings it reads, and --config if it reads any: 44 settable values in all."""
+    settings = [f for f in dataclasses.fields(RunConfig) if f.metadata]
+    assert {f.name for f in settings} == set(FLAGS)
+    assert {f.name: f.metadata["flag"] for f in settings} == {k: v[0] for k, v in FLAGS.items()}
+    parsers = _subparsers()
+    assert set(parsers) == set(READS)
+    known = {"--config"} | {flag for flag, _, _ in FLAGS.values()}
+    taken = {}
+    for name, p in parsers.items():
+        taken[name] = known & {s for a in p._actions for s in a.option_strings}
+        want = {FLAGS[attr][0] for attr in READS[name]} | ({"--config"} if READS[name] else set())
+        assert taken[name] == want, name
+    assert sum(map(len, taken.values())) == 44
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_subcommand_echoes_what_it_reads_and_refuses_the_rest(
+    tmp_path, capsys, monkeypatch, command
+):
+    """A flag a subcommand reads reaches its config echo, which holds exactly the
+    settings it read (but the output path); any other setting flag exits 2; an INI
+    file that sets every known key applies those it reads and ignores the others."""
+    monkeypatch.chdir(tmp_path)
+    argv, reads = ARGV[command], READS[command]
+    if reads:
+        config, written = _config(capsys, tmp_path, *argv)
+        assert set(config) == reads - {"out"}
+        for attr in sorted(reads):
+            flag, arg, want = FLAGS[attr]
+            config, written = _config(capsys, tmp_path, *argv, flag, arg)
+            assert (written if attr == "out" else config[attr]) == want, flag
+        (tmp_path / "all.ini").write_text(ALL_KEYS_INI)
+        config, written = _config(capsys, tmp_path, *argv, "--config", "all.ini")
+        assert written == "x.json"
+        assert config == {attr: FLAGS[attr][2] for attr in reads - {"out"}}
+    else:
+        assert main(list(argv)) == 0
+    refused = [FLAGS[attr][:2] for attr in sorted(set(FLAGS) - reads)]
+    for flag, arg in refused + ([] if reads else [("--config", "all.ini")]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, arg])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {arg}" in capsys.readouterr().err
 
 
 def run_csv(capsys, *argv):

@@ -54,16 +54,24 @@ def test_time_tuple_validation():
     assert np.allclose(tt.gaps, [0.3, 0.6])
 
 
-@pytest.mark.parametrize("min_gap", [math.nan, math.inf, 0.0, -1e-9])
-def test_time_tuple_rejects_a_min_gap_that_is_not_positive_and_finite(min_gap):
-    """A NaN floor would let every gap pass ``gaps < min_gap``; inf would reject all."""
-    with pytest.raises(ValidationError, match=re.escape(f"positive and finite, got {min_gap}")):
-        TimeTuple([0.1, 0.5], min_gap=min_gap)
-
-
 def test_time_tuple_names_the_first_smallest_gap():
-    with pytest.raises(ValidationError, match=re.escape("gap t[2]-t[1] = 9.095e-13 below")):
-        TimeTuple([0.0, 0.25, 0.25 + 2**-40, 0.5, 0.5 + 2**-40])
+    with pytest.raises(ValidationError, match=re.escape("gap t[2]-t[1] = -5.000e-02 is not")):
+        TimeTuple([0.0, 0.25, 0.2, 0.5, 0.45])
+    with pytest.raises(ValidationError, match=re.escape("gap t[1]-t[0] = 0.000e+00 is not")):
+        TimeTuple([0.5, 0.5, 0.5])
+
+
+def test_time_tuple_leaves_a_tiny_gap_to_the_gram_kernel():
+    """A positive gap is a tuple, however small: a gap of 2^-40 next to 0.25 factors
+    (condition number 2.7e11), Gamma equal to the product of the gaps; 1e-13 does not."""
+    m = wiener_model(make_grid(1.0, 64))
+    times = [0.0, 0.25, 0.25 + 2**-40, 0.5]
+    assert decompose(m, TimeTuple(times)).gamma == pytest.approx(
+        math.prod(np.diff(times)), rel=1e-12, abs=0.0
+    )
+    named = r"tuple \(0\.0, 0\.25, 0\.2500000000001, 0\.5\): condition number 2\.50e\+12"
+    with pytest.raises(DegenerateConfigurationError, match=named):
+        decompose(m, TimeTuple([0.0, 0.25, 0.25 + 1e-13, 0.5]))
 
 
 def test_gap_scan_tuple_adds_the_gaps_in_cumsum_order():
@@ -130,7 +138,7 @@ def test_degenerate_tuple_raises_with_gap_location():
     grid = make_grid(1.0, 512)
     m = wiener_model(grid)
     with pytest.raises(DegenerateConfigurationError, match="gap"):
-        decompose(m, TimeTuple([0.5, 0.5 + 1e-14, 0.9], min_gap=1e-15))
+        decompose(m, TimeTuple([0.5, 0.5 + 1e-14, 0.9]))
 
 
 def test_single_interval_projection_wiener():
@@ -155,25 +163,24 @@ def test_batch_decompose_names_the_degenerate_tuple():
 def test_ill_conditioned_tuple_is_rejected_on_every_path(capsys):
     """A positive definite Gram matrix with condition number above 1e12 in the
     middle of a batch: the batched kernel, its B=1 call and the CLI reject it
-    by name.  Gram entries are exact, so on Wiener that takes gaps 2e-9 and
-    9000 apart (T = 1e4)."""
-    m = wiener_model(make_grid(1e4, 64))
-    bad = [0.3, 0.300000002, 9000.0]
+    by name.  Gram entries are exact, so on Wiener gaps of 1e-13 and 0.6 do."""
+    m = wiener_model(make_grid(1.0, 64))
+    bad = [0.3, 0.3000000000001, 0.9]
     times = np.array([[0.1, 0.4, 0.8], bad, [0.2, 0.5, 0.9]])
     A = m.increment_gram(m.increments(np.array([bad])))
     np.linalg.cholesky(A)
     assert np.linalg.cond(A[0]) > COND_CUTOFF
     named = (
-        r"tuple \(0\.3, 0\.300000002, 9000\.0\): condition number \d\.\d\de\+\d\d "
-        r"\(smallest gap 2\.000e-09\)"
+        r"tuple \(0\.3, 0\.3000000000001, 0\.9\): condition number \d\.\d\de\+\d\d "
+        r"\(smallest gap 1\.000e-13\)"
     )
     with pytest.raises(DegenerateConfigurationError, match=named):
         batch_decompose(m, times)
     with pytest.raises(DegenerateConfigurationError, match=named):
         decompose(m, TimeTuple(bad))
-    argv = ["gram", "--grid-T", "1e4", "--grid-n", "64", "--times", "0.3,0.300000002,9000"]
+    argv = ["gram", "--grid-n", "64", "--times", "0.3,0.3000000000001,0.9"]
     assert main(argv) == 3
-    assert "0.300000002" in capsys.readouterr().err
+    assert "0.3000000000001" in capsys.readouterr().err
 
 
 def test_closed_form_2x2_check_decides_like_eigvalsh():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from continuum import schur_lhs
 from silt import (
     DegenerateConfigurationError,
     QuadratureSpec,
@@ -26,7 +25,7 @@ from silt import (
     sturm_liouville_model,
     wiener_model,
 )
-from silt.function_space import GridFunction
+from silt.function_space import GridFunction, cumulative
 from silt import regularization
 from silt.quadrature import (
     gap_lattice,
@@ -39,7 +38,6 @@ from silt.regularization import (
     _ITERATED_GAP_CELLS,
     _ITERATED_T_CELLS,
     _ORDERS,
-    _SCHUR_CELLS,
     batch_regularized_integrand,
 )
 
@@ -108,12 +106,12 @@ def _probe_orders():
 
 
 # the regularize orders, the divergence probe's default orders and those the diverge
-# benchmark and criterion 6 pass, and the Schur and iterated-bound orders
+# benchmark and criterion 6 pass, and the iterated-bound orders
 @pytest.mark.parametrize(
     "n",
     sorted(
         {*_ORDERS, *_probe_orders(), 64, 96, 256}
-        | {_SCHUR_CELLS, _ITERATED_GAP_CELLS, _ITERATED_T_CELLS}
+        | {_ITERATED_GAP_CELLS, _ITERATED_T_CELLS}
     ),
 )
 def test_gauss_legendre_is_exact_to_degree_2n_minus_1(n):
@@ -486,14 +484,22 @@ def test_schur_bound_random_nonnegative(grid):
 
 
 @pytest.mark.parametrize("a", [0.0, 0.3, 0.77])
-def test_schur_lhs_matches_the_exact_cellwise_form(grid, a):
-    """The Gauss rule of ``schur_bound_check``, linear in t - a, against the exact
-    per-cell integral of (int_a^t h)^2 / (t - a)^2, for random nonnegative h."""
+def test_schur_sides_match_a_gauss_rule_on_each_cell(grid, a):
+    """Both sides of ``schur_bound_check`` against 24 Gauss points on each piece of
+    [a, T] cut at the cell edges, where (int_a^t h)^2 / (t - a)^2 and h^2 are smooth,
+    to 1e-12 relative, for random nonnegative h."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    cuts = np.unique(np.concatenate([[a], np.arange(grid.n + 1) * grid.weight]))
+    lo, hi = cuts[cuts >= a][:-1, None], cuts[cuts >= a][1:, None]
+    t, wts = lo + (hi - lo) * (x + 1) / 2, (hi - lo) * w / 2
     rng = np.random.default_rng(13)
     for _ in range(100):
         h = GridFunction(grid, np.abs(rng.normal(size=grid.n)))
-        lhs, _, _ = schur_bound_check(h, a)
-        assert lhs == pytest.approx(schur_lhs(h, a), rel=1e-4)
+        H = lambda s: np.interp(s, *cumulative(h))
+        vals = h.values[np.minimum((t / grid.weight).astype(int), grid.n - 1)]
+        lhs, rhs, _ = schur_bound_check(h, a)
+        assert lhs == pytest.approx(np.sum(((H(t) - H(a)) / (t - a)) ** 2 * wts), rel=1e-12)
+        assert rhs == pytest.approx(8.0 * np.sum(vals**2 * wts), rel=1e-12)
 
 
 def test_schur_bound_nonzero_left_endpoint(grid):
@@ -501,7 +507,7 @@ def test_schur_bound_nonzero_left_endpoint(grid):
     lhs, rhs, ok = schur_bound_check(h, a=0.3)
     assert ok
     # closed form: the integrand is ((t-a)/(t-a))^2 = 1, so lhs = T-a
-    assert lhs == pytest.approx(0.7, rel=1e-3)
+    assert lhs == pytest.approx(0.7, rel=1e-12)
     assert rhs == pytest.approx(8 * 0.7, rel=1e-12)
 
 
