@@ -36,11 +36,13 @@ from .nondeterminism import (
 )
 from .process_models import parse_model, sturm_liouville_operator, wiener_model
 from .regularization import (
+    _ORDERS,
     QuadratureSpec,
     divergence_probe,
     regularized_integral,
     regularized_integrand,
     schur_bound_check,
+    stop_reason,
 )
 from .transform import NORMALIZATIONS, TransformPoint, fw_eps, fw_limit, mc_fw_estimate
 
@@ -75,7 +77,7 @@ class RunConfig:
     )
     levels: int = _setting(
         QuadratureSpec.levels, "run.levels", "--levels", ("regularize",), int,
-        help="most Gauss orders to try (2..6)",
+        help=f"most Gauss orders to try (2..{len(_ORDERS)})",
     )
     min_gap: Optional[float] = _setting(
         None, "run.min_gap", "--min-gap", ("regularize",), float,
@@ -227,14 +229,8 @@ def _cmd_regularize(cfg: RunConfig, args) -> int:
     rv = regularized_integral(model, args.k, h1, h2, spec)
     _emit_json(cfg, dataclasses.asdict(rv))
     if not rv.converged:
-        diff, bound = rv.error_estimate, spec.tol * (1.0 + abs(rv.value))
-        if diff > bound:
-            why = f"> tol*(1+|value|) = {bound:.3e}"
-        elif len(rv.level_estimates) == 2:
-            why = "is the only one, and a lone difference is not trusted (levels >= 3)"
-        else:
-            why = "grew from the difference before it"
-        raise SiltError(f"not converged: last level difference {diff:.3e} {why}")
+        why = stop_reason(rv.level_estimates, spec.tol)
+        raise SiltError(f"not converged: last level difference {rv.error_estimate:.3e} {why}")
     return 0
 
 

@@ -5,13 +5,13 @@ cell values); an optional block of auxiliary coordinates (orthonormal to the
 grid part by construction) carries finite-dimensional directions such as the
 e+0 direction of the counterexample process.
 
-The Gram kernel integrates exactly over intervals.  ``Intervals`` cuts the
-intervals between consecutive times into a head and a tail inside the cells of
-their ends and a block of whole cells between them, and ``interval_integrals``
-integrates a cellwise-constant function, alone or times sin u and cos u, over
-each: a block from prefix sums built once per function, head and tail directly,
-so a sub-cell interval keeps its digits.  Only this module reads that cell
-format; the models get integrals, and the cell parts with their shares.
+The Gram kernel integrates exactly over intervals, by one rule (``interval_weights``)
+on one table per grid (``cell_table``).  ``Intervals`` cuts the intervals between
+consecutive times into a head and a tail inside the cells of their ends and a block of
+whole cells between them, and ``interval_integrals`` integrates a cellwise-constant
+function, alone or times sin u and cos u, over each: a block from prefix sums built
+once per call, head and tail directly, so a sub-cell interval keeps its digits.  Only
+this module reads that cell format; the models get integrals and the cell parts.
 
 The grid functions 1I_[0,t] (``indicator``, behind the ``indicator:a:b`` shift)
 use a two-cell boundary construction: the two cells around t carry values
@@ -27,6 +27,7 @@ Per-call code calls ufuncs' reduce/accumulate, not numpy's wrappers (1-3 us slow
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -240,19 +241,28 @@ class Intervals:
         return lo, hi, share / w
 
 
+@functools.lru_cache(maxsize=16)
+def cell_table(grid: Grid):
+    """The grid's cell edges (n + 1,), sin and cos at them (2, n + 1) and the integrals
+    over each cell of 1, sin u and cos u (3, n): built once per grid, read-only."""
+    edges = np.arange(grid.n + 1) * grid.weight
+    at_edges = np.array([np.sin(edges), np.cos(edges)])
+    cells = interval_weights(edges[1:] - edges[:-1], at_edges[:, :-1])
+    edges.flags.writeable = at_edges.flags.writeable = cells.flags.writeable = False
+    return edges, at_edges, cells
+
+
 def interval_integrals(grid: Grid, f: np.ndarray, trig: bool = False):
     """Intervals -> exact integrals over each of the cellwise-constant f (n,), (1, s, B),
     or of f, f sin u and f cos u with ``trig`` (Intervals built with trig), (3, s, B).
 
-    A block is a difference of prefix sums of f times the cell integrals, built here
-    once per f; head and tail are f on their cell times the integrals over them, so a
-    sub-cell interval is never a difference of sums over [0, t].  A tail starts on the
-    edge of its cell, or is empty.
+    A block is a difference of prefix sums of f times the cell integrals of
+    ``cell_table``, built here once per call; head and tail are f on their cell times
+    the integrals over them, so a sub-cell interval is never a difference of sums over
+    [0, t].  A tail starts on the edge of its cell, or is empty.
     """
-    edges = np.arange(grid.n + 1) * grid.weight
-    at_edges = np.array([np.sin(edges), np.cos(edges)]) if trig else None
-    cells = interval_weights(edges[1:] - edges[:-1], at_edges[:, :-1] if trig else None)
-    cum = prefix_sums(f * cells)
+    _, at_edges, cells = cell_table(grid)
+    cum = prefix_sums(f * cells[: 1 + 2 * trig])
 
     def integrate(iv: Intervals) -> np.ndarray:
         (a, m, tail, b), c = iv.bounds, iv.cells
@@ -268,11 +278,9 @@ def interval_integrals(grid: Grid, f: np.ndarray, trig: bool = False):
 
 
 def cumulative(h: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
-    """Cell edges and the exact cumulative integral of h at them: with ``np.interp``, the
-    cumulative H(t) = int_0^t h of the cellwise-constant h at any t."""
-    w = h.grid.weight
-    edges = np.arange(h.grid.n + 1) * w
-    return edges, np.concatenate([[0.0], np.cumsum(h.values) * w])
+    """Cell edges (``cell_table``) and the exact cumulative integral of h at them: with
+    ``np.interp``, the cumulative H(t) = int_0^t h of the cellwise-constant h at any t."""
+    return cell_table(h.grid)[0], np.concatenate([[0.0], np.cumsum(h.values) * h.grid.weight])
 
 
 def indicator(grid: Grid, t: float) -> GridFunction:

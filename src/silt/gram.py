@@ -122,24 +122,28 @@ def wiener_projections(tt: TimeTuple, *hs: GridFunction) -> np.ndarray:
 # the batched kernel behind every Gram computation
 
 
-def batch_decompose(model: ProcessModel, times: np.ndarray):
+def batch_decompose(model: ProcessModel, times: np.ndarray, eps: float = 0.0):
     """Gram data for a batch of time tuples.
 
     times: (B, k) with strictly increasing rows.  Returns (inc, A, L, gamma):
     the model's structured increments (B, k-1), Gram matrices and their lower
     Cholesky factors (B, k-1, k-1), and Gram determinants (B,).  The Gram
     matrices come from the structured increments in O(1) per tuple; no factor
-    rows are built.  ``batch_cholesky`` checks and factors them.
+    rows are built.  ``batch_cholesky`` checks and factors them.  With eps > 0
+    the increments carry independent noise of variance eps: A + eps I.
     """
     inc = model.increments(times)
     A = model.increment_gram(inc)
+    if eps:
+        A = A + eps * np.eye(A.shape[1])
     L, gamma = batch_cholesky(A, times)
     return inc, A, L, gamma
 
 
 def batch_projections(model: ProcessModel, *hs: GridFunction):
-    """Times (B, k) -> (gamma (B,), [y_h (B, k-1)]): each shift's coefficients on the
-    orthonormalized increments, ||P h||^2 = sum y_h^2, from pairings built once.
+    """(times (B, k), eps) -> (gamma (B,), [y_h (B, k-1)]): each shift's coefficients on
+    the orthonormalized increments (eps as in ``batch_decompose``), ||P h||^2 = sum y_h^2,
+    from pairings built once per ``batch_projections`` call, so each scalar call builds them.
 
     Shifts equal in grid, values and aux (``--h1 const1 --h2 const1`` parses
     into two objects) share one pairing and one forward substitution.
@@ -147,8 +151,8 @@ def batch_projections(model: ProcessModel, *hs: GridFunction):
     keys = [(h.grid, h.values.tobytes(), h.aux.tobytes()) for h in hs]
     pairs = {key: model.pairing(h) for key, h in dict(zip(keys, hs)).items()}
 
-    def f(times: np.ndarray):
-        inc, _, L, gamma = batch_decompose(model, times)
+    def f(times: np.ndarray, eps: float = 0.0):
+        inc, _, L, gamma = batch_decompose(model, times, eps)
         ys = {key: batch_ortho_coeffs(L, pair(inc)) for key, pair in pairs.items()}
         return gamma, [ys[key] for key in keys]
 

@@ -7,7 +7,8 @@ reduce to inner products of factors.
 The structured primitives (``increments``, ``increment_gram``, ``pairing``
 and ``covariance``) give every Gram matrix, projection and ratio the package
 computes as exact integrals over the intervals between the times, in O(1) per
-time, from closed forms and from prefix sums built once per model or shift.
+time, from closed forms and tables built once per grid (``cell_table``), model
+(perturbed:file's kernel table) or ``pairing`` call (a shift's prefix sums).
 They work on increments g(b) - g(a), so that the large common part of g(a) and
 g(b) never enters a difference.  The indicator steps of consecutive times have
 the Gram matrix diag(gaps), to which wiener adds nothing and counterexample its
@@ -94,7 +95,7 @@ class ProcessModel:
         return self._gram(inc)
 
     def pairing(self, h: GridFunction) -> Callable[[Increments], np.ndarray]:
-        """Increments -> (g(b) - g(a), h), from prefix sums built once per shift.
+        """Increments -> (g(b) - g(a), h), from prefix sums of h built once per call.
 
         t -> (g(t), h) is the pairing of the increments of (0, t).
         """
@@ -223,10 +224,11 @@ def sturm_liouville_model(grid: Grid) -> ProcessModel:
     On segment s the correction S 1I_[0,b] - S 1I_[0,a] of increment i is z[0, s, i] sin u
     + z[1, s, i] cos u: (cos t_i - cos t_{i+1}, 0) for s <= i, (-cos t_{i+1}, sin t_i) for
     s = i+1 and (0, sin t_i - sin t_{i+1}) beyond.  So A = diag(gaps) + z^T G z + w^T z +
-    z^T w, with G the closed-form integrals of sin^2, sin cos and cos^2 over each segment
-    and w those of sin and cos over segment i+1, the only one the step of increment i
-    meets; a pairing adds the integrals of h sin u and h cos u over the segments times z.
-    Differences of sin and cos over a gap are products, which keep the digits of short gaps.
+    z^T w, with G the integrals of sin^2, sin cos and cos^2 over each segment (from those
+    of 1, sin 2u and cos 2u) and w those of sin and cos over segment i+1, the only one the
+    step of increment i meets; a pairing adds the integrals of h sin u and h cos u over
+    the segments times z.  All are ``interval_weights``: differences of sin and cos over
+    a gap are products, which keep the digits of short gaps.
     """
     if abs(grid.T - math.pi / 2) > _SL_ENDPOINT_TOL:
         raise ValidationError(
@@ -247,16 +249,11 @@ def sturm_liouville_model(grid: Grid) -> ProcessModel:
 
     def gram(inc):
         iv, z, w = inc.extra
-        a, b = iv.bounds[0], iv.bounds[3]
-        d, mid = b - a, a + b
-        sd = np.sin(d)
-        sc = sd * np.cos(mid)
-        G = np.empty((3,) + d.shape)  # int sin^2, sin cos, cos^2 over each segment
-        np.subtract(d, sc, out=G[0])
-        np.multiply(sd, np.sin(mid), out=G[1])
-        np.add(d, sc, out=G[2])
-        G *= 0.5
-        G = G[:, :, None]
+        s, c = iv.trig[:, :-1]
+        # int 1, sin v, cos v over [2a, 2b] -> int sin^2, sin cos, cos^2 over [a, b]
+        G = interval_weights(2.0 * (iv.bounds[3] - iv.bounds[0]), (2.0 * s * c, c * c - s * s))
+        G[0], G[2] = G[0] - G[2], G[0] + G[2]
+        G = 0.25 * G[:, :, None]
         gz = G[:2] * z[:1]
         gz += G[1:] * z[1:]
         A = _contract(z[:, :, None], gz[:, :, :, None])

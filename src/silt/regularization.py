@@ -20,9 +20,12 @@ import numpy as np
 from .errors import ValidationError
 from .function_space import (
     GridFunction,
+    Intervals,
     KernelOperator,
-    cumulative,
+    cell_table,
+    grid_times,
     inner,
+    interval_integrals,
     make_grid,
     operator_norm,
 )
@@ -129,8 +132,7 @@ def regularized_integral(
 ) -> RegularizedValue:
     """Integral of the regularized integrand over the ordered simplex.
 
-    Stops at the first difference of successive estimates that is at most tol (1 + |value|)
-    and no larger than the difference before it; a lone difference is never trusted.
+    Stops at the first estimate that meets the stop rule (``stop_reason``).
     """
     spec = spec if spec is not None else QuadratureSpec(k=k)
     if spec.k != k:
@@ -140,12 +142,24 @@ def regularized_integral(
     # the stop rule needs three estimates, so the first three orders share one stream
     for run in (orders[:3], *([order] for order in orders[3:])):
         estimates += integrate_simplex_orders(T, k, f, spec.min_gap, run)
-        last = estimates[-3:]
-        diffs = [abs(b - a) for a, b in zip(last, last[1:])]
-        converged = len(diffs) == 2 and diffs[1] <= min(diffs[0], spec.tol * (1 + abs(last[-1])))
-        if converged:
+        why = stop_reason(estimates, spec.tol)
+        if why is None:
             break
-    return RegularizedValue(estimates[-1], tuple(estimates), diffs[-1], converged)
+    diff = abs(estimates[-1] - estimates[-2])
+    return RegularizedValue(estimates[-1], tuple(estimates), diff, why is None)
+
+
+def stop_reason(estimates: Sequence[float], tol: float) -> Optional[str]:
+    """The stop rule: None once the last difference of the estimates is at most tol (1 +
+    |value|) and no larger than the one before it (a lone one never is), else why not."""
+    last = estimates[-3:]
+    diffs = [abs(b - a) for a, b in zip(last, last[1:])]
+    bound = tol * (1.0 + abs(last[-1]))
+    if diffs[-1] > bound:
+        return f"> tol*(1+|value|) = {bound:.3e}"
+    if len(diffs) == 1:
+        return "is the only one, and a lone difference is not trusted (levels >= 3)"
+    return None if diffs[1] <= diffs[0] else "grew from the difference before it"
 
 
 def divergence_probe(
@@ -208,7 +222,7 @@ def schur_bound_check(h: GridFunction, a: float = 0.0) -> Tuple[float, float, bo
     T = h.grid.T
     if not 0 <= a < T:
         raise ValidationError(f"left endpoint a={a} must lie in [0, T={T})")
-    edges = cumulative(h)[0]
+    edges = cell_table(h.grid)[0]
     past = edges[1:] > a
     x0, x1, s = np.maximum(edges[:-1][past] - a, 0.0), edges[1:][past] - a, h.values[past]
     D = x1 - x0
@@ -243,17 +257,16 @@ def iterated_bound_check(h: GridFunction, k: int) -> Tuple[float, float, bool]:
         raise ValidationError(f"iterated bound check supports k in {{2, 3}}, got {k}")
     if np.any(h.values < -1e-12):
         raise ValidationError("the bound applies to nonnegative h only")
-    edges, cum = cumulative(h)
     nsq = inner(h, h)
     bound = (8.0 * nsq) ** (k - 1)
     if nsq == 0.0:
         return 0.0, 0.0, True
+    integrate = interval_integrals(h.grid, h.values)
 
     def integrand(times: np.ndarray) -> np.ndarray:
-        H = np.interp(times, edges, cum)
-        dH = np.diff(H, axis=1)
-        g = np.diff(times, axis=1)
-        return np.prod((dH / g) ** 2, axis=1)
+        t = grid_times(h.grid, times).T
+        dH = integrate(Intervals.between(h.grid, t))[0]
+        return np.prod((dH / (t[1:] - t[:-1])) ** 2, axis=0)
 
     val = integrate_simplex_level(
         h.grid.T, k, integrand, _ITERATED_MIN_GAP, _ITERATED_GAP_CELLS, _ITERATED_T_CELLS

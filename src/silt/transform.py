@@ -10,7 +10,6 @@ close on the analytic value.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -68,9 +67,8 @@ def fw_eps(point: TransformPoint, eps: float) -> float:
     """
     if not 0 < eps < math.inf:
         raise ValidationError(f"eps must be positive and finite, got {eps}")
-    model, noise = point.model, eps * np.eye(point.tt.k - 1)
-    noisy = dataclasses.replace(model, _gram=lambda inc: model.increment_gram(inc) + noise)
-    det, ys = batch_projections(noisy, point.h1, point.h2)(np.asarray(point.tt.times)[None])
+    times = np.asarray(point.tt.times)[None]
+    det, ys = batch_projections(point.model, point.h1, point.h2)(times, eps)
     expo = sum(float(np.add.reduce(y**2, None)) for y in ys)
     return point.norm_factor * math.exp(-0.5 * expo) / float(det[0])
 

@@ -321,11 +321,12 @@ def test_t1_zero_exits_2_naming_t1(capsys, argv):
 
 
 def test_import_needs_only_numpy():
-    # neither scipy nor numpy.polynomial: they would add to start-up time and memory
+    # neither scipy nor numpy.polynomial: they would add to start-up time and memory;
+    # nor the test extra's pytest and hypothesis
     src = str(Path(silt.__file__).resolve().parents[1])
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import silt; "
-        "print(sorted({'scipy', 'numpy.polynomial'} & set(sys.modules)))"
+        f"import sys; sys.path.insert(0, {src!r}); import silt; print(sorted("
+        "{'scipy', 'numpy.polynomial', 'pytest', 'hypothesis'} & set(sys.modules)))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -286,6 +286,7 @@ def cell_tuples(draw, grid):
     """k = 2..5 times (c + f) w whose cells c differ by 0 (at most once), 1, 2 or
     more, so that the boundary cells p differ by 0, 1, 2 or more, with gaps of
     at least w/20, starting at 0 or anywhere, or ending in the last cell or at T.
+    The gap inside one cell may instead be drawn log-uniformly in [1e-12, 1e-9].
 
     A cell difference of 0, or of 1 with a smaller fraction, is a sub-cell gap.
     """
@@ -307,7 +308,10 @@ def cell_tuples(draw, grid):
         fracs.append(draw(st.floats(lo, 0.9 if i == sub else 0.999)))
     if where == "end":
         fracs[-1] = 0.0
-    return np.minimum((first + cells + np.array(fracs)) * grid.weight, grid.T)[None, :]
+    times = (first + cells + np.array(fracs)) * grid.weight
+    if sub >= 0 and draw(st.booleans()):  # still inside the cell, below the next time
+        times[sub + 1] = times[sub] + 10.0 ** draw(st.floats(-12.0, -9.0))
+    return np.minimum(times, grid.T)[None, :]
 
 
 @functools.lru_cache
@@ -428,6 +432,53 @@ def test_tiny_gap_keeps_the_gram_entries_of_its_neighbours(name, gap):
         want = continuum_gram(name, times)
         d = np.sqrt(np.diag(want))
         assert np.all(np.abs(A - want) <= 1e-13 * np.outer(d, d))
+
+
+def _short_segment_tuples(gap):
+    """Tuples with a segment of length ``gap`` at 0, pi/4 and pi/2: as an increment, as
+    the first or last segment, and beside a segment of nearly pi/2."""
+    q = math.pi / 4
+    return [
+        [0.0, gap, 0.7], [gap, 0.7], [gap, 2 * gap],
+        [0.2, q, q + gap, 1.3], [0.2, q - gap, q, 1.3],
+        [0.4, HALF_PI - gap, HALF_PI], [0.4, HALF_PI - gap], [HALF_PI - 2 * gap, HALF_PI - gap],
+    ]
+
+
+@pytest.mark.parametrize("gap", [1e-12, 1e-9, 1e-6])
+def test_sl_gram_of_short_segments_matches_the_continuum(gap):
+    """perturbed:sl integrates sin^2, sin cos and cos^2 over each segment at the doubled
+    angle.  Its hardest segments, short ones at 0, pi/4 and pi/2 and one of nearly pi/2
+    (twice the angle near pi): every Gram entry within 1e-13 sqrt(A_ii A_jj) of the
+    continuum rows."""
+    model = MODELS["perturbed:sl"][0]
+    for times in _short_segment_tuples(gap):
+        A = model.increment_gram(model.increments(np.array([times])))[0]
+        rows, _ = increment_rows(model, times)
+        want = rows @ rows.T
+        d = np.sqrt(np.diag(want))
+        assert np.all(np.abs(A - want) <= 1e-13 * np.outer(d, d)), times
+
+
+def test_pairings_on_one_grid_read_one_read_only_table(monkeypatch):
+    """A wiener and a perturbed:sl pairing on one grid, and ``cumulative``, read the
+    same cell table, built once for the grid; its arrays are read-only."""
+    cell_table, read = function_space.cell_table, []
+
+    def spy(grid):
+        read.append(cell_table(grid))
+        return read[-1]
+
+    monkeypatch.setattr(function_space, "cell_table", spy)
+    grid = make_grid(HALF_PI, 48)
+    h = parse_function("sin:1", grid)
+    for model in (wiener_model(grid), sturm_liouville_model(grid)):
+        model.pairing(h)(model.increments(np.array([[0.2, 0.5, 0.9]])))
+    function_space.cumulative(h)
+    assert len(read) == 3 and all(table is read[0] for table in read)
+    for a in read[0]:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_wiener_gram_is_the_gap_diagonal_on_every_lattice():
