@@ -14,7 +14,6 @@ from .function_space import (
     Grid,
     GridFunction,
     KernelOperator,
-    indicator,
     inner,
     make_grid,
     operator_norm,

@@ -6,21 +6,14 @@ grid part by construction) carries finite-dimensional directions such as the
 e+0 direction of the counterexample process.
 
 The Gram kernel integrates exactly over intervals, by one rule (``interval_weights``)
-on one table per grid (``cell_table``).  ``Intervals`` cuts the intervals between
-consecutive times into a head and a tail inside the cells of their ends and a block of
-whole cells between them, and ``interval_integrals`` integrates a cellwise-constant
-function, alone or times sin u and cos u, over each: a block from prefix sums built
-once per call, head and tail directly, so a sub-cell interval keeps its digits.  Only
-this module reads that cell format; the models get integrals and the cell parts.
-
-The grid functions 1I_[0,t] (``indicator``, behind the ``indicator:a:b`` shift)
-use a two-cell boundary construction: the two cells around t carry values
-chosen so that ||1I_[0,t]||^2 = t holds to machine precision for every t, and
-so does the mass past the first cell; in the first cell the mass is exact only
-to about eps*sqrt(t*w) (see ``indicator_params``).  Inner products of such
-functions are exact only when the boundary cell pairs {p, p+1} of the times,
-p = min(floor(t/w), n-2), are disjoint.  No model reads them: the process
-increments are the exact interval integrals above.
+on one table per grid, with sin and cos only for trig integrals (``cell_table``).
+``Intervals`` cuts the intervals between consecutive times into a head and a tail
+inside the cells of their ends and a block of whole cells between them, and
+``interval_integrals`` integrates a cellwise-constant function, alone or times sin u
+and cos u, over each: a block from prefix sums built once per call, head and tail
+directly, so a sub-cell interval keeps its digits.  Only this module reads that cell
+format; the models get integrals and the cell parts.  The ``indicator:a:b`` shift is
+the share of each cell that [a, b] covers.
 Per-call code calls ufuncs' reduce/accumulate, not numpy's wrappers (1-3 us slower).
 """
 
@@ -35,11 +28,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-
-# power iteration in operator_norm: relative tolerance and iteration cap
-_POWER_TOL = 1e-8
-_POWER_MAX_ITER = 200
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -139,41 +127,6 @@ def grid_times(grid: Grid, t) -> np.ndarray:
     return np.minimum(out, grid.T, out=out).T
 
 
-def indicator_params(grid: Grid, t):
-    """Two-cell construction of 1I_[0,t] for an array of times in [0, T]
-    (``grid_times``): (p, alpha, beta), each of the shape of t.
-
-    The cell representation is one on cells [0, p), alpha on cell p, beta on
-    cell p + 1 and zero beyond, with alpha + beta and alpha^2 + beta^2 chosen
-    so that the mass and the squared norm are t.  The norm holds to machine
-    precision, the mass too except in the first cell: there alpha and -beta
-    are about sqrt(t*w/2), so the mass is exact only to about eps*sqrt(t*w).
-    On [0, 1] with n=512, t = 3.35e-248 has mass 0, and the shift pairing
-    inherits the error: point_projection_norm_sq(wiener, t1, const1) = t1 is
-    off by 6.3e-8 relative at t1 = 1e-20.  A time in the last cell, and
-    t = T (alpha = beta = 1), use the cells n-2 and n-1, so p <= n-2.
-    """
-    n = grid.n
-    x = np.minimum(t / grid.weight, n)  # t = T is the last cell at f = 1: alpha = beta = 1
-    c = np.minimum(np.floor(x), n - 1)
-    f = x - c
-    last = c == n - 1
-    s = f + last
-    d = np.sqrt(s * ((2.0 - last) - f))  # s (1 - f) in the last cell, f (2 - f) before it
-    return np.minimum(c, n - 2).astype(int), (s + d) / 2.0, (s - d) / 2.0
-
-
-def indicator_values(grid: Grid, t) -> np.ndarray:
-    """Cell representations of 1I_[0,t] for an array of times, shape (B, n).
-
-    Built from ``indicator_params``: norm^2 = t exactly.
-    """
-    t = grid_times(grid, np.atleast_1d(t))
-    p, alpha, beta = (x[:, None] for x in indicator_params(grid, t))
-    j = np.arange(grid.n)
-    return np.where(j < p, 1.0, np.where(j == p, alpha, np.where(j == p + 1, beta, 0.0)))
-
-
 def prefix_sums(x: np.ndarray) -> np.ndarray:
     """[0, cumsum(x)] along the last axis: range sums as differences."""
     out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
@@ -242,13 +195,16 @@ class Intervals:
 
 
 @functools.lru_cache(maxsize=16)
-def cell_table(grid: Grid):
-    """The grid's cell edges (n + 1,), sin and cos at them (2, n + 1) and the integrals
-    over each cell of 1, sin u and cos u (3, n): built once per grid, read-only."""
+def cell_table(grid: Grid, trig: bool):
+    """The grid's cell edges (n + 1,), sin and cos at them (2, n + 1) or None, and the
+    integrals over each cell of 1, (1, n), or with ``trig`` of 1, sin u and cos u, (3, n):
+    built once per grid and ``trig``, read-only."""
     edges = np.arange(grid.n + 1) * grid.weight
-    at_edges = np.array([np.sin(edges), np.cos(edges)])
-    cells = interval_weights(edges[1:] - edges[:-1], at_edges[:, :-1])
-    edges.flags.writeable = at_edges.flags.writeable = cells.flags.writeable = False
+    at_edges = np.array([np.sin(edges), np.cos(edges)]) if trig else None
+    cells = interval_weights(edges[1:] - edges[:-1], at_edges[:, :-1] if trig else None)
+    for table in (edges, at_edges, cells):
+        if table is not None:
+            table.flags.writeable = False
     return edges, at_edges, cells
 
 
@@ -261,8 +217,8 @@ def interval_integrals(grid: Grid, f: np.ndarray, trig: bool = False):
     the integrals over them, so a sub-cell interval is never a difference of sums over
     [0, t].  A tail starts on the edge of its cell, or is empty.
     """
-    _, at_edges, cells = cell_table(grid)
-    cum = prefix_sums(f * cells[: 1 + 2 * trig])
+    _, at_edges, cells = cell_table(grid, trig)
+    cum = prefix_sums(f * cells)
 
     def integrate(iv: Intervals) -> np.ndarray:
         (a, m, tail, b), c = iv.bounds, iv.cells
@@ -280,12 +236,8 @@ def interval_integrals(grid: Grid, f: np.ndarray, trig: bool = False):
 def cumulative(h: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
     """Cell edges (``cell_table``) and the exact cumulative integral of h at them: with
     ``np.interp``, the cumulative H(t) = int_0^t h of the cellwise-constant h at any t."""
-    return cell_table(h.grid)[0], np.concatenate([[0.0], np.cumsum(h.values) * h.grid.weight])
-
-
-def indicator(grid: Grid, t: float) -> GridFunction:
-    """Discretized 1I_[0,t] with exact squared norm t."""
-    return GridFunction(grid, indicator_values(grid, t)[0])
+    edges = cell_table(h.grid, False)[0]
+    return edges, np.concatenate([[0.0], np.cumsum(h.values) * h.grid.weight])
 
 
 @dataclass(frozen=True)
@@ -312,25 +264,8 @@ class KernelOperator:
 
 
 def operator_norm(K: KernelOperator) -> float:
-    """Largest singular value via power iteration on K*K.
-
-    Deterministic start vector (normalized constant); relative tolerance on
-    the dominant eigenvalue of K*K.
-    """
-    M = K.matrix
-    v = np.ones(K.grid.n) / math.sqrt(K.grid.n)
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        u = M.T @ (M @ v)
-        new = float(np.linalg.norm(u))
-        if new == 0.0:
-            return 0.0
-        v = u / new
-        if abs(new - lam) <= _POWER_TOL * new:
-            lam = new
-            break
-        lam = new
-    return math.sqrt(lam)
+    """Largest singular value of K's matrix (LAPACK's SVD, O(n^3))."""
+    return float(np.linalg.norm(K.matrix, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +291,9 @@ def parse_function(spec: str, grid: Grid, aux_dim: int = 0) -> GridFunction:
             raise ValidationError(f"bad indicator spec '{spec}'") from exc
         if not 0 <= a <= b <= grid.T:
             raise ValidationError(f"indicator bounds {a},{b} outside [0,{grid.T}]")
-        f = indicator(grid, b) - indicator(grid, a)
-        return GridFunction(grid, f.values, pad)
+        edges = cell_table(grid, False)[0]
+        share = np.minimum(b, edges[1:]) - np.maximum(a, edges[:-1])
+        return GridFunction(grid, np.maximum(share, 0.0) / grid.weight, pad)
     if name == "sin":
         try:
             m = int(rest)

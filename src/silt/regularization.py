@@ -20,12 +20,9 @@ import numpy as np
 from .errors import ValidationError
 from .function_space import (
     GridFunction,
-    Intervals,
     KernelOperator,
     cell_table,
-    grid_times,
     inner,
-    interval_integrals,
     make_grid,
     operator_norm,
 )
@@ -36,16 +33,14 @@ from .gram import (
     gap_scan_tuple,
     wiener_projections,
 )
-from .process_models import ProcessModel
+from .process_models import ProcessModel, wiener_model
 from .quadrature import integrate_simplex_level, integrate_simplex_orders
 from .transform import batch_fw_limit
 
 # Gauss points per coordinate of the orders that regularized_integral tries in turn
 _ORDERS = (4, 8, 12, 16, 24, 32)
-# grid of the Schur kernel norm, and truncation and orders of the iterated-product
-# bound check
+# grid of the Schur kernel norm, and orders of the iterated-product bound check
 _SCHUR_KERNEL_CELLS = 512
-_ITERATED_MIN_GAP = 1e-6
 _ITERATED_GAP_CELLS = 32
 _ITERATED_T_CELLS = 32
 
@@ -222,7 +217,7 @@ def schur_bound_check(h: GridFunction, a: float = 0.0) -> Tuple[float, float, bo
     T = h.grid.T
     if not 0 <= a < T:
         raise ValidationError(f"left endpoint a={a} must lie in [0, T={T})")
-    edges = cell_table(h.grid)[0]
+    edges = cell_table(h.grid, False)[0]
     past = edges[1:] > a
     x0, x1, s = np.maximum(edges[:-1][past] - a, 0.0), edges[1:][past] - a, h.values[past]
     D = x1 - x0
@@ -235,7 +230,7 @@ def schur_bound_check(h: GridFunction, a: float = 0.0) -> Tuple[float, float, bo
 
 
 def schur_kernel_norm() -> float:
-    """Power-iteration norm of the discretized kernel 1/(s2-a) on {s2 > s1}.
+    """Operator norm (``operator_norm``) of the discretized kernel 1/(s2-a) on {s2 > s1}.
 
     On every interval [a, T] the matrix is 1/(j + 1/2) for j > i, so [0, 1] serves all.
     """
@@ -250,8 +245,9 @@ def schur_kernel_norm() -> float:
 def iterated_bound_check(h: GridFunction, k: int) -> Tuple[float, float, bool]:
     """Compare the iterated-product integral against (8 ||h||^2)^{k-1}.
 
-    Integrates prod_i (int_{t_i}^{t_{i+1}} h)^2 / gap_i^2 over the simplex
-    truncated at _ITERATED_MIN_GAP (the integral is monotone in the truncation).
+    Integrates prod_i (int_{t_i}^{t_{i+1}} h)^2 / gap_i^2 over the whole simplex, as
+    prod_i y_i^2 / Gamma from the kernel's Wiener projections (``batch_projections``):
+    there y_i^2 = (int h)^2 / gap_i and Gamma = prod gap_i.
     """
     if k not in (2, 3):
         raise ValidationError(f"iterated bound check supports k in {{2, 3}}, got {k}")
@@ -261,14 +257,13 @@ def iterated_bound_check(h: GridFunction, k: int) -> Tuple[float, float, bool]:
     bound = (8.0 * nsq) ** (k - 1)
     if nsq == 0.0:
         return 0.0, 0.0, True
-    integrate = interval_integrals(h.grid, h.values)
+    projections = batch_projections(wiener_model(h.grid), h)
 
     def integrand(times: np.ndarray) -> np.ndarray:
-        t = grid_times(h.grid, times).T
-        dH = integrate(Intervals.between(h.grid, t))[0]
-        return np.prod((dH / (t[1:] - t[:-1])) ** 2, axis=0)
+        gamma, (y,) = projections(times)
+        return np.multiply.reduce(y * y, axis=1) / gamma
 
     val = integrate_simplex_level(
-        h.grid.T, k, integrand, _ITERATED_MIN_GAP, _ITERATED_GAP_CELLS, _ITERATED_T_CELLS
+        h.grid.T, k, integrand, None, _ITERATED_GAP_CELLS, _ITERATED_T_CELLS
     )
     return float(val), bound, val <= bound * (1.0 + 1e-6)

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -616,3 +617,17 @@ def test_transform_mc(capsys):
     assert result["mode"] == "mc" and result["eps"] == 0.5 and result["convention"] == "paper"
     assert doc["config"]["seed"] == 3
     assert result["stderr"] > 0.0
+
+
+def _readme_cli_lines():
+    """The ``silt ...`` lines of the README's CLI code block, comments stripped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_example_exits_zero(capsys, line):
+    assert line[0] == "silt"
+    code, _, err = run(capsys, *line[1:])
+    assert code == 0, err

@@ -10,13 +10,14 @@ from silt import (
     GridMismatchError,
     KernelOperator,
     ValidationError,
-    indicator,
+    counterexample_model,
     inner,
     make_grid,
     operator_norm,
     parse_function,
+    wiener_model,
 )
-from silt.function_space import GridFunction, indicator_values, read_grid_function
+from silt.function_space import GridFunction, read_grid_function
 
 
 def test_make_grid_examples():
@@ -58,63 +59,49 @@ def test_grid_mismatch_rejected():
         inner(f, g)
 
 
-def test_indicator_norm_exact_for_arbitrary_t():
-    grid = make_grid(1.0, 37)
-    for t in [0.0, 0.013, 0.25, 1 / 3, 0.5, 0.731, 0.999, 1.0]:
-        ind = indicator(grid, t)
-        assert ind.norm_sq() == pytest.approx(t, abs=1e-14)
-
-
-@pytest.mark.parametrize("n", [2, 8, 512])
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_indicator_norm_and_mass_are_exact(n, data):
-    """||1I_[0,t]||^2 = t and the mass sum(values) w = t to a few ulp of t, for
-    t anywhere in [0, T]: 0, T, cell edges, last-cell and first-cell times.
-
-    In the first cell the two boundary values are about +-sqrt(t w / 2), so
-    their sum, the mass, is exact only to a few ulp of sqrt(t w).
-    """
-    grid = make_grid(1.0, n)
+def grid_time(grid):
+    """A time in [0, T]: free, on a cell edge, in the first or the last cell, 0 or T."""
     T, w = grid.T, grid.weight
-    t = data.draw(
-        st.one_of(
-            st.floats(0.0, T),
-            st.floats(0.0, w),
-            st.integers(0, n).map(lambda j: min(j * w, T)),
-            st.floats(0.0, 1.0, exclude_max=True).map(lambda f: T - f * w),
-            st.just(0.0),
-            st.just(T),
-        )
+    return st.one_of(
+        st.floats(0.0, T),
+        st.integers(0, grid.n).map(lambda j: j * w),
+        st.floats(0.0, w),
+        st.floats(T - w, T),
+        st.just(0.0),
+        st.just(T),
     )
-    ind = indicator(grid, t)
-    assert abs(ind.norm_sq() - t) <= 4 * np.spacing(t)
-    assert abs(ind.values.sum() * w - t) <= 4 * np.spacing(max(t, math.sqrt(t * w)))
 
 
-def test_indicator_cross_products_exact_when_separated():
-    grid = make_grid(1.0, 128)
-    # disjoint boundary cell pairs {p, p+1}: (1I_[0,s], 1I_[0,t]) = min(s,t)
-    for s, t in [(0.2, 0.7), (0.111, 0.555), (0.05, 0.95)]:
-        assert inner(indicator(grid, s), indicator(grid, t)) == pytest.approx(
-            min(s, t), abs=1e-14
-        )
-
-
-def test_indicator_batch_matches_scalar():
-    grid = make_grid(1.0, 50)
-    ts = np.array([0.1, 0.42, 0.9999])
-    V = indicator_values(grid, ts)
-    for row, t in zip(V, ts):
-        assert np.allclose(row, indicator(grid, t).values)
-
-
-def test_indicator_rejects_out_of_range():
-    grid = make_grid(1.0, 16)
-    with pytest.raises(ValidationError):
-        indicator(grid, 1.5)
-    with pytest.raises(ValidationError):
-        indicator(grid, -0.2)
+@pytest.mark.parametrize("n", [8, 64, 512])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_indicator_shift_is_the_cell_shares_of_its_interval(n, data):
+    """indicator:a:b holds the share of each cell that [a, b] covers: its mass is b - a;
+    every Wiener and counterexample pairing of an increment [s, t] whose ends lie
+    outside the cells of a and b is |[s, t] n [a, b]|; and ||h||^2 <= b - a, with
+    equality when a and b are cell edges."""
+    grid = make_grid(1.0, n)
+    w = grid.weight
+    a = data.draw(grid_time(grid))
+    b = data.draw(st.one_of(grid_time(grid), st.floats(0.0, 1.0).map(lambda f: a + f * w)))
+    a, b = sorted((a, min(b, 1.0)))
+    h = parse_function(f"indicator:{a!r}:{b!r}", grid)
+    assert abs(h.values.sum() * w - (b - a)) <= 4e-16
+    assert h.norm_sq() <= (b - a) + 4e-16
+    if a % w == 0.0 and b % w == 0.0:
+        assert abs(h.norm_sq() - (b - a)) <= 4e-16
+    near = [min(max(x + j * w, 0.0), 1.0) for x in (a, b) for j in (-2, -1, 1, 2)]
+    points = data.draw(st.lists(st.one_of(grid_time(grid), st.sampled_from(near)), max_size=8))
+    points = np.sort(np.array(points + [a, b]))
+    s, t = (x.ravel() for x in np.meshgrid(points, points, indexing="ij"))
+    ends, ab = (np.minimum(np.floor(np.array(x) / w), n - 1) for x in ([s, t], [a, b]))
+    keep = (s <= t) & ~np.isin(ends, ab).any(axis=0)
+    s, t = s[keep], t[keep]
+    want = np.maximum(np.minimum(t, b) - np.maximum(s, a), 0.0)
+    for model in (wiener_model(grid), counterexample_model(grid)):
+        shift = parse_function(f"indicator:{a!r}:{b!r}", grid, model.aux_dim)
+        got = model.pairing(shift)(model.increments(np.stack([s, t], axis=1)))[:, 0]
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
 
 
 def test_operator_norm_diagonal_kernel():
@@ -129,7 +116,7 @@ def test_parse_function_builtins():
     s = parse_function("sin:2", grid)
     assert s.norm_sq() == pytest.approx(1.0)
     ind = parse_function("indicator:0.2:0.7", grid)
-    assert ind.norm_sq() == pytest.approx(0.5, abs=1e-12)
+    assert ind.values.sum() * grid.weight == pytest.approx(0.5, abs=1e-12)
     hat = parse_function("hat:0.5:0.25", grid)
     assert hat.values.max() <= 1.0
     assert hat.values.min() == 0.0
@@ -141,6 +128,9 @@ def test_parse_function_rejects_garbage():
         parse_function("no-such-function", grid)
     with pytest.raises(ValidationError):
         parse_function("indicator:0.9:0.1:5", grid)
+    for bounds in ("-0.2:0.5", "0.5:1.5", "0.7:0.3"):
+        with pytest.raises(ValidationError, match="outside"):
+            parse_function(f"indicator:{bounds}", grid)
 
 
 def test_grid_function_csv_roundtrip():

@@ -19,7 +19,7 @@ from silt import (
     wiener_model,
 )
 from silt import process_models
-from silt.function_space import KernelOperator, indicator, indicator_values
+from silt.function_space import KernelOperator
 from silt.gram import batch_decompose
 
 
@@ -43,7 +43,7 @@ def test_sl_operator_action_on_indicator_matches_closed_form():
     grid = make_grid(math.pi / 2, 2000)
     S = sturm_liouville_operator(grid)
     t = 0.8
-    out = S.matrix @ indicator(grid, t).values
+    out = S.matrix @ parse_function(f"indicator:0:{t}", grid).values  # cell shares of [0, t]
     exact = sl_correction(0.0, t, grid.nodes)  # S 1I_[0,t], as S 1I_[0,0] = 0
     # midpoint-rule error of a piecewise-smooth kernel
     assert np.max(np.abs(out - exact)) < 5e-4
@@ -90,6 +90,18 @@ def test_perturbed_rejects_large_norm():
     grid = make_grid(1.0, 64)
     S = KernelOperator(grid, 1.2 * np.eye(grid.n))
     with pytest.raises(ValidationError):
+        perturbed_model(grid, S)
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_operator_norm_of_a_kernel_orthogonal_to_constants(n):
+    """36 (s - 1/2)(u - 1/2) + 0.3 has the singular values 3 (1 - 1/n^2) and 0.3 on the
+    midpoint grid, the first on a direction orthogonal to the constants: the norm is
+    the larger, and the perturbation is refused."""
+    grid = make_grid(1.0, n)
+    S = KernelOperator.from_kernel(grid, lambda s, u: 36.0 * (s - 0.5) * (u - 0.5) + 0.3)
+    assert operator_norm(S) == pytest.approx(3.0 * (1.0 - 1.0 / n**2), rel=1e-12)
+    with pytest.raises(ValidationError, match="perturbation norm 2.99"):
         perturbed_model(grid, S)
 
 
@@ -144,9 +156,8 @@ def test_model_rejects_times_outside_interval():
 @pytest.mark.parametrize("spec, T", [("wiener", 1.0), ("perturbed:sl", math.pi / 2)])
 @pytest.mark.parametrize("where", ["below 0", "past T"])
 def test_out_of_range_time_is_named_on_every_route(spec, T, where):
-    """The one time check of a kernel call names the time on the batched kernel,
-    the covariance and the dense indicator rows; a time at most 1e-12 past T
-    is clipped to T."""
+    """The one time check of a kernel call names the time on the batched kernel and
+    the covariance; a time at most 1e-12 past T is clipped to T."""
     grid = make_grid(T, 64)
     model = parse_model(spec, grid)
     bad = -1e-3 if where == "below 0" else T + 1e-9
@@ -155,12 +166,10 @@ def test_out_of_range_time_is_named_on_every_route(spec, T, where):
     for call in (
         lambda: batch_decompose(model, times),
         lambda: model.covariance(0.3, bad),
-        lambda: indicator_values(grid, [0.3, bad]),
     ):
         with pytest.raises(ValidationError, match=named):
             call()
     close = T + 5e-13
-    assert np.array_equal(indicator_values(grid, [close]), indicator_values(grid, [T]))
     assert model.covariance(0.3, close) == model.covariance(0.3, T)
     clipped, at_T = (batch_decompose(model, [[0.3, t]])[1:] for t in (close, T))
     assert all(np.array_equal(a, b) for a, b in zip(clipped, at_T))

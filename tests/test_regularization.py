@@ -528,6 +528,15 @@ def test_iterated_bound_and_homogeneity(grid):
         assert bound2 == pytest.approx(9.0 ** (k - 1) * bound, rel=1e-12)
 
 
+@pytest.mark.parametrize("k, want", [(2, 1 / 2), (3, 1 / 6)])
+def test_iterated_bound_of_const1_is_the_simplex_volume(grid, k, want):
+    """For h = 1 the integrand is 1, so the iterated integral over the whole simplex is
+    its volume 1/k! on [0, 1]."""
+    val, bound, ok = iterated_bound_check(parse_function("const1", grid), k)
+    assert abs(val - want) <= 1e-12
+    assert bound == 8.0 ** (k - 1) and ok
+
+
 def test_iterated_bound_zero_h(grid):
     z = parse_function("zero", grid)
     val, bound, ok = iterated_bound_check(z, 2)

@@ -7,7 +7,7 @@ time, whose dot products are the continuum inner products (``scipy``'s
 ``quad`` for the perturbed:sl Gram entries).  These tests hold the kernel to
 that oracle: random tuples drawn by hypothesis, the nodes of the
 ``regularized_integral`` lattices, the acceptance quadratures level by level
-against closed forms, and a run in which building a dense row is an error.
+against closed forms, and every route run on the structured primitives.
 The Monte Carlo sampler draws from the same exact covariance and closes on
 ``fw_eps`` on every model.
 """
@@ -460,23 +460,28 @@ def test_sl_gram_of_short_segments_matches_the_continuum(gap):
         assert np.all(np.abs(A - want) <= 1e-13 * np.outer(d, d)), times
 
 
-def test_pairings_on_one_grid_read_one_read_only_table(monkeypatch):
-    """A wiener and a perturbed:sl pairing on one grid, and ``cumulative``, read the
-    same cell table, built once for the grid; its arrays are read-only."""
+def test_pairings_on_one_grid_read_one_read_only_table_each(monkeypatch):
+    """A wiener pairing and ``cumulative`` read one cell table of the grid, with no sin
+    and cos rows; a perturbed:sl pairing reads the grid's trig table.  Each is built
+    once and its arrays are read-only."""
     cell_table, read = function_space.cell_table, []
 
-    def spy(grid):
-        read.append(cell_table(grid))
+    def spy(grid, trig):
+        read.append(cell_table(grid, trig))
         return read[-1]
 
     monkeypatch.setattr(function_space, "cell_table", spy)
     grid = make_grid(HALF_PI, 48)
     h = parse_function("sin:1", grid)
-    for model in (wiener_model(grid), sturm_liouville_model(grid)):
+    for model in (wiener_model(grid), sturm_liouville_model(grid), wiener_model(grid)):
         model.pairing(h)(model.increments(np.array([[0.2, 0.5, 0.9]])))
     function_space.cumulative(h)
-    assert len(read) == 3 and all(table is read[0] for table in read)
-    for a in read[0]:
+    plain, trig = read[0], read[1]
+    assert len(read) == 4 and read[2] is plain and read[3] is plain
+    assert plain[1] is None and plain[2].shape == (1, 48)
+    assert trig[1].shape == (2, 49) and trig[2].shape == (3, 48)
+    assert np.array_equal(plain[0], trig[0]) and np.array_equal(plain[2], trig[2][:1])
+    for a in (*plain[::2], *trig):
         with pytest.raises(ValueError):
             a[0] = 0.0
 
@@ -589,7 +594,7 @@ def test_divergence_probe_matches_the_closed_form_integrand(monkeypatch, n):
 
 
 # ---------------------------------------------------------------------------
-# the intervals of the kernel, and the separation rule of the dense rows
+# the intervals of the kernel
 
 
 @st.composite
@@ -609,27 +614,13 @@ def boundary_times(draw, grid):
 @pytest.mark.parametrize("n", [8, 64, 512])
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_separated_dense_rows_have_exact_gram_entries(n, data):
-    """The two-cell rows of ``indicator_values``: (1I_[0,s], 1I_[0,t]) = min(s, t)
-    when the boundary cell pairs {p, p+1} of s and t, p = min(floor(t/w), n-2),
-    are disjoint, so the Gram entries of their increments are then exact.
-    The kernel's are exact on every tuple.
-
-    Boundary cells two cells apart are not enough: a time in the last cell
-    has p = n-2, the pair of a time in cell n-3.
-    """
+def test_wiener_gram_is_the_gap_diagonal_on_boundary_times(n, data):
+    """Times at 0, T, on cell edges, in the last cell or equal: A = diag(gaps) exactly."""
     grid = make_grid(1.0, n)
     model = wiener_model(grid)
     times = data.draw(boundary_times(grid))
-    a, b = times[:-1], times[1:]
-    exact = np.maximum(np.minimum(b[:, None], b) - np.maximum(a[:, None], a), 0.0)
     A = model.increment_gram(model.increments(times[None]))[0]
-    assert np.array_equal(A, np.diag(b - a))
-    p = function_space.indicator_params(grid, times)[0]
-    same = times[:, None] == times[None, :]
-    assume(np.all(same | (np.abs(p[:, None] - p[None, :]) >= 2)))
-    E = np.diff(function_space.indicator_values(grid, times) * math.sqrt(grid.weight), axis=0)
-    assert np.max(np.abs(E @ E.T - exact)) <= 1e-14
+    assert np.array_equal(A, np.diag(np.diff(times)))
 
 
 def _assert_exact_cover(grid, times):
@@ -696,15 +687,11 @@ def test_intervals_lattice(n):
 
 
 @pytest.fixture
-def no_dense_rows(monkeypatch):
-    """The four models with a shift each; building a dense factor row raises."""
+def no_dense_rows():
+    """The four models with a shift each; src/silt has no function that builds dense
+    factor rows, so every route below runs on the structured primitives."""
     models = [m for m, _ in MODELS.values()]
     shifts = [parse_function("sin:1", m.grid, m.aux_dim) for m in models]
-
-    def dense_row_built(*args, **kwargs):
-        raise AssertionError("dense factor rows built")
-
-    monkeypatch.setattr(function_space, "indicator_values", dense_row_built)
     return list(zip(models, shifts))
 
 
@@ -890,7 +877,7 @@ def test_mc_sampler_calls_no_gram_kernel(monkeypatch):
 
 
 def test_wiener_oracles_call_no_model_or_kernel(monkeypatch):
-    """fw_wiener and product_form_wiener build their own indicator rows: with
+    """fw_wiener and product_form_wiener integrate the shifts from their cumulative: with
     the models' primitives and the Gram kernel raising, they give the same values."""
     model = wiener_model(make_grid(1.0, N))
     h1 = 0.7 * parse_function("sin:1", model.grid) - parse_function("sin:2", model.grid)
