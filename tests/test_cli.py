@@ -536,6 +536,11 @@ def test_the_parser_takes_exactly_the_settings_each_subcommand_reads():
     assert sum(map(len, taken.values())) == 44
 
 
+def test_levels_help_names_the_orders():
+    (levels,) = [a for a in _subparsers()["regularize"]._actions if a.dest == "levels"]
+    assert levels.help == "most Gauss orders to try, of 4, 6, 9, 14, 21, 32 (2..6)"
+
+
 @pytest.mark.parametrize("command", sorted(READS))
 def test_each_subcommand_echoes_what_it_reads_and_refuses_the_rest(
     tmp_path, capsys, monkeypatch, command

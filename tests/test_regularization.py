@@ -1,5 +1,7 @@
 import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from silt import (
     QuadratureSpec,
     TimeTuple,
     ValidationError,
+    counterexample_model,
     divergence_probe,
     integrand_diagonal_scan,
     iterated_bound_check,
@@ -166,8 +169,8 @@ def test_merged_orders_equal_one_call_per_order(name, k, levels, chunk):
 
 
 def test_first_three_orders_take_one_integrand_call(monkeypatch):
-    """The k=3 Wiener case of the regularize benchmark evaluates the 4^3 + 8^3 + 12^3
-    = 2,304 nodes of orders 4, 8 and 12 in one integrand call, then one call per later
+    """The k=3 Wiener case of the regularize benchmark evaluates the nodes of the first
+    three orders (4^3 + 6^3 + 9^3 = 1,009) in one integrand call, then one call per later
     order."""
     grid = make_grid(1.0, 512)
     model, one = wiener_model(grid), parse_function("const1", grid)
@@ -183,17 +186,30 @@ def test_first_three_orders_take_one_integrand_call(monkeypatch):
         sum(len(times) for times, _ in simplex_rule(1.0, 3, None, o, o, 4096))
         for o in _ORDERS[: len(rv.level_estimates)]
     ]
-    assert sum(nodes[:3]) == 2304
+    assert sum(nodes[:3]) == sum(o**3 for o in _ORDERS[:3])
     assert sizes == [sum(nodes[:3]), *nodes[3:]]
 
 
+def test_readme_states_the_order_schedule():
+    """README's list of orders and its first-stream node count at k=3 are those of
+    ``_ORDERS``."""
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    listed = re.search(r"tries the orders ([\d, ]+?) in turn", readme)
+    assert listed and listed.group(1) == ", ".join(map(str, _ORDERS))
+    stream = re.search(r"(\d+)³ \+ (\d+)³ \+ (\d+)³ = ([\d,]+) at k=3", readme)
+    assert stream, "README states no first-stream node count at k=3"
+    first = [int(o) for o in stream.groups()[:3]]
+    assert first == list(_ORDERS[:3])
+    assert int(stream.group(4).replace(",", "")) == sum(o**3 for o in first)
+
+
 def test_degenerate_node_fails_on_the_same_tuple_as_one_call_per_order():
-    """An integrand that rejects a node of order 12 and one of order 8 fails, in the
-    merged stream as in one call per order, on the node of order 8."""
+    """An integrand that rejects a node of the third order and one of the second fails, in
+    the merged stream as in one call per order, on the node of the second."""
     grid = make_grid(1.0, 512)
     f = batch_regularized_integrand(wiener_model(grid), *[parse_function("const1", grid)] * 2)
-    first_groups = {o: next(simplex_rule(1.0, 3, None, o, o, 4096))[0] for o in (8, 12)}
-    bad = [first_groups[12][7], first_groups[8][40]]
+    second, third = (next(simplex_rule(1.0, 3, None, o, o, 4096))[0] for o in _ORDERS[1:3])
+    bad = [third[7], second[40]]
 
     def rejecting(times):
         hit = [i for i, t in enumerate(times) if any(np.array_equal(t, b) for b in bad)]
@@ -364,12 +380,48 @@ def test_wiener_const_shifts_converge_to_the_oracle(grid, model, c, k):
     assert abs(rv.value - oracle) <= rv.error_estimate + 1e-12 * (1 + abs(oracle)), (rv, oracle)
 
 
+def test_order_schedule_grows_by_at_least_half_each_level():
+    """The last difference is the last error times (r^p - 1) for an error C n^-p, so a ratio
+    r >= 1.5 between orders keeps it at least the error for p >= 1.71; a first order of 4
+    keeps the k=4 monomials exact, and the top order stays 32."""
+    assert _ORDERS[0] >= 4 and _ORDERS[-1] == 32
+    assert all(b >= 1.5 * a for a, b in zip(_ORDERS, _ORDERS[1:])), _ORDERS
+
+
+def test_counterexample_aux_shift_estimates_cover_the_error(grid):
+    """The aux increment sqrt(b) - sqrt(a) has a corner at a = 0, so Gauss converges only
+    algebraically there; every converged value still lies within its error estimate of the
+    closed-form k=2 integral of (1 - e^{-u^2/A}) / A, d = b - a, e = sqrt(b) - sqrt(a),
+    u = d + e and A = d + e^2 (shifts const1 with aux coordinate 1)."""
+    h = GridFunction(grid, np.ones(grid.n), [1.0])
+
+    def integrand(b, a):
+        d, e = b - a, math.sqrt(b) - math.sqrt(a)
+        u, A = d + e, d + e * e
+        return -math.expm1(-u * u / A) / A
+
+    want, err = integrate.dblquad(
+        integrand, 0.0, 1.0, lambda a: a, 1.0, epsabs=1e-12, epsrel=1e-12
+    )
+    assert err < 1e-10
+    model = counterexample_model(grid)
+    runs = [
+        regularized_integral(model, 2, h, h, QuadratureSpec(k=2, tol=tol))
+        for tol in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+    ]
+    converged = [rv for rv in runs if rv.converged]
+    assert converged
+    for rv in converged:
+        assert abs(rv.value - want) <= rv.error_estimate, (rv, want)
+
+
 @pytest.mark.parametrize("floor", [0.01, 0.1, 0.33])
 def test_min_gap_truncates_the_simplex(grid, model, floor):
     """A given floor integrates the gaps above it only: Wiener const1 at k = 2 is
     int_floor^T (T - s) phi(s) ds."""
     one = parse_function("const1", grid)
-    rv = regularized_integral(model, 2, one, one, QuadratureSpec(k=2, min_gap=floor))
+    spec = QuadratureSpec(k=2, min_gap=floor, tol=1e-10)
+    rv = regularized_integral(model, 2, one, one, spec)
     want, err = integrate.quad(lambda s: (1 - s) * _phi(s), floor, 1.0, epsabs=1e-15)
     assert err < 1e-13 and rv.converged
     assert abs(rv.value - want) <= 1e-12, (rv, want)
