@@ -43,9 +43,8 @@ from .process_models import (
     sturm_liouville_operator,
     wiener_model,
 )
+from .quadrature import QuadratureSpec, RegularizedValue
 from .regularization import (
-    QuadratureSpec,
-    RegularizedValue,
     divergence_probe,
     integrand_diagonal_scan,
     iterated_bound_check,

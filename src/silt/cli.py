@@ -35,14 +35,12 @@ from .nondeterminism import (
     slnd_scan,
 )
 from .process_models import parse_model, sturm_liouville_operator, wiener_model
+from .quadrature import _ORDERS, QuadratureSpec, check_converged
 from .regularization import (
-    _ORDERS,
-    QuadratureSpec,
     divergence_probe,
     regularized_integral,
     regularized_integrand,
     schur_bound_check,
-    stop_reason,
 )
 from .transform import NORMALIZATIONS, TransformPoint, fw_eps, fw_limit, mc_fw_estimate
 
@@ -228,9 +226,7 @@ def _cmd_regularize(cfg: RunConfig, args) -> int:
     spec = QuadratureSpec(k=args.k, levels=cfg.levels, min_gap=cfg.min_gap)
     rv = regularized_integral(model, args.k, h1, h2, spec)
     _emit_json(cfg, dataclasses.asdict(rv))
-    if not rv.converged:
-        why = stop_reason(rv.level_estimates, spec.tol)
-        raise SiltError(f"not converged: last level difference {rv.error_estimate:.3e} {why}")
+    check_converged(rv, spec.tol)
     return 0
 
 

@@ -12,26 +12,65 @@ in log(gap) on [min_gap, upper], for integrands that grow like 1/gap.
 rows, and ``integrate_simplex_orders`` evaluates the groups of several orders
 as one stream, in integrand batches of at most ``chunk`` tuples, so that the
 integrand's fixed cost per call is paid once for all of them.  Each order
-reduces its own groups, so its estimate is bitwise that of a separate
-``integrate_simplex_level`` call whenever an integrand value does not depend
-on the rest of its batch.
+reduces its own groups, so its estimate is bitwise that of a one-order call
+whenever an integrand value does not depend on the rest of its batch.
+
+``integrate_simplex``, the driver of every simplex integral in silt, tries the
+orders ``_ORDERS`` in turn until the stop rule (``stop_reason``) holds.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SiltError, ValidationError
 
 # largest row bound n_cells^(k-1) of a gap lattice that may be built
 _MAX_LATTICE_ROWS = 10**6
+# Gauss points per coordinate of the orders that integrate_simplex tries in turn.  Each is
+# at least 1.5 times the one before: for an error C n^-p the last difference is the last
+# error times (r^p - 1), r the ratio of the last two orders, so r >= 1.5 keeps it at least
+# the error for p >= 1.71.  None is below 4, so each is exact for degree-3 monomials at k=4.
+_ORDERS = (4, 6, 9, 14, 21, 32)
 
 # Freeing one untouched 2 MiB block raises glibc's heap-trim threshold to 4 MiB, so batch
 # temporaries (1.1 MB at k=3 on perturbed:sl) are not trimmed and refaulted per call.
 np.empty(1 << 18)
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Parameters of the Gauss simplex quadrature; ``levels`` caps the orders tried, and a
+    ``min_gap`` truncates the simplex at that gap (None integrates all of it)."""
+
+    k: int
+    levels: int = 6
+    min_gap: Optional[float] = None
+    tol: float = 1e-3
+
+    def __post_init__(self):
+        # the orders are sized for k = 2, 3, 4: the top order has 32^k nodes, 1.05 M at k=4
+        if self.k not in (2, 3, 4):
+            raise ValidationError(f"multiplicity k must be 2, 3 or 4, got {self.k}")
+        if not 2 <= self.levels <= len(_ORDERS):
+            raise ValidationError(f"levels must lie in 2..{len(_ORDERS)}, got {self.levels}")
+        if not 0 < self.tol < math.inf:
+            raise ValidationError(f"tol must be positive and finite, got {self.tol}")
+
+
+@dataclass(frozen=True)
+class RegularizedValue:
+    """Level estimates and convergence diagnostics of a simplex integral."""
+
+    value: float
+    level_estimates: Tuple[float, ...]
+    error_estimate: float  # the last difference of successive level estimates
+    converged: bool
 
 
 @functools.lru_cache
@@ -162,15 +201,42 @@ def _batches(groups: Iterable[tuple], chunk: int) -> Iterator[list]:
         yield batch
 
 
-def integrate_simplex_level(
+def integrate_simplex(
     T: float,
-    k: int,
-    integrand: Callable[[np.ndarray], np.ndarray],
-    min_gap: Optional[float],
-    gap_cells: int,
-    t_cells: int,
+    f: Callable[[np.ndarray], np.ndarray],
+    spec: QuadratureSpec,
     chunk: int = 4096,
-) -> float:
-    """One fixed-order estimate of the integral over the ordered simplex: the
-    one-order call of ``integrate_simplex_orders``."""
-    return integrate_simplex_orders(T, k, integrand, min_gap, [(gap_cells, t_cells)], chunk)[0]
+) -> RegularizedValue:
+    """Integral of ``f`` over the ordered simplex of ``spec.k`` times in [0, T], truncated
+    at ``spec.min_gap`` if one is given: the first ``spec.levels`` orders of ``_ORDERS``
+    in turn, up to the first estimate that meets the stop rule (``stop_reason``)."""
+    estimates, orders = [], [(o, o) for o in _ORDERS[: spec.levels]]
+    # the stop rule needs three estimates, so the first three orders share one stream
+    for run in (orders[:3], *([order] for order in orders[3:])):
+        estimates += integrate_simplex_orders(T, spec.k, f, spec.min_gap, run, chunk=chunk)
+        why = stop_reason(estimates, spec.tol)
+        if why is None:
+            break
+    diff = abs(estimates[-1] - estimates[-2])
+    return RegularizedValue(estimates[-1], tuple(estimates), diff, why is None)
+
+
+def stop_reason(estimates: Sequence[float], tol: float) -> Optional[str]:
+    """The stop rule: None once the last difference of the estimates is at most tol (1 +
+    |value|) and no larger than the one before it (a lone one never is), else why not."""
+    last = estimates[-3:]
+    diffs = [abs(b - a) for a, b in zip(last, last[1:])]
+    bound = tol * (1.0 + abs(last[-1]))
+    if diffs[-1] > bound:
+        return f"> tol*(1+|value|) = {bound:.3e}"
+    if len(diffs) == 1:
+        return "is the only one, and a lone difference is not trusted (levels >= 3)"
+    return None if diffs[1] <= diffs[0] else "grew from the difference before it"
+
+
+def check_converged(rv: RegularizedValue, tol: float, what: str = "") -> None:
+    """Raise ``SiltError`` unless ``rv``, integrated at ``tol``, converged; the message
+    starts with ``what`` and names the last difference and the failed stop condition."""
+    if not rv.converged:
+        diff, why = rv.error_estimate, stop_reason(rv.level_estimates, tol)
+        raise SiltError(f"{what}not converged: last level difference {diff:.3e} {why}")

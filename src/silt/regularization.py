@@ -12,7 +12,6 @@ independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,52 +33,12 @@ from .gram import (
     wiener_projections,
 )
 from .process_models import ProcessModel, wiener_model
-from .quadrature import integrate_simplex_level, integrate_simplex_orders
+from .quadrature import QuadratureSpec, RegularizedValue, check_converged, integrate_simplex
+from .quadrature import integrate_simplex_orders
 from .transform import batch_fw_limit
 
-# Gauss points per coordinate of the orders that regularized_integral tries in turn.  Each
-# is at least 1.5 times the one before: for an error C n^-p the last difference is the last
-# error times (r^p - 1), r the ratio of the last two orders, so r >= 1.5 keeps it at least
-# the error for p >= 1.71.  None is below 4, so each is exact for degree-3 monomials at k=4.
-_ORDERS = (4, 6, 9, 14, 21, 32)
-# grid of the Schur kernel norm, and orders of the iterated-product bound check
+# grid of the Schur kernel norm
 _SCHUR_KERNEL_CELLS = 512
-_ITERATED_GAP_CELLS = 32
-_ITERATED_T_CELLS = 32
-
-
-def _check_k(k: int) -> None:
-    """The simplex lattices are sized for k = 2, 3, 4; a larger k would have too many nodes."""
-    if k not in (2, 3, 4):
-        raise ValidationError(f"multiplicity k must be 2, 3 or 4, got {k}")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Parameters of the Gauss simplex quadrature; ``levels`` caps the orders tried, and a
-    ``min_gap`` truncates the simplex at that gap (None integrates all of it)."""
-
-    k: int
-    levels: int = 6
-    min_gap: Optional[float] = None
-    tol: float = 1e-3
-
-    def __post_init__(self):
-        _check_k(self.k)
-        if not 2 <= self.levels <= len(_ORDERS):
-            raise ValidationError(f"levels must lie in 2..{len(_ORDERS)}, got {self.levels}")
-        if not 0 < self.tol < math.inf:
-            raise ValidationError(f"tol must be positive and finite, got {self.tol}")
-
-
-@dataclass(frozen=True)
-class RegularizedValue:
-    """Level estimates and convergence diagnostics of a regularized integral."""
-
-    value: float
-    level_estimates: Tuple[float, ...]
-    error_estimate: float  # the last difference of successive level estimates
-    converged: bool
 
 
 def product_form_wiener(tt: TimeTuple, h1: GridFunction, h2: GridFunction) -> float:
@@ -128,36 +87,12 @@ def regularized_integral(
     h2: GridFunction,
     spec: Optional[QuadratureSpec] = None,
 ) -> RegularizedValue:
-    """Integral of the regularized integrand over the ordered simplex.
-
-    Stops at the first estimate that meets the stop rule (``stop_reason``).
-    """
+    """Integral of the regularized integrand over the ordered simplex
+    (``integrate_simplex``)."""
     spec = spec if spec is not None else QuadratureSpec(k=k)
     if spec.k != k:
         raise ValidationError(f"spec.k={spec.k} does not match k={k}")
-    f = batch_regularized_integrand(model, h1, h2)
-    T, estimates, orders = model.grid.T, [], [(o, o) for o in _ORDERS[: spec.levels]]
-    # the stop rule needs three estimates, so the first three orders share one stream
-    for run in (orders[:3], *([order] for order in orders[3:])):
-        estimates += integrate_simplex_orders(T, k, f, spec.min_gap, run)
-        why = stop_reason(estimates, spec.tol)
-        if why is None:
-            break
-    diff = abs(estimates[-1] - estimates[-2])
-    return RegularizedValue(estimates[-1], tuple(estimates), diff, why is None)
-
-
-def stop_reason(estimates: Sequence[float], tol: float) -> Optional[str]:
-    """The stop rule: None once the last difference of the estimates is at most tol (1 +
-    |value|) and no larger than the one before it (a lone one never is), else why not."""
-    last = estimates[-3:]
-    diffs = [abs(b - a) for a, b in zip(last, last[1:])]
-    bound = tol * (1.0 + abs(last[-1]))
-    if diffs[-1] > bound:
-        return f"> tol*(1+|value|) = {bound:.3e}"
-    if len(diffs) == 1:
-        return "is the only one, and a lone difference is not trusted (levels >= 3)"
-    return None if diffs[1] <= diffs[0] else "grew from the difference before it"
+    return integrate_simplex(model.grid.T, batch_regularized_integrand(model, h1, h2), spec)
 
 
 def divergence_probe(
@@ -167,22 +102,32 @@ def divergence_probe(
     h2: GridFunction,
     deltas: Sequence[float],
     normalization: str = "paper",
-    gap_cells: int = 384,
-    t_cells: int = 192,
+    gap_cells: Optional[int] = None,
+    t_cells: Optional[int] = None,
     chunk: int = 4096,
 ) -> List[Tuple[float, float]]:
     """Unregularized integral over the delta-truncated simplex, per delta.
 
-    Each truncation is integrated in log(gap) above delta: the point is to
-    watch the truncated values grow without bound as delta decreases.
+    Each truncation is integrated in log(gap) above delta by ``integrate_simplex``: the
+    point is to watch the truncated values grow without bound as delta decreases.  The
+    first delta whose estimates do not converge raises ``SiltError``.
     """
-    _check_k(k)
     deltas = decreasing_values(deltas, "deltas")
     T, f = model.grid.T, batch_fw_limit(model, h1, h2, normalization)
-    return [
-        (d, integrate_simplex_level(T, k, f, d, gap_cells, t_cells, chunk=chunk))
-        for d in deltas
-    ]
+    if (gap_cells is None) != (t_cells is None):
+        raise ValidationError("gap_cells and t_cells are given together or not at all")
+    if gap_cells is not None:
+        # One fixed order, which the diverge benchmark passes; the [benchmark] edit of
+        # ROADMAP item 1 moves that workload to the driver and deletes this branch.
+        order = [(gap_cells, t_cells)]
+        return [(d, integrate_simplex_orders(T, k, f, d, order, chunk)[0]) for d in deltas]
+    rows = []
+    for d in deltas:
+        spec = QuadratureSpec(k, min_gap=d)
+        rv = integrate_simplex(T, f, spec, chunk)
+        check_converged(rv, spec.tol, f"delta {d!r} ")
+        rows.append((d, rv.value))
+    return rows
 
 
 def integrand_diagonal_scan(
@@ -250,10 +195,10 @@ def iterated_bound_check(h: GridFunction, k: int) -> Tuple[float, float, bool]:
 
     Integrates prod_i (int_{t_i}^{t_{i+1}} h)^2 / gap_i^2 over the whole simplex, as
     prod_i y_i^2 / Gamma from the kernel's Wiener projections (``batch_projections``):
-    there y_i^2 = (int h)^2 / gap_i and Gamma = prod gap_i.
+    there y_i^2 = (int h)^2 / gap_i and Gamma = prod gap_i.  ``integrate_simplex`` takes
+    its ratio to the bound, so the value scales exactly with h^2; only a converged one passes.
     """
-    if k not in (2, 3):
-        raise ValidationError(f"iterated bound check supports k in {{2, 3}}, got {k}")
+    spec = QuadratureSpec(k)
     if np.any(h.values < -1e-12):
         raise ValidationError("the bound applies to nonnegative h only")
     nsq = inner(h, h)
@@ -262,11 +207,9 @@ def iterated_bound_check(h: GridFunction, k: int) -> Tuple[float, float, bool]:
         return 0.0, 0.0, True
     projections = batch_projections(wiener_model(h.grid), h)
 
-    def integrand(times: np.ndarray) -> np.ndarray:
+    def ratio(times: np.ndarray) -> np.ndarray:
         gamma, (y,) = projections(times)
-        return np.multiply.reduce(y * y, axis=1) / gamma
+        return np.multiply.reduce(y * y, axis=1) / (gamma * bound)
 
-    val = integrate_simplex_level(
-        h.grid.T, k, integrand, None, _ITERATED_GAP_CELLS, _ITERATED_T_CELLS
-    )
-    return float(val), bound, val <= bound * (1.0 + 1e-6)
+    rv = integrate_simplex(h.grid.T, ratio, spec)
+    return rv.value * bound, bound, rv.converged and rv.value <= 1.0 + 1e-6

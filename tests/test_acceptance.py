@@ -41,7 +41,7 @@ from silt import (
     wiener_model,
 )
 from silt.function_space import GridFunction
-from silt.quadrature import integrate_simplex_level
+from silt.quadrature import integrate_simplex
 from silt.regularization import batch_regularized_integrand
 
 HALF_PI = math.pi / 2
@@ -198,19 +198,19 @@ def test_criterion_05_regularized_integral_wiener():
 
 def test_criterion_06_divergence_contrast():
     """Unregularized truncated integral tracks ln(1/delta)-1+delta within 2%;
-    the regularized counterpart's successive-delta differences fall below 1e-3."""
+    the regularized counterpart's successive-delta differences fall below 1e-3.
+    Both come from the simplex driver at its default spec."""
     grid = make_grid(1.0, 8192)
     m = wiener_model(grid)
     z = parse_function("zero", grid)
     deltas = [1e-2, 1e-3, 1e-4]
-    rows = divergence_probe(m, 2, z, z, deltas, gap_cells=192, t_cells=96, chunk=1024)
+    rows = divergence_probe(m, 2, z, z, deltas, chunk=1024)
     rels = [abs(v / (math.log(1 / d) - 1 + d) - 1.0) for d, v in rows]
     one = parse_function("const1", grid)
     f = batch_regularized_integrand(m, one, one)
-    reg = [
-        integrate_simplex_level(1.0, 2, f, d, 256, 128, chunk=1024)
-        for d in deltas
-    ]
+    reg = [integrate_simplex(1.0, f, QuadratureSpec(k=2, min_gap=d), chunk=1024) for d in deltas]
+    assert all(rv.converged for rv in reg)
+    reg = [rv.value for rv in reg]
     diffs = [abs(b - a) for a, b in zip(reg, reg[1:])]
     ok = max(rels) <= 0.02 and all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:])) and diffs[-1] < 1e-3
     report(

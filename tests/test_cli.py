@@ -95,7 +95,7 @@ def test_sub_cell_gap_gram_is_exact(capsys):
 def test_diverge_below_the_cell_is_exact(capsys):
     """diverge --k 2 at delta 1e-2 and 1e-3 on n=512 (delta = 1e-3 is half a cell)
     lies within its quadrature error (rounding) of ln(1/delta) - 1 + delta, at the
-    CLI's lattice and at a smaller one; the two-cell rows read 5.9% high."""
+    CLI's Gauss orders and at one fixed 64x32 order; the two-cell rows read 5.9% high."""
     deltas = (1e-2, 1e-3)
     code, out, err = run(
         capsys, "diverge", "--k", "2", "--h1", "zero", "--h2", "zero", "--deltas", "1e-2,1e-3"
@@ -238,7 +238,7 @@ def test_list_option_starting_with_a_negative_number_exits_2(capsys, argv, named
 
 @pytest.mark.parametrize("k", [0, 1, 5])
 def test_diverge_k_outside_the_lattice_rule_exits_2(capsys, monkeypatch, k):
-    # k = 5 would build a lattice of about 384^4 rows: no lattice may be built
+    # the k rule of every simplex integral refuses k before any lattice is built
     def no_lattice(*args, **kwargs):
         raise AssertionError("gap_lattice called")
 
@@ -249,19 +249,31 @@ def test_diverge_k_outside_the_lattice_rule_exits_2(capsys, monkeypatch, k):
     assert f"validation error: multiplicity k must be 2, 3 or 4, got {k}" in err
 
 
-def test_diverge_k4_at_the_cli_lattice_exits_2(capsys, monkeypatch):
-    # 384 points per gap make 384^3 = 56.6 M gap rows: refused before any node is made
-    def no_nodes(*args, **kwargs):
-        raise AssertionError("gauss_legendre called")
-
-    monkeypatch.setattr(silt.quadrature, "gauss_legendre", no_nodes)
-    argv = "diverge --k 4 --h1 zero --h2 zero --deltas 0.1".split()
+def test_diverge_k4_exits_0_with_finite_rows(capsys):
+    argv = "diverge --k 4 --h1 sin:1 --h2 zero --deltas 0.1,0.01".split()
     code, out, err = run(capsys, *argv)
-    assert code == 2, err
+    assert code == 0, err
+    rows = [tuple(map(float, line.split(","))) for line in out.strip().splitlines()[3:]]
+    assert [d for d, _ in rows] == [0.1, 0.01]
+    assert all(math.isfinite(v) and v > 0 for _, v in rows)
+
+
+def test_diverge_exits_3_naming_the_delta_that_does_not_converge(capsys, monkeypatch):
+    # the truncation at 0.1 converges, and each difference at 0.01 grows
+    growing = iter([0.0, 1e-6, 3e-6, 6e-6, 1e-5, 1.5e-5])
+    monkeypatch.setattr(
+        "silt.quadrature.integrate_simplex_orders",
+        lambda T, k, f, min_gap, orders, **kw: [
+            1.0 if min_gap == 0.1 else next(growing) for _ in orders
+        ],
+    )
+    argv = "diverge --k 2 --h1 zero --h2 zero --deltas 0.1,0.01".split()
+    code, out, err = run(capsys, *argv)
+    assert code == 3
     assert out == ""
-    assert (
-        "validation error: a k=4 lattice with 384 points per gap has up to 56623104 gap rows, "
-        "above the limit of 1000000" in err
+    assert err == (
+        "silt: numerical failure: delta 0.01 not converged: last level difference 5.000e-06 "
+        "grew from the difference before it\n"
     )
 
 
@@ -300,7 +312,7 @@ def test_exit_3_names_the_failed_stop_condition(capsys, monkeypatch):
     )
     estimates = iter([0.0, 1e-6, 3e-6, 6e-6, 1e-5, 1.5e-5])
     monkeypatch.setattr(
-        "silt.regularization.integrate_simplex_orders",
+        "silt.quadrature.integrate_simplex_orders",
         lambda T, k, f, min_gap, orders, **kw: [next(estimates) for _ in orders],
     )
     code, out, err = run(capsys, "regularize", "--k", "2", "--h1", "const1", "--h2", "const1")

@@ -1,4 +1,4 @@
-import inspect
+import ast
 import math
 import re
 from pathlib import Path
@@ -29,20 +29,17 @@ from silt import (
     wiener_model,
 )
 from silt.function_space import GridFunction, cumulative
-from silt import regularization
+from silt import quadrature, regularization
 from silt.quadrature import (
+    _ORDERS,
     gap_lattice,
     gauss_legendre,
-    integrate_simplex_level,
+    integrate_simplex,
     integrate_simplex_orders,
     simplex_rule,
 )
-from silt.regularization import (
-    _ITERATED_GAP_CELLS,
-    _ITERATED_T_CELLS,
-    _ORDERS,
-    batch_regularized_integrand,
-)
+from silt.regularization import batch_regularized_integrand
+from silt.transform import batch_fw_limit
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +65,12 @@ def test_gap_lattice_integrates_simple_function():
 
 def test_integrate_simplex_volume():
     # volume of the ordered simplex {0 < t1 < t2 < T} is T^2/2
-    val = integrate_simplex_level(1.0, 2, lambda t: np.ones(t.shape[0]), None, 400, 64)
+    val = integrate_simplex_orders(1.0, 2, lambda t: np.ones(t.shape[0]), None, [(400, 64)])[0]
     assert val == pytest.approx(0.5, rel=1e-13)
 
 
 def test_integrate_simplex_volume_k3():
-    val = integrate_simplex_level(1.0, 3, lambda t: np.ones(t.shape[0]), None, 128, 32)
+    val = integrate_simplex_orders(1.0, 3, lambda t: np.ones(t.shape[0]), None, [(128, 32)])[0]
     assert val == pytest.approx(1.0 / 6.0, rel=1e-13)
 
 
@@ -103,20 +100,9 @@ def test_floor_free_lattice_is_exact_for_low_monomials(k, order):
             assert abs(got - want) <= 1e-13 * want, (T, a, got, want)
 
 
-def _probe_orders():
-    params = inspect.signature(divergence_probe).parameters
-    return params["gap_cells"].default, params["t_cells"].default
-
-
-# the regularize orders, the divergence probe's default orders and those the diverge
-# benchmark and criterion 6 pass, and the iterated-bound orders
-@pytest.mark.parametrize(
-    "n",
-    sorted(
-        {*_ORDERS, *_probe_orders(), 64, 96, 256}
-        | {_ITERATED_GAP_CELLS, _ITERATED_T_CELLS}
-    ),
-)
+# the orders of every simplex integral, and the fixed orders that tests and the diverge
+# benchmark pass
+@pytest.mark.parametrize("n", sorted({*_ORDERS, 64, 96, 256}))
 def test_gauss_legendre_is_exact_to_degree_2n_minus_1(n):
     x, w = gauss_legendre(n)
     assert x.shape == w.shape == (n,)
@@ -136,7 +122,21 @@ def test_min_gap_validation():
     # no second gap fits above a floor of 0.6: an empty lattice integrates to 0
     gaps, wts = gap_lattice(1.0, 3, 0.6, 16)
     assert gaps.shape == (0, 2) and wts.shape == (0,)
-    assert integrate_simplex_level(1.0, 3, lambda t: np.ones(t.shape[0]), 0.6, 16, 8) == 0.0
+    assert integrate_simplex_orders(1.0, 3, lambda t: np.ones(t.shape[0]), 0.6, [(16, 8)]) == [0.0]
+
+
+def test_lattice_above_the_row_limit_is_refused_before_any_node(monkeypatch):
+    # 384 points per gap at k = 4 make 384^3 = 56.6 M gap rows
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("gauss_legendre called")
+
+    monkeypatch.setattr(quadrature, "gauss_legendre", no_nodes)
+    with pytest.raises(
+        ValidationError,
+        match="a k=4 lattice with 384 points per gap has up to 56623104 gap rows, "
+        "above the limit of 1000000",
+    ):
+        gap_lattice(1.0, 4, 0.1, 384)
 
 
 _MERGE_MODELS = {
@@ -153,8 +153,8 @@ _MERGE_MODELS = {
     chunk=st.sampled_from([97, 1000, 4096]),
 )
 def test_merged_orders_equal_one_call_per_order(name, k, levels, chunk):
-    """Estimates from one stream of several orders are bitwise those of one
-    ``integrate_simplex_level`` call per order, for every ``chunk``, also one that
+    """Estimates from one stream of several orders are bitwise those of a one-order call
+    per order, for every ``chunk``, also one that
     splits an order over several batches and lets a batch span two orders.  k = 4
     runs up to level 4 (order 16): its orders 24 and 32 take 70k and 210k nodes."""
     levels = min(levels, 4) if k == 4 else levels
@@ -164,7 +164,7 @@ def test_merged_orders_equal_one_call_per_order(name, k, levels, chunk):
     f = batch_regularized_integrand(make(grid), one, parse_function("sin:1", grid))
     orders = [(o, o) for o in _ORDERS[:levels]]
     merged = integrate_simplex_orders(T, k, f, None, orders, chunk=chunk)
-    single = [integrate_simplex_level(T, k, f, None, g, t, chunk=chunk) for g, t in orders]
+    single = [integrate_simplex_orders(T, k, f, None, [o], chunk=chunk)[0] for o in orders]
     assert [x.hex() for x in merged] == [x.hex() for x in single]
 
 
@@ -219,7 +219,7 @@ def test_degenerate_node_fails_on_the_same_tuple_as_one_call_per_order():
 
     with pytest.raises(DegenerateConfigurationError) as single:
         for o in _ORDERS[:3]:
-            integrate_simplex_level(1.0, 3, rejecting, None, o, o)
+            integrate_simplex_orders(1.0, 3, rejecting, None, [(o, o)])
     with pytest.raises(DegenerateConfigurationError) as merged:
         integrate_simplex_orders(1.0, 3, rejecting, None, [(o, o) for o in _ORDERS[:3]])
     assert str(merged.value) == str(single.value) == f"degenerate tuple {tuple(bad[1])}"
@@ -427,11 +427,31 @@ def test_min_gap_truncates_the_simplex(grid, model, floor):
     assert abs(rv.value - want) <= 1e-12, (rv, want)
 
 
+def test_one_driver_calls_the_fixed_order_integrals():
+    """Every simplex integral in src/silt goes through ``integrate_simplex``: only it and
+    the pinned branch of ``divergence_probe`` call ``integrate_simplex_orders``."""
+    callers = []
+    for path in sorted(Path(quadrature.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [
+                    (path.stem, fn.name)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == "integrate_simplex_orders"
+                ]
+    assert sorted(callers) == [
+        ("quadrature", "integrate_simplex"),
+        ("regularization", "divergence_probe"),
+    ]
+
+
 def test_growing_differences_do_not_converge(grid, model, monkeypatch):
     # every difference meets tol, but each is larger than the one before
     estimates = iter([0.0, 1e-6, 3e-6, 6e-6, 1e-5, 1.5e-5])
     monkeypatch.setattr(
-        "silt.regularization.integrate_simplex_orders",
+        "silt.quadrature.integrate_simplex_orders",
         lambda T, k, f, min_gap, orders, **kw: [next(estimates) for _ in orders],
     )
     one = parse_function("const1", grid)
@@ -479,12 +499,50 @@ def test_divergence_probe_closed_form():
     assert rows[1][1] - rows[0][1] == pytest.approx(math.log(10), rel=0.05)
 
 
+@pytest.mark.parametrize("delta", [10.0**-e for e in range(2, 9)])
+def test_truncated_integral_matches_the_closed_form(model, delta):
+    """Zero shifts at k = 2 integrate 1/gap over the delta-truncated simplex to
+    ln(1/delta) - 1 + delta: the default spec lies within its error estimate, and tol
+    1e-10 within 1e-10 relative."""
+    zero = parse_function("zero", model.grid)
+    f, want = batch_fw_limit(model, zero, zero, "paper"), math.log(1 / delta) - 1 + delta
+    rv = integrate_simplex(1.0, f, QuadratureSpec(k=2, min_gap=delta))
+    assert rv.converged and abs(rv.value - want) <= rv.error_estimate, (rv, want)
+    fine = integrate_simplex(1.0, f, QuadratureSpec(k=2, min_gap=delta, tol=1e-10))
+    assert fine.converged and abs(fine.value - want) <= 1e-10 * want, (fine, want)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
+def test_truncated_integrals_differ_by_the_regularized_integral(model, delta):
+    """The regularization as a finite part: at k = 2 with the paper normalization the
+    regularized integrand is 1/Gamma minus the limit integrand, so the truncated integral
+    with zero shifts minus that with shifts const1 is the regularized integral less the
+    part below delta, which is at most delta, to within the three error estimates."""
+    zero, one = parse_function("zero", model.grid), parse_function("const1", model.grid)
+    spec = QuadratureSpec(k=2, min_gap=delta, tol=1e-9)
+    a, b = (
+        integrate_simplex(1.0, batch_fw_limit(model, h, h, "paper"), spec) for h in (zero, one)
+    )
+    reg = regularized_integral(model, 2, one, one, QuadratureSpec(k=2, tol=1e-9))
+    assert a.converged and b.converged and reg.converged
+    assert reg.value == pytest.approx(0.4287201581, abs=1e-10)
+    err = a.error_estimate + b.error_estimate + reg.error_estimate
+    assert abs(a.value - b.value - reg.value) <= 2 * delta + err, (a, b, reg)
+
+
 def test_divergence_probe_validates_deltas(grid, model):
     z = parse_function("zero", grid)
     with pytest.raises(ValidationError):
         divergence_probe(model, 2, z, z, [1e-3, 1e-2])
     with pytest.raises(ValidationError):
         divergence_probe(model, 2, z, z, [1e-2, 0.0])
+
+
+@pytest.mark.parametrize("cells", [{"gap_cells": 64}, {"t_cells": 32}])
+def test_divergence_probe_refuses_half_a_fixed_order(grid, model, cells):
+    z = parse_function("zero", grid)
+    with pytest.raises(ValidationError, match="gap_cells and t_cells are given together"):
+        divergence_probe(model, 2, z, z, [1e-2], **cells)
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +638,22 @@ def test_iterated_bound_and_homogeneity(grid):
         assert bound2 == pytest.approx(9.0 ** (k - 1) * bound, rel=1e-12)
 
 
-@pytest.mark.parametrize("k, want", [(2, 1 / 2), (3, 1 / 6)])
+def test_iterated_bound_fails_a_value_that_does_not_converge(grid, monkeypatch):
+    # every difference meets tol, but each is larger than the one before
+    estimates = iter([0.0, 1e-6, 3e-6, 6e-6, 1e-5, 1.5e-5])
+    monkeypatch.setattr(
+        quadrature,
+        "integrate_simplex_orders",
+        lambda T, k, f, min_gap, orders, **kw: [next(estimates) for _ in orders],
+    )
+    val, bound, ok = iterated_bound_check(parse_function("hat:0.5:0.5", grid), 2)
+    assert val == 1.5e-5 * bound and not ok
+
+
+@pytest.mark.parametrize("k, want", [(2, 1 / 2), (3, 1 / 6), (4, 1 / 24)])
 def test_iterated_bound_of_const1_is_the_simplex_volume(grid, k, want):
     """For h = 1 the integrand is 1, so the iterated integral over the whole simplex is
-    its volume 1/k! on [0, 1]."""
+    its volume 1/k! on [0, 1], at every order."""
     val, bound, ok = iterated_bound_check(parse_function("const1", grid), k)
     assert abs(val - want) <= 1e-12
     assert bound == 8.0 ** (k - 1) and ok

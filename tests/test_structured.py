@@ -60,8 +60,8 @@ from silt.cli import _sl_covariance
 from silt.function_space import Intervals, KernelOperator, interval_integrals
 from silt.gram import batch_decompose, batch_ortho_coeffs, batch_projections
 from silt.process_models import ProcessModel
-from silt.quadrature import gap_lattice, gauss_legendre, simplex_rule
-from silt.regularization import _ORDERS, batch_fw_limit, batch_regularized_integrand
+from silt.quadrature import _ORDERS, gap_lattice, gauss_legendre, simplex_rule
+from silt.regularization import batch_fw_limit, batch_regularized_integrand
 from silt.transform import MC_CHUNK
 
 HALF_PI = math.pi / 2
