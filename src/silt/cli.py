@@ -75,7 +75,7 @@ class RunConfig:
     )
     levels: int = _setting(
         QuadratureSpec.levels, "run.levels", "--levels", ("regularize",), int,
-        help=f"most Gauss orders to try, of {', '.join(map(str, _ORDERS))} (2..{len(_ORDERS)})",
+        help=f"most Gauss orders to try, of {', '.join(map(str, _ORDERS))} (3..{len(_ORDERS)})",
     )
     min_gap: Optional[float] = _setting(
         None, "run.min_gap", "--min-gap", ("regularize",), float,

@@ -16,7 +16,8 @@ reduces its own groups, so its estimate is bitwise that of a one-order call
 whenever an integrand value does not depend on the rest of its batch.
 
 ``integrate_simplex``, the driver of every simplex integral in silt, tries the
-orders ``_ORDERS`` in turn until the stop rule (``stop_reason``) holds.
+orders ``_ORDERS`` in turn until the stop rule (``stop_reason``) holds.  No order above
+the one node budget ``_MAX_NODES`` is built, and that budget alone decides the valid k.
 """
 
 from __future__ import annotations
@@ -30,13 +31,15 @@ import numpy as np
 
 from .errors import SiltError, ValidationError
 
-# largest row bound n_cells^(k-1) of a gap lattice that may be built
-_MAX_LATTICE_ROWS = 10**6
 # Gauss points per coordinate of the orders that integrate_simplex tries in turn.  Each is
 # at least 1.5 times the one before: for an error C n^-p the last difference is the last
 # error times (r^p - 1), r the ratio of the last two orders, so r >= 1.5 keeps it at least
 # the error for p >= 1.71.  None is below 4, so each is exact for degree-3 monomials at k=4.
+# An order of o points has o^k nodes, and the driver skips those above the budget: it tries
+# all six at k <= 4, four at k=5 and three at k=6 (_MAX_K, the last k that fits three).
 _ORDERS = (4, 6, 9, 14, 21, 32)
+_MAX_NODES = 32**4  # the node budget of one order: the top order at k=4, 1.05 M nodes
+_MAX_K = max(k for k in range(2, _MAX_NODES.bit_length()) if _ORDERS[2] ** k <= _MAX_NODES)
 
 # Freeing one untouched 2 MiB block raises glibc's heap-trim threshold to 4 MiB, so batch
 # temporaries (1.1 MB at k=3 on perturbed:sl) are not trimmed and refaulted per call.
@@ -54,11 +57,10 @@ class QuadratureSpec:
     tol: float = 1e-3
 
     def __post_init__(self):
-        # the orders are sized for k = 2, 3, 4: the top order has 32^k nodes, 1.05 M at k=4
-        if self.k not in (2, 3, 4):
-            raise ValidationError(f"multiplicity k must be 2, 3 or 4, got {self.k}")
-        if not 2 <= self.levels <= len(_ORDERS):
-            raise ValidationError(f"levels must lie in 2..{len(_ORDERS)}, got {self.levels}")
+        if not 2 <= self.k <= _MAX_K:
+            raise ValidationError(f"multiplicity k must lie in 2..{_MAX_K}, got {self.k}")
+        if not 3 <= self.levels <= len(_ORDERS):
+            raise ValidationError(f"levels must lie in 3..{len(_ORDERS)}, got {self.levels}")
         if not 0 < self.tol < math.inf:
             raise ValidationError(f"tol must be positive and finite, got {self.tol}")
 
@@ -107,12 +109,6 @@ def gap_lattice(
     """
     if min_gap is not None and not 0 < min_gap < T:
         raise ValidationError(f"min_gap {min_gap} must lie in (0, T)")
-    rows = n_cells ** (k - 1)
-    if rows > _MAX_LATTICE_ROWS:
-        raise ValidationError(
-            f"a k={k} lattice with {n_cells} points per gap has up to {rows} gap rows, "
-            f"above the limit of {_MAX_LATTICE_ROWS}"
-        )
     v, w = gauss_legendre(n_cells)
     gaps, wts = np.zeros((1, 0)), np.array([1.0])
     for _ in range(k - 1):
@@ -170,8 +166,14 @@ def integrate_simplex_orders(
     (``simplex_rule``) are evaluated in order, as many whole groups per call as
     fit in ``chunk`` tuples.  Each order reduces its own groups: numpy's pairwise
     sum per group plus a final pairwise pass over the group sums, so an estimate
-    does not depend on the other orders of the stream.
+    does not depend on the other orders of the stream.  An order of more than
+    ``_MAX_NODES`` nodes is refused before any node is built.
     """
+    for gap_cells, t_cells in orders:
+        nodes = gap_cells ** (k - 1) * t_cells
+        if nodes > _MAX_NODES:
+            what = f"a k={k} order of {gap_cells} x {t_cells} points"
+            raise ValidationError(f"{what} has {nodes} nodes, above the budget of {_MAX_NODES}")
     groups = (
         (j, *group)
         for j, (gap_cells, t_cells) in enumerate(orders)
@@ -207,10 +209,10 @@ def integrate_simplex(
     spec: QuadratureSpec,
     chunk: int = 4096,
 ) -> RegularizedValue:
-    """Integral of ``f`` over the ordered simplex of ``spec.k`` times in [0, T], truncated
-    at ``spec.min_gap`` if one is given: the first ``spec.levels`` orders of ``_ORDERS``
-    in turn, up to the first estimate that meets the stop rule (``stop_reason``)."""
-    estimates, orders = [], [(o, o) for o in _ORDERS[: spec.levels]]
+    """Integral of ``f`` over the ordered simplex of ``spec.k`` times in [0, T], truncated at
+    ``spec.min_gap`` if one is given: the first ``spec.levels`` orders of ``_ORDERS`` within
+    ``_MAX_NODES`` in turn, up to the first estimate that meets the stop rule."""
+    estimates, orders = [], [(o, o) for o in _ORDERS[: spec.levels] if o**spec.k <= _MAX_NODES]
     # the stop rule needs three estimates, so the first three orders share one stream
     for run in (orders[:3], *([order] for order in orders[3:])):
         estimates += integrate_simplex_orders(T, spec.k, f, spec.min_gap, run, chunk=chunk)
@@ -222,16 +224,13 @@ def integrate_simplex(
 
 
 def stop_reason(estimates: Sequence[float], tol: float) -> Optional[str]:
-    """The stop rule: None once the last difference of the estimates is at most tol (1 +
-    |value|) and no larger than the one before it (a lone one never is), else why not."""
-    last = estimates[-3:]
-    diffs = [abs(b - a) for a, b in zip(last, last[1:])]
-    bound = tol * (1.0 + abs(last[-1]))
-    if diffs[-1] > bound:
+    """The stop rule on three or more estimates: None once the last difference is at most
+    tol (1 + |value|) and no larger than the one before it, else why not."""
+    a, b, c = estimates[-3:]
+    bound = tol * (1.0 + abs(c))
+    if abs(c - b) > bound:
         return f"> tol*(1+|value|) = {bound:.3e}"
-    if len(diffs) == 1:
-        return "is the only one, and a lone difference is not trusted (levels >= 3)"
-    return None if diffs[1] <= diffs[0] else "grew from the difference before it"
+    return None if abs(c - b) <= abs(b - a) else "grew from the difference before it"
 
 
 def check_converged(rv: RegularizedValue, tol: float, what: str = "") -> None:

@@ -156,7 +156,8 @@ NAMED_VALUES = {
     "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --mc 2000 "
     "--seed 340282366920938463463374607431768211456":
         "seed 340282366920938463463374607431768211456 must lie in [0, 2**128)",
-    "regularize --k 2 --h1 const1 --h2 const1 --levels 7": "levels must lie in 2..6, got 7",
+    "regularize --k 2 --h1 const1 --h2 const1 --levels 7": "levels must lie in 3..6, got 7",
+    "regularize --k 2 --h1 const1 --h2 const1 --levels 2": "levels must lie in 3..6, got 2",
     "schur --h const1 --a -0.5": "left endpoint a=-0.5 must lie in [0, T=1.0)",
     "schur --h const1 --a=-inf": "left endpoint a=-inf must lie in [0, T=1.0)",
     # a value after a space that starts with - and is not a plain negative number
@@ -177,7 +178,7 @@ NAMED_VALUES = {
 @pytest.mark.parametrize(
     "argv",
     [
-        "regularize --k 2 --h1 const1 --h2 const1 --levels 2 --min-gap nan",
+        "regularize --k 2 --h1 const1 --h2 const1 --levels 3 --min-gap nan",
         "diverge --k 2 --h1 zero --h2 zero --deltas nan",
         "gram --grid-T nan --times 0.2,0.5",
         "gram --times 0.2,0.5 --h hat:0.5:nan",
@@ -200,6 +201,7 @@ NAMED_VALUES = {
         "pdecay --t1 -1e-3 --t2 0.5 --h const1",
         "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --eps -inf",
         "regularize --k 2 --h1 const1 --h2 const1 --levels 7",
+        "regularize --k 2 --h1 const1 --h2 const1 --levels 2",
     ],
 )
 def test_non_finite_or_malformed_input_exits_2(tmp_path, capsys, argv):
@@ -236,9 +238,10 @@ def test_list_option_starting_with_a_negative_number_exits_2(capsys, argv, named
     assert f"validation error: {named}" in err
 
 
-@pytest.mark.parametrize("k", [0, 1, 5])
+@pytest.mark.parametrize("k", [0, 1, 7])
 def test_diverge_k_outside_the_lattice_rule_exits_2(capsys, monkeypatch, k):
-    # the k rule of every simplex integral refuses k before any lattice is built
+    # the k rule of every simplex integral refuses k before any lattice is built: at
+    # k = 7 the third order has 9^7 nodes, above the budget of 32^4
     def no_lattice(*args, **kwargs):
         raise AssertionError("gap_lattice called")
 
@@ -246,7 +249,7 @@ def test_diverge_k_outside_the_lattice_rule_exits_2(capsys, monkeypatch, k):
     argv = f"diverge --k {k} --h1 zero --h2 zero --deltas 0.1".split()
     code, out, err = run(capsys, *argv)
     assert code == 2, err
-    assert f"validation error: multiplicity k must be 2, 3 or 4, got {k}" in err
+    assert f"validation error: multiplicity k must lie in 2..6, got {k}" in err
 
 
 def test_diverge_k4_exits_0_with_finite_rows(capsys):
@@ -255,6 +258,15 @@ def test_diverge_k4_exits_0_with_finite_rows(capsys):
     assert code == 0, err
     rows = [tuple(map(float, line.split(","))) for line in out.strip().splitlines()[3:]]
     assert [d for d, _ in rows] == [0.1, 0.01]
+    assert all(math.isfinite(v) and v > 0 for _, v in rows)
+
+
+def test_diverge_k5_exits_0_with_finite_rows(capsys):
+    argv = "diverge --k 5 --h1 zero --h2 zero --deltas 1e-2,1e-3".split()
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    rows = [tuple(map(float, line.split(","))) for line in out.strip().splitlines()[3:]]
+    assert [d for d, _ in rows] == [1e-2, 1e-3]
     assert all(math.isfinite(v) and v > 0 for _, v in rows)
 
 
@@ -286,13 +298,19 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
 
 
 def test_exit_3_says_why(capsys, monkeypatch):
-    argv = ("regularize", "--k", "2", "--h1", "sin:3", "--h2", "sin:3", "--levels", "2")
-    code, out, err = run(capsys, *argv)
+    # each difference halves, but none meets tol
+    estimates = iter([0.0, 0.5, 0.75, 0.875, 0.9375, 0.96875])
+    monkeypatch.setattr(
+        "silt.quadrature.integrate_simplex_orders",
+        lambda T, k, f, min_gap, orders, **kw: [next(estimates) for _ in orders],
+    )
+    code, out, err = run(capsys, "regularize", "--k", "2", "--h1", "sin:3", "--h2", "sin:3")
     assert code == 3
     assert json.loads(out)["result"]["converged"] is False
-    (line,) = err.splitlines()
-    assert line.startswith("silt: numerical failure: not converged: last level difference ")
-    assert "> tol*(1+|value|) = " in line
+    assert err == (
+        "silt: numerical failure: not converged: last level difference 3.125e-02 "
+        "> tol*(1+|value|) = 1.969e-03\n"
+    )
     monkeypatch.setattr(silt.cli, "schur_bound_check", lambda h, a: (2.0, 1.0, False))
     code, out, err = run(capsys, "schur", "--h", "const1")
     assert code == 3
@@ -301,15 +319,7 @@ def test_exit_3_says_why(capsys, monkeypatch):
 
 
 def test_exit_3_names_the_failed_stop_condition(capsys, monkeypatch):
-    # zero shifts: every estimate is 0, so the lone difference meets tol
-    argv = ("regularize", "--k", "2", "--h1", "zero", "--h2", "zero", "--levels", "2")
-    code, out, err = run(capsys, *argv)
-    assert code == 3
-    assert json.loads(out)["result"]["error_estimate"] == 0.0
-    assert err == (
-        "silt: numerical failure: not converged: last level difference 0.000e+00 is the only "
-        "one, and a lone difference is not trusted (levels >= 3)\n"
-    )
+    # every difference meets tol, but each is larger than the one before
     estimates = iter([0.0, 1e-6, 3e-6, 6e-6, 1e-5, 1.5e-5])
     monkeypatch.setattr(
         "silt.quadrature.integrate_simplex_orders",
@@ -550,7 +560,7 @@ def test_the_parser_takes_exactly_the_settings_each_subcommand_reads():
 
 def test_levels_help_names_the_orders():
     (levels,) = [a for a in _subparsers()["regularize"]._actions if a.dest == "levels"]
-    assert levels.help == "most Gauss orders to try, of 4, 6, 9, 14, 21, 32 (2..6)"
+    assert levels.help == "most Gauss orders to try, of 4, 6, 9, 14, 21, 32 (3..6)"
 
 
 @pytest.mark.parametrize("command", sorted(READS))

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import re
 from pathlib import Path
@@ -31,6 +32,7 @@ from silt import (
 from silt.function_space import GridFunction, cumulative
 from silt import quadrature, regularization
 from silt.quadrature import (
+    _MAX_NODES,
     _ORDERS,
     gap_lattice,
     gauss_legendre,
@@ -126,17 +128,44 @@ def test_min_gap_validation():
 
 
 def test_lattice_above_the_row_limit_is_refused_before_any_node(monkeypatch):
-    # 384 points per gap at k = 4 make 384^3 = 56.6 M gap rows
+    # 384 points per coordinate at k = 4 make 384^4 = 21.7 G nodes, above the 32^4 budget
     def no_nodes(*args, **kwargs):
         raise AssertionError("gauss_legendre called")
 
     monkeypatch.setattr(quadrature, "gauss_legendre", no_nodes)
     with pytest.raises(
         ValidationError,
-        match="a k=4 lattice with 384 points per gap has up to 56623104 gap rows, "
-        "above the limit of 1000000",
+        match="a k=4 order of 384 x 384 points has 21743271936 nodes, "
+        "above the budget of 1048576",
     ):
-        gap_lattice(1.0, 4, 0.1, 384)
+        integrate_simplex_orders(1.0, 4, no_nodes, 0.1, [(384, 384)])
+
+
+def test_the_node_budget_decides_k_levels_and_orders(monkeypatch):
+    """``QuadratureSpec`` accepts exactly the k >= 2 and levels that leave at least three
+    orders of ``_ORDERS[:levels]`` within ``_MAX_NODES`` (there is no 7th order), which
+    makes k 2..6 and levels 3..6; the driver then builds those orders and no other."""
+    seen, estimates = [], itertools.count()
+
+    def recording(T, k, f, min_gap, orders, **kw):
+        seen.extend(orders)
+        return [float(next(estimates)) for _ in orders]  # differences of 1 never converge
+
+    monkeypatch.setattr(quadrature, "integrate_simplex_orders", recording)
+    accepted = set()
+    for k, levels in itertools.product(range(1, 9), range(1, 8)):
+        fit = [o for o in _ORDERS[:levels] if o**k <= _MAX_NODES]
+        if k < 2 or levels > len(_ORDERS) or len(fit) < 3:
+            with pytest.raises(ValidationError):
+                QuadratureSpec(k=k, levels=levels)
+            continue
+        seen.clear()
+        rv = integrate_simplex(1.0, None, QuadratureSpec(k=k, levels=levels))
+        assert seen == [(o, o) for o in fit] and len(rv.level_estimates) == len(fit)
+        assert all(g ** (k - 1) * t <= _MAX_NODES for g, t in seen)
+        accepted.add((k, levels))
+    assert {k for k, _ in accepted} == set(range(2, 7))
+    assert {levels for _, levels in accepted} == set(range(3, 7))
 
 
 _MERGE_MODELS = {
@@ -326,9 +355,9 @@ def test_wiener_default_spec_matches_oracles(grid, model):
         assert rv.error_estimate == abs(rv.level_estimates[-1] - rv.level_estimates[-2])
 
 
-def _wiener_oracle(c: float, k: int, T: float = 1.0) -> float:
+def _wiener_oracle(c: float, k: int, T: float = 1.0) -> tuple:
     """int_0^T (T - s) phi^{*(k-1)}(s) ds for phi(g) = (1 - e^{-c^2 g}) / g, the simplex
-    integral of the Wiener integrand with shifts c const1.
+    integral of the Wiener integrand with shifts c const1, and quad's error estimate of it.
 
     phi has the Laplace transform log(1 + a/p), a = c^2, cut along [-a, 0], so
     phi^{*(k-1)}(s) = (1/pi) int_0^a e^{-rs} Im (l(r) + i pi)^{k-1} dr with
@@ -354,18 +383,18 @@ def _wiener_oracle(c: float, k: int, T: float = 1.0) -> float:
         )
 
     val, err = integrate.quad(f, math.log(2.0), math.inf, epsabs=1e-15, epsrel=1e-12, limit=200)
-    return a * T * T * val / math.pi
+    return a * T * T * val / math.pi, a * T * T * err / math.pi
 
 
 def test_wiener_oracle_matches_the_direct_quad():
     """The branch-cut form against the nested quad of ``test_wiener_default_spec_matches_oracles``."""
-    assert _wiener_oracle(1.0, 3) == pytest.approx(0.13161676748529, abs=1e-13)
+    assert _wiener_oracle(1.0, 3)[0] == pytest.approx(0.13161676748529, abs=1e-13)
     for c in (0.1, 1.0, 3.0):
         direct, err = integrate.quad(
             lambda s: (1 - s) * -math.expm1(-c * c * s) / s, 0.0, 1.0, epsabs=1e-15
         )
         assert err < 1e-13
-        assert _wiener_oracle(c, 2) == pytest.approx(direct, abs=1e-14)
+        assert _wiener_oracle(c, 2)[0] == pytest.approx(direct, abs=1e-14)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -375,7 +404,21 @@ def test_wiener_const_shifts_converge_to_the_oracle(grid, model, c, k):
     (plus rounding) of the 1-D oracle."""
     one = parse_function("const1", grid)
     rv = regularized_integral(model, k, c * one, c * one, QuadratureSpec(k=k))
-    oracle = _wiener_oracle(c, k)
+    oracle = _wiener_oracle(c, k)[0]
+    assert rv.converged
+    assert abs(rv.value - oracle) <= rv.error_estimate + 1e-12 * (1 + abs(oracle)), (rv, oracle)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("k", [5, 6])
+@pytest.mark.parametrize("c", [0.3, 1.0, 3.0])
+def test_wiener_const_shifts_converge_to_the_oracle_at_k5_and_k6(grid, model, c, k):
+    """As at k = 2..4, on the orders within the node budget: four at k=5, three at k=6.
+    At k=6, c=3 the oracle's quad warns of roundoff, so its own estimate is checked too."""
+    one = parse_function("const1", grid)
+    rv = regularized_integral(model, k, c * one, c * one, QuadratureSpec(k=k))
+    oracle, err = _wiener_oracle(c, k)
+    assert err <= 1e-10 * (1 + abs(oracle)), (oracle, err)
     assert rv.converged
     assert abs(rv.value - oracle) <= rv.error_estimate + 1e-12 * (1 + abs(oracle)), (rv, oracle)
 
@@ -462,13 +505,14 @@ def test_growing_differences_do_not_converge(grid, model, monkeypatch):
 
 
 def test_spec_validation():
-    with pytest.raises(ValidationError):
-        QuadratureSpec(k=5)
-    with pytest.raises(ValidationError):
-        QuadratureSpec(k=2, levels=1)
-    # there is no 7th Gauss order
-    with pytest.raises(ValidationError, match="levels must lie in 2..6, got 7"):
-        QuadratureSpec(k=2, levels=7)
+    # at k = 7 the third order has 9^7 nodes, above the budget of 32^4
+    for k in (1, 7):
+        with pytest.raises(ValidationError, match=f"multiplicity k must lie in 2..6, got {k}"):
+            QuadratureSpec(k=k)
+    # the stop rule needs three orders, and there is no 7th Gauss order
+    for levels in (1, 2, 7):
+        with pytest.raises(ValidationError, match=f"levels must lie in 3..6, got {levels}"):
+            QuadratureSpec(k=2, levels=levels)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -650,7 +694,9 @@ def test_iterated_bound_fails_a_value_that_does_not_converge(grid, monkeypatch):
     assert val == 1.5e-5 * bound and not ok
 
 
-@pytest.mark.parametrize("k, want", [(2, 1 / 2), (3, 1 / 6), (4, 1 / 24)])
+@pytest.mark.parametrize(
+    "k, want", [(2, 1 / 2), (3, 1 / 6), (4, 1 / 24), (5, 1 / 120), (6, 1 / 720)]
+)
 def test_iterated_bound_of_const1_is_the_simplex_volume(grid, k, want):
     """For h = 1 the integrand is 1, so the iterated integral over the whole simplex is
     its volume 1/k! on [0, 1], at every order."""

@@ -697,7 +697,7 @@ def no_dense_rows():
 
 def test_batched_route_builds_no_factor_rows(no_dense_rows):
     for model, h in no_dense_rows:
-        rv = regularized_integral(model, 2, h, h, QuadratureSpec(k=2, levels=2))
+        rv = regularized_integral(model, 2, h, h, QuadratureSpec(k=2, levels=3))
         assert np.isfinite(rv.value)
         rows = divergence_probe(model, 2, h, h, (1e-1, 1e-2), gap_cells=16, t_cells=8)
         assert all(np.isfinite(v) for _, v in rows)
@@ -752,7 +752,7 @@ def test_kernel_route_enters_no_numpy_wrapper(no_dense_rows):
             base, gaps = (0.2 * T, 0.5 * T, 0.9 * T), (0.1 * T, 0.01 * T)
             slnd_scan(model, TimeTuple(base), {1}, gaps)
             integrand_diagonal_scan(model, base, 1, gaps, h, h)
-            regularized_integral(model, 2, h, h, QuadratureSpec(k=2, levels=2))
+            regularized_integral(model, 2, h, h, QuadratureSpec(k=2, levels=3))
 
     entered = []
 
