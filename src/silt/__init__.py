@@ -52,6 +52,5 @@ from .regularization import (
     regularized_integral,
     regularized_integrand,
     schur_bound_check,
-    schur_kernel_norm,
 )
 from .transform import TransformPoint, fw_eps, fw_limit, fw_wiener, mc_fw_estimate

@@ -6,12 +6,13 @@ grid part by construction) carries finite-dimensional directions such as the
 e+0 direction of the counterexample process.
 
 The Gram kernel integrates exactly over intervals, by one rule (``interval_weights``)
-on one table per grid, with sin and cos only for trig integrals (``cell_table``).
-``Intervals`` cuts the intervals between consecutive times into a head and a tail
-inside the cells of their ends and a block of whole cells between them, and
-``interval_integrals`` integrates a cellwise-constant function, alone or times sin u
-and cos u, over each: a block from prefix sums built once per call, head and tail
-directly, so a sub-cell interval keeps its digits.  Only this module reads that cell
+on one table per grid, with sin and cos only for trig integrals (``cell_table``), and
+per batch from tangents (``_double_angle``).  ``Intervals`` cuts the intervals between
+consecutive times into a head and a tail inside the cells of their ends and a block of
+whole cells between them, and ``interval_integrals`` integrates a cellwise-constant
+function, alone or times sin u and cos u, over each: a block from prefix sums built once
+per call, head and tail from integrals shared by every function (``Intervals.ends``), so
+a sub-cell interval keeps its digits.  Only this module reads that cell
 format; the models get integrals and the cell parts.  The ``indicator:a:b`` shift is
 the share of each cell that [a, b] covers.
 Per-call code calls ufuncs' reduce/accumulate, not numpy's wrappers (1-3 us slower).
@@ -134,16 +135,28 @@ def prefix_sums(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _double_angle(u) -> np.ndarray:
+    """sin 2u and cos 2u, (2,) + u.shape, as 2t/(1+t^2) and (1-t^2)/(1+t^2) of t = tan u:
+    numpy's float64 tan has a SIMD loop that its sin and cos may lack."""
+    t = np.tan(u)
+    out = np.empty((2,) + t.shape)
+    np.add(t, t, out=out[0])
+    np.multiply(t, t, out=t)
+    np.subtract(1.0, t, out=out[1])
+    t += 1.0
+    out /= t
+    return out
+
+
 def interval_weights(d: np.ndarray, at_start=None) -> np.ndarray:
     """Integrals over [a, a + d] of 1, or of 1, sin u and cos u given at_start = (sin a,
     cos a): (1 or 3,) + d.shape.  The trig ones are 2 sin(d/2) times sin and cos of the
-    midpoint, by angle addition from a: one sine per interval, and an interval far
-    shorter than its distance from 0 keeps its digits."""
+    midpoint, by angle addition from a, sin(d/2) and cos(d/2) from tan(d/4): within 4 eps d
+    of the exact integral for d <= pi, so a short interval far from 0 keeps its digits."""
     out = np.empty((1 + 2 * (at_start is not None),) + d.shape)
     out[0] = d
     if at_start is not None:
-        half = np.sin(0.5 * d)
-        full = np.sqrt(1.0 - half * half)  # cos(d/2)
+        half, full = _double_angle(0.25 * d)
         sin_a, cos_a = at_start
         np.multiply(sin_a, full, out=out[1])
         out[1] += cos_a * half
@@ -164,7 +177,7 @@ class Intervals:
     max(c_{j+1}, c_j + 1)); the tail [max(c_{j+1} w, m_j), t_{j+1}] lies in cell c_{j+1}.
     Block and tail are empty when both ends share a cell.  ``bounds`` (4, s, B) holds
     t_j, m_j, the tail start and t_{j+1}; ``cells`` (s + 1, B) the c_j; ``trig``, if
-    asked for, sin t and cos t (2, s + 1, B).
+    asked for, sin t and cos t (2, s + 1, B), from tan(t/2).
     """
 
     grid: Grid
@@ -180,7 +193,17 @@ class Intervals:
         bounds[0], bounds[3] = t[:-1], t[1:]
         np.minimum((c[:-1] + 1) * w, t[1:], out=bounds[1])
         np.maximum(c[1:] * w, bounds[1], out=bounds[2])
-        return cls(grid, bounds, c, np.array([np.sin(t), np.cos(t)]) if trig else None)
+        return cls(grid, bounds, c, _double_angle(0.5 * t) if trig else None)
+
+    @functools.cached_property
+    def ends(self):
+        """``interval_weights`` of the heads and of the tails (a tail starts on its cell's
+        edge), each (1 or 3, s, B), computed once for every function integrated over them."""
+        d = self.bounds[1::2] - self.bounds[::2]
+        if self.trig is None:
+            return d[:, None]
+        tails = cell_table(self.grid, True)[1].take(self.cells[1:], axis=1)
+        return interval_weights(d[0], self.trig[:, :-1]), interval_weights(d[1], tails)
 
     def parts(self):
         """Head, block and tail as cell ranges [lo, hi) and the share of each of their
@@ -214,20 +237,20 @@ def interval_integrals(grid: Grid, f: np.ndarray, trig: bool = False):
 
     A block is a difference of prefix sums of f times the cell integrals of
     ``cell_table``, built here once per call; head and tail are f on their cell times
-    the integrals over them, so a sub-cell interval is never a difference of sums over
-    [0, t].  A tail starts on the edge of its cell, or is empty.
+    the integrals over them (``Intervals.ends``), so a sub-cell interval is never a
+    difference of sums over [0, t].
     """
-    _, at_edges, cells = cell_table(grid, trig)
-    cum = prefix_sums(f * cells)
+    cells = cell_table(grid, trig)[2]
+    cum, rows = prefix_sums(f * cells), len(cells)
 
     def integrate(iv: Intervals) -> np.ndarray:
-        (a, m, tail, b), c = iv.bounds, iv.cells
-        heads, tails = (iv.trig[:, :-1], at_edges.take(c[1:], axis=1)) if trig else (None, None)
+        (heads, tails), c = iv.ends, iv.cells
+        fc = f.take(c)
         first = c[:-1] + 1
         out = cum.take(np.maximum(c[1:], first), axis=1)
         out -= cum.take(first, axis=1)
-        out += f.take(c[:-1]) * interval_weights(m - a, heads)
-        out += f.take(c[1:]) * interval_weights(b - tail, tails)
+        out += heads[:rows] * fc[:-1]
+        out += tails[:rows] * fc[1:]
         return out
 
     return integrate

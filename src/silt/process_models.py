@@ -228,7 +228,8 @@ def sturm_liouville_model(grid: Grid) -> ProcessModel:
     of 1, sin 2u and cos 2u) and w those of sin and cos over segment i+1, the only one the
     step of increment i meets; a pairing adds the integrals of h sin u and h cos u over
     the segments times z.  All are ``interval_weights``: differences of sin and cos over
-    a gap are products, which keep the digits of short gaps.
+    a gap are products, which keep the digits of short gaps, and a batch's sines and
+    cosines come from tangents (``function_space._double_angle``).
     """
     if abs(grid.T - math.pi / 2) > _SL_ENDPOINT_TOL:
         raise ValidationError(

@@ -17,14 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .function_space import (
-    GridFunction,
-    KernelOperator,
-    cell_table,
-    inner,
-    make_grid,
-    operator_norm,
-)
+from .function_space import GridFunction, cell_table, inner
 from .gram import (
     TimeTuple,
     batch_projections,
@@ -36,9 +29,6 @@ from .process_models import ProcessModel, wiener_model
 from .quadrature import QuadratureSpec, RegularizedValue, check_converged, integrate_simplex
 from .quadrature import integrate_simplex_orders
 from .transform import batch_fw_limit
-
-# grid of the Schur kernel norm
-_SCHUR_KERNEL_CELLS = 512
 
 
 def product_form_wiener(tt: TimeTuple, h1: GridFunction, h2: GridFunction) -> float:
@@ -175,19 +165,6 @@ def schur_bound_check(h: GridFunction, a: float = 0.0) -> Tuple[float, float, bo
     lhs = norm_sq + float(np.sum(2.0 * s * d * np.log1p(D / x0) + d * d * D / (x0 * x1)))
     rhs = 8.0 * norm_sq
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-6)
-
-
-def schur_kernel_norm() -> float:
-    """Operator norm (``operator_norm``) of the discretized kernel 1/(s2-a) on {s2 > s1}.
-
-    On every interval [a, T] the matrix is 1/(j + 1/2) for j > i, so [0, 1] serves all.
-    """
-    grid = make_grid(1.0, _SCHUR_KERNEL_CELLS)
-
-    def kernel(s1, s2):
-        return np.where(s2 > s1, 1.0 / s2, 0.0)
-
-    return operator_norm(KernelOperator.from_kernel(grid, kernel))
 
 
 def iterated_bound_check(h: GridFunction, k: int) -> Tuple[float, float, bool]:

@@ -1,6 +1,9 @@
+import ast
 import io
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,8 @@ from silt import (
     parse_function,
     wiener_model,
 )
-from silt.function_space import GridFunction, read_grid_function
+import silt
+from silt.function_space import GridFunction, _double_angle, interval_weights, read_grid_function
 
 
 def test_make_grid_examples():
@@ -148,3 +152,85 @@ def test_arithmetic_operators():
     g = 2.0 * f - f
     assert np.allclose(g.values, 1.0)
     assert (f + f).norm_sq() == pytest.approx(4.0)
+
+
+# ---------------------------------------------------------------------------
+# sines and cosines from one tangent
+
+EPS = np.finfo(float).eps
+
+
+def _exact(f, x):
+    """f (an mpmath function) of the float x, correctly rounded to a float."""
+    with mpmath.workdps(40):
+        return float(f(mpmath.mpf(x)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    a=st.floats(0.0, math.pi),
+    d=st.one_of(
+        st.floats(math.log(1e-12), math.log(math.pi)).map(math.exp),
+        st.floats(math.log(1e-9), math.log(1e-2)).map(lambda x: math.pi - math.exp(x)),
+    ),
+)
+def test_interval_trig_integrals_are_within_4_eps_d(a, d):
+    """The integrals of sin u and cos u over [a, a + d] lie within 4 eps d of
+    cos a - cos(a + d) and sin(a + d) - sin a, given sin a and cos a correctly rounded:
+    for d from 1e-12 to pi, and for d within 1e-9 of pi, where cos(d/2) taken as
+    sqrt(1 - sin^2(d/2)) cancels (3e-11 off, 3e7 eps d)."""
+    sin_a, cos_a = _exact(mpmath.sin, a), _exact(mpmath.cos, a)
+    got = interval_weights(np.array([d]), (np.array([sin_a]), np.array([cos_a])))[1:, 0]
+    with mpmath.workdps(40):
+        lo, hi = mpmath.mpf(a), mpmath.mpf(a) + mpmath.mpf(d)
+        want = [float(mpmath.cos(lo) - mpmath.cos(hi)), float(mpmath.sin(hi) - mpmath.sin(lo))]
+    assert np.all(np.abs(got - want) <= 4.0 * EPS * d), (got, want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(x=st.lists(st.floats(2.0**-1021, math.pi / 2), min_size=1, max_size=64))
+def test_tangent_sine_and_cosine_are_within_2_eps(x):
+    """On [0, pi/2] the tangent forms give sin x within 2 eps relative and cos x within
+    2 eps absolute, at the endpoints too; x/2 keeps every bit of x, which is 0 or normal."""
+    x = np.array(x + [0.0, math.pi / 2])
+    got = _double_angle(0.5 * x)
+    sin_x = np.array([_exact(mpmath.sin, v) for v in x])
+    cos_x = np.array([_exact(mpmath.cos, v) for v in x])
+    assert np.all(np.abs(got[0] - sin_x) <= 2.0 * EPS * sin_x)
+    assert np.all(np.abs(got[1] - cos_x) <= 2.0 * EPS)
+
+
+# where np.sin and np.cos may run: once per grid, function or operator, or at set-up
+_TRIG_SITES = {
+    ("function_space", "cell_table"),
+    ("function_space", "parse_function"),
+    ("process_models", "sturm_liouville_operator"),
+    ("quadrature", "gauss_legendre"),
+    ("cli", "_sl_covariance"),
+}
+
+
+def test_per_batch_code_takes_sines_and_cosines_from_tangents():
+    """Every np.sin and np.cos in ``src/silt`` sits in a function that runs once per
+    grid, function or operator, or at set-up; per-batch code takes its sines and cosines
+    from ``_double_angle``, whose float64 tan runs numpy's SIMD loop."""
+    found = set()
+    for path in sorted(Path(silt.__file__).parent.glob("*.py")):
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = scope + (node.name,)
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("sin", "cos")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            ):
+                outer = next((f for f in scope if (path.stem, f) in _TRIG_SITES), None)
+                assert outer is not None, f"{path.name}:{node.lineno} np.{node.attr} in {scope}"
+                found.add((path.stem, outer))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), ())
+    assert ("function_space", "cell_table") in found

@@ -462,8 +462,9 @@ def test_sl_gram_of_short_segments_matches_the_continuum(gap):
 
 def test_pairings_on_one_grid_read_one_read_only_table_each(monkeypatch):
     """A wiener pairing and ``cumulative`` read one cell table of the grid, with no sin
-    and cos rows; a perturbed:sl pairing reads the grid's trig table.  Each is built
-    once and its arrays are read-only."""
+    and cos rows; a perturbed:sl pairing and the heads and tails of its intervals
+    (``Intervals.ends``) read the grid's trig table.  Each is built once and its arrays
+    are read-only."""
     cell_table, read = function_space.cell_table, []
 
     def spy(grid, trig):
@@ -477,7 +478,7 @@ def test_pairings_on_one_grid_read_one_read_only_table_each(monkeypatch):
         model.pairing(h)(model.increments(np.array([[0.2, 0.5, 0.9]])))
     function_space.cumulative(h)
     plain, trig = read[0], read[1]
-    assert len(read) == 4 and read[2] is plain and read[3] is plain
+    assert len(read) == 5 and read[2] is trig and read[3] is plain and read[4] is plain
     assert plain[1] is None and plain[2].shape == (1, 48)
     assert trig[1].shape == (2, 49) and trig[2].shape == (3, 48)
     assert np.array_equal(plain[0], trig[0]) and np.array_equal(plain[2], trig[2][:1])
