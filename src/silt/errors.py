@@ -14,9 +14,10 @@ class GridMismatchError(ValidationError):
 
 
 class DegenerateConfigurationError(SiltError, ArithmeticError):
-    """A Gram matrix is numerically singular (time tuple too close to a diagonal)."""
+    """A time tuple's normalized Gram determinant is below ``gram.DET_MIN``, or its
+    Gram determinant is not a normal, finite, positive float."""
 
 
 class ConsistencyError(SiltError, ArithmeticError):
     """An internal cross-check failed.  No code path raises it at present; the
-    Gram kernel's condition check reports ill-conditioning instead."""
+    Gram kernel's degeneracy check reports a near-dependent tuple instead."""

@@ -3,9 +3,10 @@
 One kernel, ``batch_decompose``, builds the Gram matrices of a batch of time
 tuples from the models' structured increments, exact integrals over the
 intervals between the times, and factors them with ``batch_cholesky``, the one
-conditioning check of the package; ``decompose`` is its B=1 call.  Every other
-factorization (SLND and Berman ratios, the eps-smoothed transform) goes
-through ``batch_cholesky`` too.  Projections on the increment span, batched in
+degeneracy check of the package (on the normalized Gram determinant, which the
+paper's strong local nondeterminism bounds); ``decompose`` is its B=1 call.
+Every other factorization (SLND and Berman ratios, the eps-smoothed transform)
+goes through ``batch_cholesky`` too.  Projections on the increment span, batched in
 ``batch_projections``, are forward substitutions of the shift coefficients
 through the Cholesky factor, once per distinct shift; ``projection_norm_sq``
 is its B=1 row.  Gram matrices and factors are stored tuple-last, (m, m, B),
@@ -29,13 +30,16 @@ from .errors import DegenerateConfigurationError, ValidationError
 from .function_space import GridFunction, cumulative
 from .process_models import ProcessModel
 
-COND_CUTOFF = 1e12
+# the smallest accepted determinant of the normalized Gram matrix: cond2(G) <= m^m / DET_MIN
+DET_MIN = 1e-8
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 @dataclass(frozen=True)
 class TimeTuple:
-    """Strictly increasing times in [0, T], a point of the open simplex; how near the
-    diagonal it may lie is ``batch_cholesky``'s to decide, on every path alike."""
+    """Strictly increasing times in [0, T], a point of the open simplex; however small
+    its gaps, ``batch_cholesky`` alone may refuse it.  No Wiener tuple is refused for
+    its scale: det G = 1 there, and only a subnormal product of gaps fails."""
 
     times: Tuple[float, ...]
 
@@ -160,47 +164,39 @@ def batch_projections(model: ProcessModel, *hs: GridFunction):
 
 
 def batch_cholesky(A: np.ndarray, times: np.ndarray):
-    """The one degeneracy check, then lower Cholesky factors and determinants.
+    """Lower Cholesky factors and Gram determinants, with the one degeneracy check.
 
-    A: (B, m, m) symmetric matrices built from the time tuples ``times``
-    (B, k).  A matrix that is not finite, not positive definite or has
-    condition number above COND_CUTOFF raises DegenerateConfigurationError
-    naming the tuple of the first such matrix.  A Cholesky factorization that
-    passes the check cannot fail in double precision; m <= 2 takes LAPACK's
-    steps in closed form (bitwise equal to ``np.linalg.cholesky`` on OpenBLAS),
-    on the rows of A.T, contiguous for a view of tuple-last storage.
+    A: (B, m, m) symmetric matrices built from the time tuples ``times`` (B, k); its
+    lower triangle is read.  One loop over the columns takes LAPACK's steps for any
+    m and B on the rows of A.T, contiguous for tuple-last storage: pivot s_j,
+    l_jj = sqrt(s_j), the column times 1 / l_jj, the trailing update.  The pivots
+    give Gamma = (prod l_jj)^2 and det G = prod s_j / A_jj, G = D^{-1/2} A D^{-1/2}
+    with D = diag(A).  The first row with det G < DET_MIN, or whose Gamma is not a
+    normal, finite, positive float, raises DegenerateConfigurationError naming the
+    tuple; a non-finite or indefinite row is a NaN pivot and fails alike.  Cholesky's
+    accuracy is governed by cond2(G) <= m^m / DET_MIN, not by cond2(A) (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10).
     """
-    At, m = A.T, A.shape[1]  # At[j, i] is A[:, i, j]
-    finite = np.logical_and.reduce(np.isfinite(At), axis=(0, 1))
+    m = A.shape[1]
+    Lt = np.array(A.T, order="C")  # Lt[j, i] is A[:, i, j]; row j becomes column j of L
+    d = Lt.reshape(m * m, -1)[:: m + 1]  # the diagonal (m, B), a view: A_jj, then s_j
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if m == 1:
-            lo = hi = At[0, 0]
-        elif m == 2:  # closed form: the larger root has no cancellation, lo = det / hi
-            a, b, d = At[0, 0], At[1, 0], At[1, 1]
-            hi = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
-            lo = (a * d - b * b) / hi
-        else:
-            ok = np.logical_and.reduce(finite)
-            eigs = np.linalg.eigvalsh(A if ok else np.where(finite[:, None, None], A, np.eye(m)))
-            lo, hi = eigs[:, 0], eigs[:, -1]
-        bad = (~(finite & (lo > 0) & (hi <= COND_CUTOFF * lo))).nonzero()[0]
+        for j in range(m - 1):  # the last column has nothing below its pivot
+            Lt[j, j + 1 :] *= 1.0 / np.sqrt(d[j])
+            Lt[j + 1 :, j + 1 :] -= Lt[j, j + 1 :, None] * Lt[j, None, j + 1 :]
+            Lt[j + 1 :, j] = 0.0
+        det_g = np.multiply.reduce(d / A.diagonal(0, 1, 2).T, axis=0)
+        np.sqrt(d, out=d)
+        gamma = np.multiply.reduce(d, axis=0) ** 2
+    bad = (~((det_g >= DET_MIN) & (gamma >= _TINY) & (gamma <= _HUGE))).nonzero()[0]
     if bad.size:
         i = int(bad[0])
-        cond = f"{hi[i] / lo[i]:.2e}" if finite[i] and lo[i] > 0 else "inf"
         raise DegenerateConfigurationError(
-            f"degenerate tuple {tuple(float(t) for t in times[i])}: condition number "
-            f"{cond} (smallest gap {np.diff(times[i]).min():.3e})"
+            f"degenerate tuple {tuple(float(t) for t in times[i])}: normalized Gram "
+            f"determinant {det_g[i]:.2e}, Gram determinant {gamma[i]:.2e} "
+            f"(smallest gap {np.diff(times[i]).min():.3e})"
         )
-    if m == 1:
-        Lt = np.sqrt(At)
-    elif m == 2:  # LAPACK's steps: the column scaled by the reciprocal pivot
-        Lt = np.zeros(At.shape)
-        Lt[0, 0] = np.sqrt(At[0, 0])
-        Lt[0, 1] = At[0, 1] * (1.0 / Lt[0, 0])
-        Lt[1, 1] = np.sqrt(At[1, 1] - Lt[0, 1] ** 2)
-    else:
-        Lt = np.ascontiguousarray(np.linalg.cholesky(A).T)
-    return Lt.T, np.multiply.reduce(Lt.diagonal(), axis=1) ** 2
+    return Lt.T, gamma
 
 
 def batch_ortho_coeffs(L: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Diagnostics for strong local nondeterminism and Berman's local version.
 
 Ratios are Gram determinants of normalized increments, which stay well
-conditioned at small gaps; they come from the models' structured Gram
-entries in O(1) per time, like every other Gram matrix, and are factored
-by the Gram kernel's ``batch_cholesky`` with its one conditioning check.
+conditioned at small gaps.  Each is a product of ratios s_j / A_jj of the
+Cholesky pivots of the Gram matrix A to its diagonal, read from the Gram
+kernel's ``batch_cholesky``, whose one check judges the same normalized
+determinant; A is built in O(1) per time like every other Gram matrix.
 Scans drive the chosen gaps toward zero and report whether the defining
 limits are reached at a stated tolerance.
 """
@@ -34,18 +35,14 @@ class SLNDReport:
     limit_reached: bool
 
 
-def _normalized_gram(model: ProcessModel, times: Sequence[float]):
-    """Times (1, k) and the Gram matrix (1, k-1, k-1) of the normalized increments
-    of consecutive times, O(1) per time.
-
-    A zero-norm increment makes its row non-finite, which ``batch_cholesky``
-    rejects by name.
-    """
+def _pivot_ratios(model: ProcessModel, times: Sequence[float], order: Sequence[int]):
+    """s_j / A_jj from ``batch_cholesky``'s factor of the Gram matrix A of the increments
+    of consecutive ``times``, rows and columns in ``order``: the squared Cholesky pivots
+    of G = D^{-1/2} A D^{-1/2}, whose product is det G."""
     times = np.asarray(times, dtype=float)[None]
-    A = model.increment_gram(model.increments(times))
-    d = np.sqrt(A.diagonal(axis1=1, axis2=2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return times, A / (d[:, :, None] * d[:, None, :])
+    A = model.increment_gram(model.increments(times))[:, order][:, :, order]
+    L, _ = batch_cholesky(A, times)
+    return L[0].diagonal() ** 2 / A[0].diagonal()
 
 
 def slnd_ratio(model: ProcessModel, tt: TimeTuple, M: Iterable[int]) -> float:
@@ -53,7 +50,7 @@ def slnd_ratio(model: ProcessModel, tt: TimeTuple, M: Iterable[int]) -> float:
 
     Computed as G(all normalized) / G(complement normalized): with the
     complement ordered first, that quotient is the product of the squared
-    Cholesky pivots of the indices in M.  M = full set is allowed and
+    Cholesky pivots of G at the indices in M.  M = full set is allowed and
     M = empty set returns 1 by convention.
     """
     k1 = tt.k - 1
@@ -62,10 +59,8 @@ def slnd_ratio(model: ProcessModel, tt: TimeTuple, M: Iterable[int]) -> float:
         raise ValidationError(f"subset {M} out of range 1..{k1}")
     if not M:
         return 1.0
-    times, G = _normalized_gram(model, tt.times)
     order = [i - 1 for i in range(1, k1 + 1) if i not in M] + [i - 1 for i in M]
-    L, _ = batch_cholesky(G[:, order][:, :, order], times)
-    return float(np.multiply.reduce(L[0].diagonal()[k1 - len(M):]) ** 2)
+    return float(np.multiply.reduce(_pivot_ratios(model, tt.times, order)[k1 - len(M):]))
 
 
 def slnd_scan(
@@ -92,8 +87,7 @@ def berman_stat(model: ProcessModel, tt: TimeTuple) -> float:
     """
     if not tt.times[0] > 0:
         raise ValidationError(f"t1 = {tt.times[0]}: x(0) = 0 in every model, need t1 > 0")
-    times, G = _normalized_gram(model, (0.0,) + tt.times)
-    return float(batch_cholesky(G, times)[1][0])
+    return float(np.multiply.reduce(_pivot_ratios(model, (0.0,) + tt.times, range(tt.k))))
 
 
 def berman_scan(

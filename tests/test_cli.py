@@ -381,15 +381,17 @@ def test_unknown_model_exits_2(capsys):
 
 
 def test_degenerate_tuple_exits_3(capsys):
-    """No floor on the gaps: the Gram kernel's condition check alone refuses a tuple."""
-    code, out, err = run(capsys, "gram", "--times", "0.5,0.5000000000001,0.9")
+    """No floor on the gaps: the Gram kernel's check alone refuses a tuple, here for
+    its subnormal Gamma; Wiener gaps of 1e-13 and 1e-10 at 0.5 factor, with Gamma the
+    product of the float gaps."""
+    code, out, err = run(capsys, "gram", "--times", "0,1e-310,0.9")
     assert code == 3
     assert out == ""
-    assert "numerical failure: degenerate tuple (0.5, 0.5000000000001, 0.9)" in err
-    times = [0.5, 0.5000000001, 0.9]
-    doc = run_json(capsys, "gram", "--times", ",".join(map(str, times)))
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    assert doc["result"]["gamma"] == pytest.approx(math.prod(gaps), rel=1e-9, abs=0.0)
+    assert "numerical failure: degenerate tuple (0.0, 1e-310, 0.9)" in err
+    for times in ([0.5, 0.5000000000001, 0.9], [0.5, 0.5000000001, 0.9]):
+        doc = run_json(capsys, "gram", "--times", ",".join(map(str, times)))
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        assert doc["result"]["gamma"] == pytest.approx(math.prod(gaps), rel=1e-15, abs=0.0)
 
 
 def test_output_file_and_determinism(tmp_path, capsys):

@@ -22,7 +22,7 @@ from silt import (
 )
 from silt.cli import main
 from silt.gram import (
-    COND_CUTOFF,
+    DET_MIN,
     batch_cholesky,
     batch_decompose,
     batch_ortho_coeffs,
@@ -62,16 +62,20 @@ def test_time_tuple_names_the_first_smallest_gap():
 
 
 def test_time_tuple_leaves_a_tiny_gap_to_the_gram_kernel():
-    """A positive gap is a tuple, however small: a gap of 2^-40 next to 0.25 factors
-    (condition number 2.7e11), Gamma equal to the product of the gaps; 1e-13 does not."""
+    """A positive gap is a tuple, however small: gaps of 2^-40 and 1e-13 next to 0.25
+    factor on Wiener, whose det G is 1, with Gamma within 8 ulps of the product of the
+    float gaps; a gap of 1e-310 at 0 makes Gamma subnormal, and the kernel refuses it."""
     m = wiener_model(make_grid(1.0, 64))
-    times = [0.0, 0.25, 0.25 + 2**-40, 0.5]
-    assert decompose(m, TimeTuple(times)).gamma == pytest.approx(
-        math.prod(np.diff(times)), rel=1e-12, abs=0.0
+    for tiny in (2**-40, 1e-13):
+        times = [0.0, 0.25, 0.25 + tiny, 0.5]
+        want = math.prod(np.diff(times))
+        assert abs(decompose(m, TimeTuple(times)).gamma - want) <= 8 * np.spacing(want)
+    named = (
+        r"tuple \(0\.0, 1e-310, 0\.25\): normalized Gram determinant 1\.00e\+00, "
+        r"Gram determinant 2\.50e-311"
     )
-    named = r"tuple \(0\.0, 0\.25, 0\.2500000000001, 0\.5\): condition number 2\.50e\+12"
     with pytest.raises(DegenerateConfigurationError, match=named):
-        decompose(m, TimeTuple([0.0, 0.25, 0.25 + 1e-13, 0.5]))
+        decompose(m, TimeTuple([0.0, 1e-310, 0.25]))
 
 
 def test_gap_scan_tuple_adds_the_gaps_in_cumsum_order():
@@ -135,10 +139,15 @@ def test_projection_hadamard_inequality():
 
 
 def test_degenerate_tuple_raises_with_gap_location():
+    """A Wiener gap of 1e-14 at 0.5 is the exact difference of its float times and
+    factors; a refused tuple names its smallest gap."""
     grid = make_grid(1.0, 512)
     m = wiener_model(grid)
-    with pytest.raises(DegenerateConfigurationError, match="gap"):
-        decompose(m, TimeTuple([0.5, 0.5 + 1e-14, 0.9]))
+    times = [0.5, 0.5 + 1e-14, 0.9]
+    want = math.prod(np.diff(times))
+    assert abs(decompose(m, TimeTuple(times)).gamma - want) <= 4 * np.spacing(want)
+    with pytest.raises(DegenerateConfigurationError, match=r"smallest gap 1\.000e-310"):
+        decompose(m, TimeTuple([0.0, 1e-310, 0.9]))
 
 
 def test_single_interval_projection_wiener():
@@ -154,51 +163,55 @@ def test_batch_decompose_names_the_degenerate_tuple():
     times = np.array([[0.1, 0.4, 0.8], [0.2, 0.5, 0.9], [0.3, 0.3, 0.7], [0.15, 0.6, 0.95]])
     with pytest.raises(DegenerateConfigurationError, match=r"tuple \(0\.3, 0\.3, 0\.7\)"):
         batch_decompose(m, times)
-    # all-equal tuples: a zero Gram matrix has condition number 0/0
+    # all-equal tuples: a zero Gram matrix has det G = 0/0
     for tup in ((0.5, 0.5), (0.5, 0.5, 0.5)):
         with pytest.raises(DegenerateConfigurationError, match=re.escape(f"tuple {tup}")):
             batch_decompose(m, np.array([tup]))
 
 
 def test_ill_conditioned_tuple_is_rejected_on_every_path(capsys):
-    """A positive definite Gram matrix with condition number above 1e12 in the
-    middle of a batch: the batched kernel, its B=1 call and the CLI reject it
-    by name.  Gram entries are exact, so on Wiener gaps of 1e-13 and 0.6 do."""
+    """Wiener gaps of 1e-13 and 0.6 give cond2(A) = 6e12 but det G = 1: the batched
+    kernel, its B=1 call and the CLI all accept them, with Gamma the product of the
+    gaps.  A tuple with a subnormal Gamma in the middle of a batch is rejected by
+    name on every path."""
     m = wiener_model(make_grid(1.0, 64))
-    bad = [0.3, 0.3000000000001, 0.9]
+    tiny = [0.3, 0.3000000000001, 0.9]
+    want = math.prod(np.diff(tiny))
+    _, _, _, gamma = batch_decompose(m, np.array([[0.1, 0.4, 0.8], tiny, [0.2, 0.5, 0.9]]))
+    assert gamma[1] == decompose(m, TimeTuple(tiny)).gamma
+    assert abs(gamma[1] - want) <= 4 * np.spacing(want)
+    assert main(["gram", "--grid-n", "64", "--times", "0.3,0.3000000000001,0.9"]) == 0
+    capsys.readouterr()
+
+    bad = [0.0, 1e-310, 0.9]
     times = np.array([[0.1, 0.4, 0.8], bad, [0.2, 0.5, 0.9]])
-    A = m.increment_gram(m.increments(np.array([bad])))
-    np.linalg.cholesky(A)
-    assert np.linalg.cond(A[0]) > COND_CUTOFF
     named = (
-        r"tuple \(0\.3, 0\.3000000000001, 0\.9\): condition number \d\.\d\de\+\d\d "
-        r"\(smallest gap 1\.000e-13\)"
+        r"tuple \(0\.0, 1e-310, 0\.9\): normalized Gram determinant 1\.00e\+00, "
+        r"Gram determinant 9\.00e-311 \(smallest gap 1\.000e-310\)"
     )
     with pytest.raises(DegenerateConfigurationError, match=named):
         batch_decompose(m, times)
     with pytest.raises(DegenerateConfigurationError, match=named):
         decompose(m, TimeTuple(bad))
-    argv = ["gram", "--grid-n", "64", "--times", "0.3,0.3000000000001,0.9"]
-    assert main(argv) == 3
-    assert "0.3000000000001" in capsys.readouterr().err
+    assert main(["gram", "--grid-n", "64", "--times", "0,1e-310,0.9"]) == 3
+    assert "1e-310" in capsys.readouterr().err
 
 
-def test_closed_form_2x2_check_decides_like_eigvalsh():
-    """batch_cholesky finds the eigenvalues of a 2x2 matrix in closed form.  On
-    seeded SPD matrices with condition numbers 1e10 to 1e14 and norms 1e-8 to
-    10 it accepts and rejects the same matrices as the eigvalsh test does,
-    except within 1e-3 (relative) of COND_CUTOFF, where both are rounding."""
+def test_2x2_check_decides_like_the_normalized_determinant():
+    """batch_cholesky judges det G, G = D^{-1/2} A D^{-1/2}.  On seeded 2x2 SPD
+    matrices with det G = 1 - rho^2 from 1e-10 to 1e-6 and diagonals 1e-8 to 10,
+    each scaled on its own, it accepts and rejects the same matrices as the
+    comparison of 1 - rho^2 with DET_MIN does, except within 1e-3 (relative) of
+    DET_MIN, where both are rounding."""
     rng = np.random.default_rng(12)
     B = 2000
-    cond, scale = 10.0 ** rng.uniform(10, 14, B), 10.0 ** rng.uniform(-8, 1, B)
-    theta = rng.uniform(0, np.pi, B)
-    c, s = np.cos(theta), np.sin(theta)
-    Q = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -1)
-    A = (Q * np.stack([scale, scale / cond], -1)[:, None, :]) @ Q.transpose(0, 2, 1)
-    A = 0.5 * (A + A.transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(A)
-    by_eigvalsh = (eigs[:, 0] > 0) & (eigs[:, 1] <= COND_CUTOFF * eigs[:, 0])
-    far = np.abs(eigs[:, 1] / (COND_CUTOFF * eigs[:, 0]) - 1.0) > 1e-3
+    det_g, d = 10.0 ** rng.uniform(-10, -6, B), 10.0 ** rng.uniform(-8, 1, (B, 2))
+    rho = rng.choice([-1.0, 1.0], B) * np.sqrt(1.0 - det_g)
+    A = np.empty((B, 2, 2))
+    A[:, 0, 0], A[:, 1, 1] = d[:, 0], d[:, 1]
+    A[:, 0, 1] = A[:, 1, 0] = rho * np.sqrt(d[:, 0] * d[:, 1])
+    by_det = det_g >= DET_MIN
+    far = np.abs(det_g / DET_MIN - 1.0) > 1e-3
     times = np.array([[0.1, 0.2, 0.3]])
     accepted = []
     for a in A:
@@ -208,8 +221,8 @@ def test_closed_form_2x2_check_decides_like_eigvalsh():
         except DegenerateConfigurationError:
             accepted.append(False)
     accepted = np.array(accepted)
-    assert 0 < by_eigvalsh[far].sum() < far.sum() and far.sum() > 0.99 * B
-    assert np.array_equal(accepted[far], by_eigvalsh[far])
+    assert 0 < by_det[far].sum() < far.sum() and far.sum() > 0.99 * B
+    assert np.array_equal(accepted[far], by_det[far])
 
 
 def test_batch_decompose_never_blames_an_innocent_row(monkeypatch):
@@ -221,51 +234,78 @@ def test_batch_decompose_never_blames_an_innocent_row(monkeypatch):
     monkeypatch.setattr(ProcessModel, "increment_gram", lambda self, inc: A)
     assert np.allclose(batch_decompose(m, times)[3], 1.0)
     A[2, 1, 1] = np.nan
-    with pytest.raises(DegenerateConfigurationError, match=r"tuple \(0\.3, .*condition number inf"):
+    named = r"tuple \(0\.3, .*normalized Gram determinant nan"
+    with pytest.raises(DegenerateConfigurationError, match=named):
         batch_decompose(m, times)
     A[1, 2, 2] = -1.0
     with pytest.raises(DegenerateConfigurationError, match=r"tuple \(0\.2, "):
         batch_decompose(m, times)
 
 
-def _spd(rng, B, m, cond):
-    """Seeded SPD m x m matrices with the given condition numbers and norms 1e-8 to 10."""
-    scale = 10.0 ** rng.uniform(-8, 1, B)
-    Q = np.linalg.qr(rng.standard_normal((B, m, m)))[0]
-    eig = scale[:, None] * np.exp(np.linspace(0.0, -1.0, m) * np.log(cond)[:, None])
-    A = (Q * eig[:, None, :]) @ Q.transpose(0, 2, 1)
-    return 0.5 * (A + A.transpose(0, 2, 1))
+def _scaled(rng, B, m):
+    """Seeded SPD m x m matrices A = D^{1/2} G D^{1/2}: G has unit diagonal and is
+    the Gram matrix of m + 2 random normal vectors in m dimensions, and the diagonal
+    D spans 1e-8 to 10 within each matrix, so cond2(A) reaches 1e9 while cond2(G)
+    stays below about 1e4."""
+    X = rng.standard_normal((B, m, m + 2))
+    C = X @ X.transpose(0, 2, 1)
+    c = np.sqrt(np.einsum("bii->bi", C))
+    G = C / (c[:, :, None] * c[:, None, :])
+    d = np.sqrt(10.0 ** rng.uniform(-8, 1, (B, m)))
+    A = d[:, :, None] * G * d[:, None, :]
+    return 0.5 * (A + A.transpose(0, 2, 1)), G
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_closed_form_factor_matches_lapack(m):
-    """For m <= 2 batch_cholesky factors in closed form; on seeded SPD matrices
-    with condition numbers 1 to 1e12 its factor and Gamma are within 1 ulp of
-    np.linalg.cholesky's, and the upper triangle is zero."""
+@pytest.mark.parametrize("m", range(1, 7))
+def test_factor_matches_lapack(m):
+    """The one loop against np.linalg.cholesky, on seeded SPD matrices: for m <= 2
+    (no sums) factor and Gamma are within 1 ulp of LAPACK's; above, the sums run in
+    another order, and each entry of row i lies within m cond2(G) ulps of sqrt(A_ii),
+    the row's norm, and Gamma within 2 m cond2(G) ulps, relative.  The upper
+    triangle is zero."""
     rng = np.random.default_rng(20 + m)
     B = 4000
-    A = _spd(rng, B, m, 10.0 ** rng.uniform(0, 12 if m == 2 else 0, B))
-    L, gamma = batch_cholesky(A, np.tile([0.1, 0.2, 0.3][: m + 1], (B, 1)))
+    A, G = _scaled(rng, B, m)
+    L, gamma = batch_cholesky(A, np.tile(np.arange(m + 1) * 0.1, (B, 1)))
     ref = np.linalg.cholesky(A)
-    assert np.all(np.abs(L - ref) <= np.spacing(np.abs(ref)))
     ref_gamma = np.prod(np.einsum("bii->bi", ref), axis=1) ** 2
-    assert np.all(np.abs(gamma - ref_gamma) <= np.spacing(ref_gamma))
+    assert np.array_equal(np.triu(L, 1), np.zeros_like(L))
+    if m <= 2:
+        assert np.all(np.abs(L - ref) <= np.spacing(np.abs(ref)))
+        assert np.all(np.abs(gamma - ref_gamma) <= np.spacing(ref_gamma))
+    else:
+        ulps = m * np.linalg.cond(G)
+        row = np.sqrt(np.einsum("bii->bi", A))[:, :, None]
+        assert np.all(np.abs(L - ref) <= ulps[:, None, None] * np.spacing(row))
+        assert np.all(np.abs(gamma / ref_gamma - 1.0) <= 2 * ulps * np.finfo(float).eps)
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_closed_form_factor_keeps_the_check(m):
-    """A non-finite, non positive definite or too ill-conditioned matrix in the
-    middle of a batch is still named by its tuple, with the same message."""
-    times = np.array([[0.1, 0.2, 0.3][: m + 1]] * 3)
-    times[1, -1] = 0.35
-    cases = [(np.full((m, m), np.nan), "inf"), (-np.eye(m), "inf")]
-    if m == 2:  # a 1x1 matrix has condition number 1
-        rng = np.random.default_rng(32)
-        cases.append((_spd(rng, 1, 2, np.array([1e13]))[0], r"\d\.\d\de\+1[23]"))
-    for bad, cond in cases:
+@pytest.mark.parametrize("m", range(1, 7))
+def test_factor_keeps_the_check(m):
+    """A non-finite row, an indefinite row, a row whose Gamma is subnormal and, for
+    m >= 2, a row with det G < DET_MIN, each in the middle of a batch, are named by
+    their tuple with det G, Gamma and the smallest gap.  A 1x1 G is [1], so -I
+    at m = 1 fails on its NaN Gamma alone."""
+    times = np.array([np.arange(m + 1) * 0.25] * 3)
+    times[1, -1] -= 0.125
+    near = np.eye(m)
+    if m >= 2:  # unit diagonal, det G = 1 - rho^2 = 1e-9
+        near[0, 1] = near[1, 0] = math.sqrt(1.0 - 1e-9)
+    cases = [
+        (np.full((m, m), np.nan), "nan", "nan"),
+        (-np.eye(m), r"1\.00e\+00" if m == 1 else "nan", "nan"),
+        (1e-320 ** (1.0 / m) * np.eye(m), r"1\.00e\+00", r"\d\.\d\de-3\d\d"),
+    ]
+    if m >= 2:
+        cases.append((near, r"1\.0\de-09", r"1\.0\de-09"))
+    tup = re.escape(str(tuple(float(t) for t in times[1])))
+    for bad, det_g, gamma in cases:
         A = np.stack([np.eye(m), bad, np.eye(m)])
-        named = rf"degenerate tuple \(0\.1, (0\.2, )?0\.35\): condition number {cond} "
-        with pytest.raises(DegenerateConfigurationError, match=named + r"\(smallest gap"):
+        named = (
+            rf"degenerate tuple {tup}: normalized Gram determinant {det_g}, "
+            rf"Gram determinant {gamma} \(smallest gap 1\.250e-01\)"
+        )
+        with pytest.raises(DegenerateConfigurationError, match=named):
             batch_cholesky(A, times)
 
 

@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from continuum import increment_rows, interval_rows, sl_correction
+from continuum import continuum_decompose, increment_rows, interval_rows, sl_correction
 from silt import (
     DegenerateConfigurationError,
     QuadratureSpec,
@@ -684,6 +684,74 @@ def test_intervals_lattice(n):
 
 
 # ---------------------------------------------------------------------------
+# the Gram kernel's check over thirteen decades of gaps
+
+
+@st.composite
+def log_uniform_tuples(draw, T):
+    """k = 2..7 times in [0, T] whose gaps are log-uniform from 1e-13 T to T, all
+    scaled down together when their sum passes T, at a uniform offset."""
+    k = draw(st.integers(2, 7))
+    exponents = draw(st.lists(st.floats(-13.0, 0.0), min_size=k - 1, max_size=k - 1))
+    gaps = T * 10.0 ** np.array(exponents)
+    if gaps.sum() > T:
+        gaps *= (1.0 - 1e-12) * T / gaps.sum()
+    times = draw(st.floats(0.0, 1.0)) * (T - gaps.sum()) + np.concatenate([[0.0], np.cumsum(gaps)])
+    assume(np.all(np.diff(times) > 0.0) and times[-1] <= T)
+    return times
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_no_tuple_is_refused_for_its_scale(name, data):
+    """Gamma is exact (to rounding) and no tuple is refused, with gaps spread over
+    thirteen decades: det G stays far above DET_MIN on every model.  Wiener's Gamma
+    lies within 4 m ulps of the product of the float gaps; the other models' Gamma
+    within 1e-13 (relative) of the continuum oracle's wherever every gap is at least
+    1e-6 T, below which the oracle's own rows lose digits."""
+    model, _ = MODELS[name]
+    T = model.grid.T
+    times = data.draw(log_uniform_tuples(T))
+    _, _, _, (gamma,) = batch_decompose(model, times[None])
+    gaps = np.diff(times)
+    if name == "wiener":
+        want = np.prod(gaps)
+        assert abs(gamma - want) <= 4 * len(gaps) * np.spacing(want)
+    elif gaps.min() >= 1e-6 * T:
+        _, want, _ = continuum_decompose(model, times, (), KERNELS.get(name))
+        assert abs(gamma / want - 1.0) <= 1e-13
+
+
+def test_kernel_path_calls_no_eigen_solver_or_lapack_cholesky(monkeypatch):
+    """With np.linalg's eigvalsh, eigh and cholesky patched to raise, batch_decompose
+    runs at B = 1 and B = 4,096 for m = 1..6 on every model, and so do fw_eps,
+    slnd_ratio and berman_stat: one loop factors and checks every Gram matrix."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called on the kernel path")
+
+    for fn in ("eigvalsh", "eigh", "cholesky"):
+        monkeypatch.setattr(np.linalg, fn, refuse)
+    rng = np.random.default_rng(8)
+    for model, _ in MODELS.values():
+        T = model.grid.T
+        h = parse_function("sin:1", model.grid, model.aux_dim)
+        for k in range(2, 8):
+            times = np.sort(rng.uniform(0.0, T, (4096, k)), axis=1)
+            times = times[np.all(np.diff(times, axis=1) > 1e-3 * T, axis=1)]
+            for batch in (times[:1], np.resize(times, (4096, k))):
+                assert np.all(np.isfinite(batch_decompose(model, batch)[3]))
+            tt = TimeTuple(times[0])
+            values = [
+                fw_eps(TransformPoint(model, tt, h, h), 0.1),
+                slnd_ratio(model, tt, range(1, k)),
+                berman_stat(model, tt) if tt.times[0] > 0 else 1.0,
+            ]
+            assert np.all(np.isfinite(values))
+
+
+# ---------------------------------------------------------------------------
 # neither route builds dense factor rows
 
 
@@ -733,9 +801,7 @@ def test_kernel_route_enters_no_numpy_wrapper(no_dense_rows):
     diagonal-integrand scan over two gaps and a batched ``regularized_integral``
     on the four models call ufuncs and their reduce/accumulate directly: no call
     enters numpy's wrapper modules, each of which costs a B = 1 call about 1-3 us.
-    (The Berman statistic at k = 3 factors a 3 x 3 matrix through ``np.linalg``,
-    whose wrappers lie outside these modules.)  A first unprofiled pass fills the
-    caches."""
+    A first unprofiled pass fills the caches."""
 
     def route():
         for model, h in no_dense_rows:

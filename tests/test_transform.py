@@ -120,10 +120,10 @@ def test_mc_estimate_within_three_sigma():
 
 
 def test_fw_eps_exists_where_the_gram_matrix_is_singular(grid, model):
-    # a gap of 1e-13 next to one of 0.8: cond(A) is about 1e13, above the
-    # cutoff, but A + eps I is well conditioned and the sampler closes
+    # a gap of 1e-310 next to one of 0.9: Gamma = 9e-311 is subnormal and the kernel
+    # refuses A, but A + eps I is well conditioned and the sampler closes
     h1 = parse_function("sin:1", grid)
-    pt = TransformPoint(model, TimeTuple([0.1, 0.1 + 1e-13, 0.9]), h1, zero(grid), "analytic")
+    pt = TransformPoint(model, TimeTuple([0.0, 1e-310, 0.9]), h1, zero(grid), "analytic")
     value = fw_eps(pt, 0.5)
     mean, stderr = mc_fw_estimate(pt, 0.5, 400_000, seed=0)
     assert math.isfinite(value)
