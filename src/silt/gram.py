@@ -7,13 +7,14 @@ degeneracy check of the package (on the normalized Gram determinant, which the
 paper's strong local nondeterminism bounds); ``decompose`` is its B=1 call.
 Every other factorization (SLND and Berman ratios, the eps-smoothed transform)
 goes through ``batch_cholesky`` too.  Projections on the increment span, batched in
-``batch_projections``, are forward substitutions of the shift coefficients
-through the Cholesky factor, once per distinct shift; ``projection_norm_sq``
-is its B=1 row.  Gram matrices and factors are stored tuple-last, (m, m, B),
-and coefficients (m, B); the (B, m, m) and (B, m) arrays the functions return
-are transposed views.  The Wiener oracle ``wiener_projections`` integrates the
-shifts from their exact cumulative and calls nothing of the models or the
-kernel.
+``batch_projections``, come from the same factorization: the Gram matrix bordered
+by the shifts' pairings, one border column per distinct shift, whose factor holds
+each shift's coefficients y = L^{-1} u on the orthonormalized increments, with
+||h - P h||^2 = Gamma(dg, h) / Gamma(dg); ``projection_norm_sq`` is its B=1 row.
+The factor bordered by s shifts is stored tuple-last, (m, m + s, B); the (B, m, m)
+factors and (B, m) coefficients the functions return are transposed views.  The
+Wiener oracle ``wiener_projections`` integrates the shifts from their exact
+cumulative and calls nothing of the models or the kernel.
 Per-call code calls ufuncs' reduce, not numpy's wrappers such as np.sum (1-3 us slower).
 """
 
@@ -102,7 +103,7 @@ class GramDecomposition:
 
 def decompose(model: ProcessModel, tt: TimeTuple) -> GramDecomposition:
     """Gram decomposition of the increments g(t_{i+1}) - g(t_i)."""
-    _, A, _, gamma = batch_decompose(model, np.asarray(tt.times)[None])
+    A, _, gamma, _ = batch_decompose(model, np.asarray(tt.times)[None])
     return GramDecomposition(A[0], float(gamma[0]))
 
 
@@ -126,22 +127,23 @@ def wiener_projections(tt: TimeTuple, *hs: GridFunction) -> np.ndarray:
 # the batched kernel behind every Gram computation
 
 
-def batch_decompose(model: ProcessModel, times: np.ndarray, eps: float = 0.0):
+def batch_decompose(model: ProcessModel, times: np.ndarray, eps: float = 0.0, pairs=()):
     """Gram data for a batch of time tuples.
 
-    times: (B, k) with strictly increasing rows.  Returns (inc, A, L, gamma):
-    the model's structured increments (B, k-1), Gram matrices and their lower
-    Cholesky factors (B, k-1, k-1), and Gram determinants (B,).  The Gram
-    matrices come from the structured increments in O(1) per tuple; no factor
-    rows are built.  ``batch_cholesky`` checks and factors them.  With eps > 0
-    the increments carry independent noise of variance eps: A + eps I.
+    times: (B, k) with strictly increasing rows; pairs: shifts' pairings
+    (``model.pairing``).  Returns (A, L, gamma, ys): Gram matrices and their lower
+    Cholesky factors (B, k-1, k-1), Gram determinants (B,) and each pairing's
+    coefficients (B, k-1) from ``batch_cholesky``, which checks A and factors it
+    bordered by the pairings.  A comes from the structured increments in O(1) per
+    tuple; no factor rows are built.  With eps > 0 the increments carry independent
+    noise of variance eps: A + eps I.
     """
     inc = model.increments(times)
     A = model.increment_gram(inc)
     if eps:
         A = A + eps * np.eye(A.shape[1])
-    L, gamma = batch_cholesky(A, times)
-    return inc, A, L, gamma
+    L, gamma, ys = batch_cholesky(A, times, [pair(inc) for pair in pairs])
+    return A, L, gamma, ys
 
 
 def batch_projections(model: ProcessModel, *hs: GridFunction):
@@ -150,43 +152,50 @@ def batch_projections(model: ProcessModel, *hs: GridFunction):
     from pairings built once per ``batch_projections`` call, so each scalar call builds them.
 
     Shifts equal in grid, values and aux (``--h1 const1 --h2 const1`` parses
-    into two objects) share one pairing and one forward substitution.
+    into two objects) share one pairing and one border column.
     """
     keys = [(h.grid, h.values.tobytes(), h.aux.tobytes()) for h in hs]
     pairs = {key: model.pairing(h) for key, h in dict(zip(keys, hs)).items()}
 
     def f(times: np.ndarray, eps: float = 0.0):
-        inc, _, L, gamma = batch_decompose(model, times, eps)
-        ys = {key: batch_ortho_coeffs(L, pair(inc)) for key, pair in pairs.items()}
-        return gamma, [ys[key] for key in keys]
+        _, _, gamma, ys = batch_decompose(model, times, eps, pairs.values())
+        by_key = dict(zip(pairs, ys))
+        return gamma, [by_key[key] for key in keys]
 
     return f
 
 
-def batch_cholesky(A: np.ndarray, times: np.ndarray):
-    """Lower Cholesky factors and Gram determinants, with the one degeneracy check.
+def batch_cholesky(A: np.ndarray, times: np.ndarray, us: Sequence[np.ndarray] = ()):
+    """Lower Cholesky factors, Gram determinants and the border's coefficients, with
+    the one degeneracy check.
 
-    A: (B, m, m) symmetric matrices built from the time tuples ``times`` (B, k); its
-    lower triangle is read.  One loop over the columns takes LAPACK's steps for any
-    m and B on the rows of A.T, contiguous for tuple-last storage: pivot s_j,
-    l_jj = sqrt(s_j), the column times 1 / l_jj, the trailing update.  The pivots
-    give Gamma = (prod l_jj)^2 and det G = prod s_j / A_jj, G = D^{-1/2} A D^{-1/2}
-    with D = diag(A).  The first row with det G < DET_MIN, or whose Gamma is not a
-    normal, finite, positive float, raises DegenerateConfigurationError naming the
-    tuple; a non-finite or indefinite row is a NaN pivot and fails alike.  Cholesky's
-    accuracy is governed by cond2(G) <= m^m / DET_MIN, not by cond2(A) (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 10).
+    A: (B, m, m) symmetric matrices built from the time tuples ``times`` (B, k), lower
+    triangle read; us: s border vectors (B, m).  One loop over the columns takes
+    LAPACK's steps for any m, s and B on the rows of [A, U].T, contiguous tuple-last
+    (m, m + s, B): pivot s_j, l_jj = sqrt(s_j), the row times 1 / l_jj, the trailing
+    update of rows j+1..m-1; one last division by l_{m-1,m-1} finishes the border,
+    whose columns then hold y = L^{-1} u.  The pivots give Gamma = (prod l_jj)^2 and
+    det G = prod s_j / A_jj, G = D^{-1/2} A D^{-1/2} with D = diag(A).  The first row
+    with det G < DET_MIN, or whose Gamma is not a normal, finite, positive float,
+    raises DegenerateConfigurationError naming the tuple; a non-finite or indefinite
+    row is a NaN pivot and fails alike.  Cholesky's accuracy is governed by
+    cond2(G) <= m^m / DET_MIN, not by cond2(A) (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10).  Returns (L, gamma, [y]).
     """
-    m = A.shape[1]
-    Lt = np.array(A.T, order="C")  # Lt[j, i] is A[:, i, j]; row j becomes column j of L
-    d = Lt.reshape(m * m, -1)[:: m + 1]  # the diagonal (m, B), a view: A_jj, then s_j
+    m, s = A.shape[1], len(us)
+    W = np.empty((m, m + s, len(A)))  # W[j, i] is A[:, i, j], then u_{i-m}[:, j]
+    W[:, :m] = A.T
+    for i, u in enumerate(us, m):
+        W[:, i] = u.T
+    d = W.reshape(m * (m + s), -1)[:: m + s + 1]  # the diagonal (m, B), a view: A_jj, then s_j
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(m - 1):  # the last column has nothing below its pivot
-            Lt[j, j + 1 :] *= 1.0 / np.sqrt(d[j])
-            Lt[j + 1 :, j + 1 :] -= Lt[j, j + 1 :, None] * Lt[j, None, j + 1 :]
-            Lt[j + 1 :, j] = 0.0
+        for j in range(m - 1):
+            W[j, j + 1 :] *= 1.0 / np.sqrt(d[j])
+            W[j + 1 :, j + 1 :] -= W[j, j + 1 : m, None] * W[j, None, j + 1 :]
+            W[j + 1 :, j] = 0.0
         det_g = np.multiply.reduce(d / A.diagonal(0, 1, 2).T, axis=0)
         np.sqrt(d, out=d)
+        W[m - 1, m:] /= d[m - 1]
         gamma = np.multiply.reduce(d, axis=0) ** 2
     bad = (~((det_g >= DET_MIN) & (gamma >= _TINY) & (gamma <= _HUGE))).nonzero()[0]
     if bad.size:
@@ -196,18 +205,4 @@ def batch_cholesky(A: np.ndarray, times: np.ndarray):
             f"determinant {det_g[i]:.2e}, Gram determinant {gamma[i]:.2e} "
             f"(smallest gap {np.diff(times[i]).min():.3e})"
         )
-    return Lt.T, gamma
-
-
-def batch_ortho_coeffs(L: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Coefficients on the orthonormalized increments: L y = u by forward substitution.
-
-    L: (B, m, m) lower Cholesky factors, u: (B, m) increment coefficients; the
-    substitution runs on the rows of L.T and u.T, each sum in index order for any B.
-    """
-    Lt, ut = L.T, u.T
-    y = np.empty(ut.shape)
-    y[0] = ut[0] / Lt[0, 0]
-    for i in range(1, len(ut)):
-        y[i] = (ut[i] - np.add.accumulate(Lt[:i, i] * y[:i])[-1]) / Lt[i, i]
-    return y.T
+    return W[:, :m].T, gamma, [W[:, i].T for i in range(m, m + s)]

@@ -41,7 +41,7 @@ def _pivot_ratios(model: ProcessModel, times: Sequence[float], order: Sequence[i
     of G = D^{-1/2} A D^{-1/2}, whose product is det G."""
     times = np.asarray(times, dtype=float)[None]
     A = model.increment_gram(model.increments(times))[:, order][:, :, order]
-    L, _ = batch_cholesky(A, times)
+    L, _, _ = batch_cholesky(A, times)
     return L[0].diagonal() ** 2 / A[0].diagonal()
 
 

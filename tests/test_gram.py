@@ -25,7 +25,6 @@ from silt.gram import (
     DET_MIN,
     batch_cholesky,
     batch_decompose,
-    batch_ortho_coeffs,
     batch_projections,
     gap_scan_tuple,
     wiener_projections,
@@ -177,7 +176,7 @@ def test_ill_conditioned_tuple_is_rejected_on_every_path(capsys):
     m = wiener_model(make_grid(1.0, 64))
     tiny = [0.3, 0.3000000000001, 0.9]
     want = math.prod(np.diff(tiny))
-    _, _, _, gamma = batch_decompose(m, np.array([[0.1, 0.4, 0.8], tiny, [0.2, 0.5, 0.9]]))
+    _, _, gamma, _ = batch_decompose(m, np.array([[0.1, 0.4, 0.8], tiny, [0.2, 0.5, 0.9]]))
     assert gamma[1] == decompose(m, TimeTuple(tiny)).gamma
     assert abs(gamma[1] - want) <= 4 * np.spacing(want)
     assert main(["gram", "--grid-n", "64", "--times", "0.3,0.3000000000001,0.9"]) == 0
@@ -232,7 +231,7 @@ def test_batch_decompose_never_blames_an_innocent_row(monkeypatch):
     )
     A = np.repeat(np.eye(3)[None], 4, axis=0)
     monkeypatch.setattr(ProcessModel, "increment_gram", lambda self, inc: A)
-    assert np.allclose(batch_decompose(m, times)[3], 1.0)
+    assert np.allclose(batch_decompose(m, times)[2], 1.0)
     A[2, 1, 1] = np.nan
     named = r"tuple \(0\.3, .*normalized Gram determinant nan"
     with pytest.raises(DegenerateConfigurationError, match=named):
@@ -266,7 +265,7 @@ def test_factor_matches_lapack(m):
     rng = np.random.default_rng(20 + m)
     B = 4000
     A, G = _scaled(rng, B, m)
-    L, gamma = batch_cholesky(A, np.tile(np.arange(m + 1) * 0.1, (B, 1)))
+    L, gamma, _ = batch_cholesky(A, np.tile(np.arange(m + 1) * 0.1, (B, 1)))
     ref = np.linalg.cholesky(A)
     ref_gamma = np.prod(np.einsum("bii->bi", ref), axis=1) ** 2
     assert np.array_equal(np.triu(L, 1), np.zeros_like(L))
@@ -309,6 +308,48 @@ def test_factor_keeps_the_check(m):
             batch_cholesky(A, times)
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("s", [1, 2])
+def test_border_matches_a_lapack_solve(m, s):
+    """The border's coefficients y = L^{-1} u against np.linalg.solve of LAPACK's
+    factor, rows scaled by its diagonal (unscaled, the solve's own error grows with
+    cond2(A)), on seeded A = X^T X with column norms over 9 decades and u = X^T h:
+    within m cond2(G) ulps of |h|, for A and A + eps I (largest seen 0.57 m cond2(G)).
+    A as a B-first contiguous array, as the models' tuple-last view and as the
+    tuple-last array with swapped matrix axes that adding eps I to that view makes,
+    and u as B-first or tuple-last, give bitwise-equal factors, Gamma and y; the
+    B = 1 call gives row 0 of the B = 4,096 call bitwise."""
+    rng = np.random.default_rng(30 + 2 * m + s)
+    B = 4096
+    X = rng.standard_normal((B, m + 2, m)) * np.sqrt(10.0 ** rng.uniform(-8, 1, (B, 1, m)))
+    h = rng.standard_normal((B, s, m + 2))
+    times = np.tile(np.arange(m + 1) * 0.1, (B, 1))
+    u = list(np.einsum("bni,bsn->sbi", X, h))
+    u_last = [np.array(v.T, order="C").T for v in u]
+    A_last = np.array(np.einsum("bni,bnj->jib", X, X), order="C").T
+    for eps in (0.0, 1e-3):
+        swapped = A_last + eps * np.eye(m)
+        A = np.ascontiguousarray(swapped)
+        assert swapped.strides[0] == A.strides[2] == A.itemsize
+        L, gamma, ys = batch_cholesky(A, times, u)
+        for got in (
+            batch_cholesky(np.array(swapped.T, order="C").T, times, u_last),
+            batch_cholesky(swapped, times, u_last),
+            batch_cholesky(A[:1], times[:1], [v[:1] for v in u_last]),
+        ):
+            rows = slice(len(got[0]))
+            assert np.array_equal(got[0], L[rows]) and np.array_equal(got[1], gamma[rows])
+            assert all(np.array_equal(a, b[rows]) for a, b in zip(got[2], ys, strict=True))
+        R = np.linalg.cholesky(A)
+        r = np.einsum("bii->bi", R)[:, :, None]
+        ref = np.linalg.solve(R / r, np.stack(u, axis=2) / r)
+        d = np.sqrt(np.einsum("bii->bi", A))
+        bound = m * np.linalg.cond(A / (d[:, :, None] * d[:, None, :])) * np.finfo(float).eps
+        for i, y in enumerate(ys):
+            err = np.max(np.abs(y - ref[:, :, i]), axis=1)
+            assert np.all(err <= bound * np.linalg.norm(h[:, i], axis=1))
+
+
 @pytest.mark.parametrize(
     "spec, T", [("wiener", 1.0), ("counterexample", 1.0), ("perturbed:sl", math.pi / 2)]
 )
@@ -336,7 +377,8 @@ def test_equal_shifts_are_paired_once(spec, T):
     assert len(calls) == 1
     inc = model.increments(times[:1])
     A = model.increment_gram(inc)
-    L, det = batch_cholesky(A + eps * np.eye(2), times[:1])
-    ys = [batch_ortho_coeffs(L, model.pairing(g)(inc)) for g in (h, h_copy)]
+    _, det, ys = batch_cholesky(
+        A + eps * np.eye(2), times[:1], [model.pairing(g)(inc) for g in (h, h_copy)]
+    )
     expo = sum(float(np.sum(y**2)) for y in ys)
     assert value == math.exp(-0.5 * expo) / float(det[0])

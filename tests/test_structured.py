@@ -15,6 +15,7 @@ The Monte Carlo sampler draws from the same exact covariance and closes on
 import dataclasses
 import functools
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -58,7 +59,7 @@ from silt import (
 from silt import function_space, gram, process_models, regularization, transform
 from silt.cli import _sl_covariance
 from silt.function_space import Intervals, KernelOperator, interval_integrals
-from silt.gram import batch_decompose, batch_ortho_coeffs, batch_projections
+from silt.gram import batch_decompose, batch_projections
 from silt.process_models import ProcessModel
 from silt.quadrature import _ORDERS, gap_lattice, gauss_legendre, simplex_rule
 from silt.regularization import batch_fw_limit, batch_regularized_integrand
@@ -241,10 +242,9 @@ def test_structured_route_matches_the_continuum(name, data):
     cov = (E @ E.T).ravel()
     assert np.max(np.abs(model.covariance(s_, t_) - cov)) <= rtol * np.max(cov)
 
-    inc, _, L, gamma = batch_decompose(model, times)
+    _, _, gamma, ys = batch_decompose(model, times, pairs=map(model.pairing, (h1, h2)))
     assert _rel(gamma, gamma_d) <= tol
-    for h, y_d in ((h1, y1_d), (h2, y2_d)):
-        y = batch_ortho_coeffs(L, model.pairing(h)(inc))
+    for y, y_d in zip(ys, (y1_d, y2_d)):
         assert np.max(np.abs(y - y_d)) <= tol * np.max(np.abs(y_d))
 
     reg_d = np.prod(-np.expm1(-0.5 * (y1_d**2 + y2_d**2))) / gamma_d
@@ -268,9 +268,13 @@ def test_structured_route_matches_the_continuum(name, data):
     want = np.linalg.det(G) / (np.linalg.det(G[np.ix_(comp, comp)]) if comp else 1.0)
     assert abs(slnd_ratio(model, tt, M) / want - 1.0) <= tol
 
-    if t[0] > 0.0:
+    if t[0] > 0.0 and np.linalg.det(rows[:k] @ rows[:k].T) >= np.finfo(float).tiny:
         G = normalized(rows[:k])
         assert abs(berman_stat(model, tt) / np.linalg.det(G) - 1.0) <= rtol * np.linalg.cond(G)
+    elif t[0] > 0.0:  # Gamma of (0, t) is subnormal: refused like any such tuple
+        named = re.escape(f"tuple {(0.0, *map(float, t))}")
+        with pytest.raises(DegenerateConfigurationError, match=named):
+            berman_stat(model, tt)
 
     eps = 0.1 * np.mean(np.diag(A))
     Ae = A + eps * np.eye(k - 1)
@@ -402,17 +406,19 @@ def _arrays(x):
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_kernel_arrays_keep_the_tuple_axis_innermost(name, k):
     """The Gram kernel stores every per-tuple array tuple-last: the (B, ...)
-    arrays that ``increment_gram``, the pairings and ``batch_decompose`` return
-    are views whose tuple axis has a stride of one item, and the increments'
-    times and the model's extra arrays end with the tuple axis."""
+    arrays that ``increment_gram``, the pairings and ``batch_decompose`` return,
+    the factor and each shift's coefficients included, are views whose tuple axis
+    has a stride of one item, and the increments' times and the model's extra
+    arrays end with the tuple axis."""
     model, _ = MODELS[name]
     T, B = model.grid.T, 6
     times = T * (np.arange(1, k + 1) / (k + 1) + 0.01 * np.arange(B)[:, None])
     inc = model.increments(times)
-    _, _, L, _ = batch_decompose(model, times)
-    u = model.pairing(parse_function("sin:1", model.grid, model.aux_dim))(inc)
-    for a in (model.increment_gram(inc), L, u):
-        assert a.shape[0] == B and a.strides[0] == a.itemsize
+    pairs = [model.pairing(parse_function(f, model.grid, model.aux_dim)) for f in ("sin:1", "zero")]
+    _, L, _, ys = batch_decompose(model, times, pairs=pairs)
+    assert len(ys) == 2 and all(y.shape == (B, k - 1) for y in ys)
+    for a in (model.increment_gram(inc), L, pairs[0](inc), *ys):
+        assert a.base is not None and a.shape[0] == B and a.strides[0] == a.itemsize
     extra = _arrays(inc.extra)
     assert extra
     for a in [inc.times] + extra:
@@ -532,7 +538,7 @@ def test_sub_cell_gap_around_a_node_keeps_its_digits(frac):
     half, node, w = 0.5 * frac * grid.weight, grid.nodes, grid.weight
     rows = [[node[j] - half, node[j] + half, node[j] + half + 0.3] for j in (17, 2900, 6000)]
     rows += [[0.2, 4000 * w - half, 4000 * w + half]]
-    gamma = batch_decompose(model, np.array(rows))[3]
+    gamma = batch_decompose(model, np.array(rows))[2]
     want = [np.linalg.det(sl_quad_gram(t)) for t in rows]
     assert _rel(gamma, np.array(want)) <= 1e-12
 
@@ -709,12 +715,18 @@ def test_no_tuple_is_refused_for_its_scale(name, data):
     thirteen decades: det G stays far above DET_MIN on every model.  Wiener's Gamma
     lies within 4 m ulps of the product of the float gaps; the other models' Gamma
     within 1e-13 (relative) of the continuum oracle's wherever every gap is at least
-    1e-6 T, below which the oracle's own rows lose digits."""
+    1e-6 T, below which the oracle's own rows lose digits.  A drawn shift's
+    coefficients keep Bessel's inequality, 0 <= |y|^2 <= ||h||^2 (1 + 4 m eps); with
+    const1 in the span (Wiener tuples from 0 to T) |y|^2 exceeded ||h||^2 by 1 m eps."""
     model, _ = MODELS[name]
     T = model.grid.T
     times = data.draw(log_uniform_tuples(T))
-    _, _, _, (gamma,) = batch_decompose(model, times[None])
+    shift = data.draw(st.sampled_from(["const1", "sin:1", "sin:3", "hat:0.5:0.4"]))
+    h = parse_function(shift, model.grid, model.aux_dim)
+    _, _, (gamma,), (y,) = batch_decompose(model, times[None], pairs=[model.pairing(h)])
     gaps = np.diff(times)
+    bessel = h.norm_sq() * (1.0 + 4 * len(gaps) * np.finfo(float).eps)
+    assert 0.0 <= np.add.reduce(y[0] ** 2) <= bessel
     if name == "wiener":
         want = np.prod(gaps)
         assert abs(gamma - want) <= 4 * len(gaps) * np.spacing(want)
@@ -741,7 +753,7 @@ def test_kernel_path_calls_no_eigen_solver_or_lapack_cholesky(monkeypatch):
             times = np.sort(rng.uniform(0.0, T, (4096, k)), axis=1)
             times = times[np.all(np.diff(times, axis=1) > 1e-3 * T, axis=1)]
             for batch in (times[:1], np.resize(times, (4096, k))):
-                assert np.all(np.isfinite(batch_decompose(model, batch)[3]))
+                assert np.all(np.isfinite(batch_decompose(model, batch)[2]))
             tt = TimeTuple(times[0])
             values = [
                 fw_eps(TransformPoint(model, tt, h, h), 0.1),
@@ -749,6 +761,38 @@ def test_kernel_path_calls_no_eigen_solver_or_lapack_cholesky(monkeypatch):
                 berman_stat(model, tt) if tt.times[0] > 0 else 1.0,
             ]
             assert np.all(np.isfinite(values))
+
+
+def test_projections_make_one_factorization_per_batch(monkeypatch):
+    """Each batch of batch_projections (h1, h1, h2: two distinct shifts; eps = 0
+    and eps > 0), fw_eps, fw_limit, regularized_integrand and projection_norm_sq
+    makes exactly one batch_cholesky call, bordered by one column per distinct
+    shift: the shifts' coefficients come from that factorization, with no second
+    pass."""
+    assert not hasattr(gram, "batch_ortho_coeffs")
+    calls, cholesky = [], gram.batch_cholesky
+
+    def counted(A, times, us=()):
+        calls.append(len(us))
+        return cholesky(A, times, us)
+
+    monkeypatch.setattr(gram, "batch_cholesky", counted)
+    for model, _ in MODELS.values():
+        h1, h2 = (parse_function(f, model.grid, model.aux_dim) for f in ("sin:1", "sin:2"))
+        tt = TimeTuple([f * model.grid.T for f in (0.2, 0.5, 0.9)])
+        pt = TransformPoint(model, tt, h1, h2)
+        projections, batch = batch_projections(model, h1, h1, h2), np.array([tt.times] * 5)
+        for call, border in (
+            (lambda: projections(batch), 2),
+            (lambda: projections(batch, 0.1), 2),
+            (lambda: fw_eps(pt, 0.1), 2),
+            (lambda: fw_limit(pt), 2),
+            (lambda: regularized_integrand(model, tt, h1, h2), 2),
+            (lambda: projection_norm_sq(model, tt.times, h1), 1),
+        ):
+            calls.clear()
+            call()
+            assert calls == [border]
 
 
 # ---------------------------------------------------------------------------
