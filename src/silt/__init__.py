@@ -46,7 +46,6 @@ from .process_models import (
 from .quadrature import QuadratureSpec, RegularizedValue
 from .regularization import (
     divergence_probe,
-    integrand_diagonal_scan,
     iterated_bound_check,
     product_form_wiener,
     regularized_integral,

@@ -5,8 +5,8 @@ conditioned at small gaps.  Each is a product of ratios s_j / A_jj of the
 Cholesky pivots of the Gram matrix A to its diagonal, read from the Gram
 kernel's ``batch_cholesky``, whose one check judges the same normalized
 determinant; A is built in O(1) per time like every other Gram matrix.
-Scans drive the chosen gaps toward zero and report whether the defining
-limits are reached at a stated tolerance.
+Scans drive the chosen gaps toward zero and record the ratios, whose
+defining limit is 1; the caller judges how close the last one comes.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from .function_space import GridFunction
 from .gram import TimeTuple, batch_cholesky, decreasing_values, gap_scan_tuple, projection_norm_sq
 from .process_models import ProcessModel
 
-# a scan reaches its limit when its last ratio is within SCAN_TOL of 1
-SCAN_TOL = 0.05
-
 
 @dataclass(frozen=True)
 class SLNDReport:
@@ -32,7 +29,6 @@ class SLNDReport:
 
     gaps: Tuple[float, ...]
     ratios: Tuple[float, ...]
-    limit_reached: bool
 
 
 def _pivot_ratios(model: ProcessModel, times: Sequence[float], order: Sequence[int]):
@@ -76,8 +72,7 @@ def slnd_scan(
         slnd_ratio(model, gap_scan_tuple(base_tt.times, M, g, model.grid.T), M)
         for g in gap_sequence
     ]
-    limit = abs(ratios[-1] - 1.0) < SCAN_TOL
-    return SLNDReport(tuple(gap_sequence), tuple(ratios), limit)
+    return SLNDReport(tuple(gap_sequence), tuple(ratios))
 
 
 def berman_stat(model: ProcessModel, tt: TimeTuple) -> float:
@@ -98,8 +93,8 @@ def berman_scan(
 ) -> SLNDReport:
     """Berman statistic for m equispaced points in a shrinking window after t_1.
 
-    ``limit_reached`` means the statistic is within SCAN_TOL of its
-    limit 1 at the smallest window; the infimum over all tuples in Berman's
+    The statistic tends to 1 as the window shrinks; the report records it per
+    window and judges nothing.  The infimum over all tuples in Berman's
     definition is not computable and is not claimed.
     """
     window_sequence = decreasing_values(window_sequence, "scan windows")
@@ -109,8 +104,7 @@ def berman_scan(
         if times[-1] > model.grid.T + 1e-12:
             raise ValidationError(f"window {wdw} leaves the interval [0, {model.grid.T}]")
         stats.append(berman_stat(model, TimeTuple(times)))
-    limit = abs(stats[-1] - 1.0) < SCAN_TOL
-    return SLNDReport(tuple(window_sequence), tuple(stats), limit)
+    return SLNDReport(tuple(window_sequence), tuple(stats))
 
 
 def projection_decay(

@@ -22,7 +22,6 @@ from .gram import (
     TimeTuple,
     batch_projections,
     decreasing_values,
-    gap_scan_tuple,
     wiener_projections,
 )
 from .process_models import ProcessModel, wiener_model
@@ -118,24 +117,6 @@ def divergence_probe(
         check_converged(rv, spec.tol, f"delta {d!r} ")
         rows.append((d, rv.value))
     return rows
-
-
-def integrand_diagonal_scan(
-    model: ProcessModel,
-    base_times: Sequence[float],
-    index: int,
-    gaps: Sequence[float],
-    h1: GridFunction,
-    h2: GridFunction,
-) -> List[Tuple[float, float]]:
-    """|regularized integrand| along a shrinking gap, other gaps fixed.
-
-    Gap ``index`` (1-based) of the base tuple is replaced by each value in
-    ``gaps``; later times shift to keep the remaining gaps unchanged.
-    """
-    gaps = decreasing_values(gaps, "scan gaps")
-    tts = [gap_scan_tuple(base_times, [index], g, model.grid.T) for g in gaps]
-    return [(g, abs(regularized_integrand(model, tt, h1, h2))) for g, tt in zip(gaps, tts)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Pointwise Fourier-Wiener transform values and their Monte Carlo validator.
 
+One closure, ``batch_fw_limit``'s, evaluates the closed form at every eps from the
+Gram kernel's projections: ``fw_eps`` is its B=1 row at eps > 0, ``fw_limit`` at
+eps = 0, and ``divergence_probe`` integrates it at eps = 0.  The Wiener form
+``fw_wiener`` is an independent oracle that calls neither.
+
 The validator samples the law of the increments and shifts that ``fw_eps``
 integrates in closed form, from the same exact Gram matrix and pairings.
 Two normalization conventions are carried throughout: ``paper`` reproduces
@@ -51,10 +56,6 @@ class TransformPoint:
     def __post_init__(self):
         _norm_factor(self.normalization, self.tt.k)
 
-    @property
-    def norm_factor(self) -> float:
-        return _norm_factor(self.normalization, self.tt.k)
-
 
 def fw_eps(point: TransformPoint, eps: float) -> float:
     """Transform of the eps-smoothed delta product (closed Gaussian form).
@@ -62,15 +63,14 @@ def fw_eps(point: TransformPoint, eps: float) -> float:
     det(A + eps I)^{-1} exp(-[(A+eps I)^{-1} quadratic forms of u1, u2] / 2)
     times the normalization factor: the limit form of the model whose
     increments carry independent noise of variance eps, Gram matrix A + eps I.
-    Only A + eps I is checked and factored, so a tuple whose Gram matrix A is
-    singular still has a value.
+    The B=1 row of ``batch_fw_limit``'s closure at eps.  Only A + eps I is
+    checked and factored, so a tuple whose Gram matrix A is singular still
+    has a value.
     """
     if not 0 < eps < math.inf:
         raise ValidationError(f"eps must be positive and finite, got {eps}")
-    times = np.asarray(point.tt.times)[None]
-    det, ys = batch_projections(point.model, point.h1, point.h2)(times, eps)
-    expo = sum(float(np.add.reduce(y**2, None)) for y in ys)
-    return point.norm_factor * math.exp(-0.5 * expo) / float(det[0])
+    f = batch_fw_limit(point.model, point.h1, point.h2, point.normalization)
+    return float(f(np.asarray(point.tt.times)[None], eps)[0])
 
 
 def batch_fw_limit(
@@ -79,16 +79,19 @@ def batch_fw_limit(
     h2: GridFunction,
     normalization: str = "paper",
 ):
-    """Vectorized limit integrand over arrays of time tuples (B, k) -> (B,).
+    """Vectorized transform over arrays of time tuples: (times (B, k), eps) -> (B,).
 
-    exp(-(||P h1||^2 + ||P h2||^2)/2) / Gamma times the normalization factor:
-    the unregularized integrand, whose simplex integral diverges.  Works from
-    the model's structured primitives; no factor rows are built.
+    exp(-(||P h1||^2 + ||P h2||^2)/2) / Gamma times the normalization factor,
+    with P and Gamma those of A + eps I (``batch_projections``): at the default
+    eps = 0 the unregularized limit integrand, whose simplex integral diverges,
+    and at eps > 0 the eps-smoothed closed form of ``fw_eps``.  The name, from
+    the quadrature's eps = 0 use, is the one the benchmark's per-layer probe
+    reads.  Works from the model's structured primitives; no factor rows are built.
     """
     projections = batch_projections(model, h1, h2)
 
-    def f(times: np.ndarray) -> np.ndarray:
-        gamma, (y1, y2) = projections(times)
+    def f(times: np.ndarray, eps: float = 0.0) -> np.ndarray:
+        gamma, (y1, y2) = projections(times, eps)
         proj = np.add.reduce(y1**2, axis=1) + np.add.reduce(y2**2, axis=1)
         return _norm_factor(normalization, times.shape[1]) * np.exp(-0.5 * proj) / gamma
 
@@ -96,7 +99,8 @@ def batch_fw_limit(
 
 
 def fw_limit(point: TransformPoint) -> float:
-    """The eps -> 0 limit: exp(-(||P h1||^2 + ||P h2||^2)/2) / Gamma."""
+    """The eps -> 0 limit: exp(-(||P h1||^2 + ||P h2||^2)/2) / Gamma, the B=1 row of
+    ``batch_fw_limit``'s closure at eps = 0."""
     f = batch_fw_limit(point.model, point.h1, point.h2, point.normalization)
     return float(f(np.asarray(point.tt.times)[None])[0])
 

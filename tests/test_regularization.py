@@ -17,7 +17,6 @@ from silt import (
     ValidationError,
     counterexample_model,
     divergence_probe,
-    integrand_diagonal_scan,
     iterated_bound_check,
     make_grid,
     parse_function,
@@ -29,6 +28,7 @@ from silt import (
     wiener_model,
 )
 from silt.function_space import GridFunction, cumulative
+from silt.gram import decreasing_values, gap_scan_tuple
 from silt import quadrature, regularization
 from silt.quadrature import (
     _MAX_NODES,
@@ -597,26 +597,28 @@ def test_integrand_diagonal_scan_bounded():
     fine = make_grid(1.0, 50_000)
     m = wiener_model(fine)
     one = parse_function("const1", fine)
-    rows = integrand_diagonal_scan(m, [0.2, 0.5, 0.9], 1, [1e-2, 1e-3], one, one)
-    ref = rows[0][1]
-    assert all(v <= 10.0 * ref for _, v in rows)
+    base = [0.2, 0.5, 0.9]
+    values = [
+        abs(regularized_integrand(m, gap_scan_tuple(base, [1], g, fine.T), one, one))
+        for g in (1e-2, 1e-3)
+    ]
+    assert all(v <= 10.0 * values[0] for v in values)
 
 
-def test_integrand_diagonal_scan_validates_index(grid, model):
-    one = parse_function("const1", grid)
-    with pytest.raises(ValidationError):
-        integrand_diagonal_scan(model, [0.2, 0.5], 2, [1e-2], one, one)
+def test_integrand_diagonal_scan_validates_index(grid):
+    with pytest.raises(ValidationError, match=r"gap indices \[2\] out of range 1..1"):
+        gap_scan_tuple([0.2, 0.5], [2], 1e-2, grid.T)
 
 
 def test_integrand_diagonal_scan_names_the_gap(grid, model):
     one = parse_function("const1", grid)
     with pytest.raises(ValidationError, match=r"at gap 0.6 leaves the interval \[0, 1.0\]"):
-        integrand_diagonal_scan(model, [0.2, 0.5, 0.9], 2, [0.6], one, one)
+        gap_scan_tuple([0.2, 0.5, 0.9], [2], 0.6, grid.T)
     with pytest.raises(ValidationError, match=r"strictly decreasing, got \(0.01, 0.01\)"):
-        integrand_diagonal_scan(model, [0.2, 0.5, 0.9], 2, [1e-2, 1e-2], one, one)
+        decreasing_values([1e-2, 1e-2], "scan gaps")
     # the upper end is T up to 1e-12, as in the SLND and Berman scans
-    rows = integrand_diagonal_scan(model, [0.2, 0.5, 0.9], 2, [0.5 + 5e-13], one, one)
-    assert len(rows) == 1 and rows[0][1] > 0
+    tt = gap_scan_tuple([0.2, 0.5, 0.9], [2], 0.5 + 5e-13, grid.T)
+    assert regularized_integrand(model, tt, one, one) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from silt import (
     parse_function,
     wiener_model,
 )
+from silt.transform import batch_fw_limit
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +132,13 @@ def test_fw_eps_exists_where_the_gram_matrix_is_singular(grid, model):
     assert abs(mean - value) <= 4.0 * stderr
     with pytest.raises(DegenerateConfigurationError):
         fw_limit(pt)
+    # batched among regular tuples: every row finite at eps, and at eps = 0 an error
+    # naming the singular tuple
+    f = batch_fw_limit(model, pt.h1, pt.h2, "analytic")
+    batch = np.array([[0.2, 0.5, 0.9], pt.tt.times, [0.1, 0.4, 0.45]])
+    assert np.all(np.isfinite(f(batch, 0.5)))
+    with pytest.raises(DegenerateConfigurationError, match=re.escape("(0.0, 1e-310, 0.9)")):
+        f(batch)
 
 
 def test_mc_exponent_tilt_has_mean_one():
