@@ -26,7 +26,6 @@ from .gram import (
     projection_norm_sq,
 )
 from .nondeterminism import (
-    SLNDReport,
     berman_scan,
     berman_stat,
     point_projection_norm_sq,
@@ -46,7 +45,6 @@ from .process_models import (
 from .quadrature import QuadratureSpec, RegularizedValue
 from .regularization import (
     divergence_probe,
-    iterated_bound_check,
     product_form_wiener,
     regularized_integral,
     regularized_integrand,

@@ -257,8 +257,7 @@ def _cmd_slnd(cfg: RunConfig, args) -> int:
     except ValueError as exc:
         raise ValidationError(f"malformed subset '{args.subset}'") from exc
     if args.scan:
-        report = slnd_scan(model, tt, M, _parse_floats(args.scan))
-        _emit_csv(cfg, ["gap", "value"], list(zip(report.gaps, report.ratios)))
+        _emit_csv(cfg, ["gap", "value"], slnd_scan(model, tt, M, _parse_floats(args.scan)))
     else:
         _emit_json(cfg, {"ratio": slnd_ratio(model, tt, M)})
     return 0
@@ -268,8 +267,8 @@ def _cmd_berman(cfg: RunConfig, args) -> int:
     grid, model = _build(cfg)
     tt = TimeTuple(_parse_floats(args.times, "times"))
     if args.scan:
-        report = berman_scan(model, tt.times[0], tt.k, _parse_floats(args.scan))
-        _emit_csv(cfg, ["gap", "value"], list(zip(report.gaps, report.ratios)))
+        rows = berman_scan(model, tt.times[0], tt.k, _parse_floats(args.scan))
+        _emit_csv(cfg, ["gap", "value"], rows)
     else:
         _emit_json(cfg, {"stat": berman_stat(model, tt)})
     return 0

@@ -6,13 +6,14 @@ intervals between the times, and factors them with ``batch_cholesky``, the one
 degeneracy check of the package (on the normalized Gram determinant, which the
 paper's strong local nondeterminism bounds); ``decompose`` is its B=1 call.
 Every other factorization (SLND and Berman ratios, the eps-smoothed transform)
-goes through ``batch_cholesky`` too.  Projections on the increment span, batched in
-``batch_projections``, come from the same factorization: the Gram matrix bordered
-by the shifts' pairings, one border column per distinct shift, whose factor holds
-each shift's coefficients y = L^{-1} u on the orthonormalized increments, with
+goes through ``batch_cholesky`` too.  It returns the normalized pivots whose product
+is the checked determinant, not the factor.  Projections on the increment span,
+batched in ``batch_projections``, come from the same factorization: the Gram matrix
+bordered by the shifts' pairings, one border column per distinct shift, whose factor
+holds each shift's coefficients y = L^{-1} u on the orthonormalized increments, with
 ||h - P h||^2 = Gamma(dg, h) / Gamma(dg); ``projection_norm_sq`` is its B=1 row.
-The factor bordered by s shifts is stored tuple-last, (m, m + s, B); the (B, m, m)
-factors and (B, m) coefficients the functions return are transposed views.  The
+The factor bordered by s shifts is stored tuple-last, (m, m + s, B); the (B, m)
+pivots and coefficients the functions return are transposed views.  The
 Wiener oracle ``wiener_projections`` integrates the shifts from their exact
 cumulative and calls nothing of the models or the kernel.
 Per-call code calls ufuncs' reduce, not numpy's wrappers such as np.sum (1-3 us slower).
@@ -103,7 +104,7 @@ class GramDecomposition:
 
 def decompose(model: ProcessModel, tt: TimeTuple) -> GramDecomposition:
     """Gram decomposition of the increments g(t_{i+1}) - g(t_i)."""
-    A, _, gamma, _ = batch_decompose(model, np.asarray(tt.times)[None])
+    A, gamma, _ = batch_decompose(model, np.asarray(tt.times)[None])
     return GramDecomposition(A[0], float(gamma[0]))
 
 
@@ -131,19 +132,18 @@ def batch_decompose(model: ProcessModel, times: np.ndarray, eps: float = 0.0, pa
     """Gram data for a batch of time tuples.
 
     times: (B, k) with strictly increasing rows; pairs: shifts' pairings
-    (``model.pairing``).  Returns (A, L, gamma, ys): Gram matrices and their lower
-    Cholesky factors (B, k-1, k-1), Gram determinants (B,) and each pairing's
-    coefficients (B, k-1) from ``batch_cholesky``, which checks A and factors it
-    bordered by the pairings.  A comes from the structured increments in O(1) per
-    tuple; no factor rows are built.  With eps > 0 the increments carry independent
-    noise of variance eps: A + eps I.
+    (``model.pairing``).  Returns (A, gamma, ys): Gram matrices (B, k-1, k-1), Gram
+    determinants (B,) and each pairing's coefficients (B, k-1) from ``batch_cholesky``,
+    which checks A and factors it bordered by the pairings.  A comes from the
+    structured increments in O(1) per tuple; no factor rows are built.  With eps > 0
+    the increments carry independent noise of variance eps: A + eps I.
     """
     inc = model.increments(times)
     A = model.increment_gram(inc)
     if eps:
         A = A + eps * np.eye(A.shape[1])
-    L, gamma, ys = batch_cholesky(A, times, [pair(inc) for pair in pairs])
-    return A, L, gamma, ys
+    _, gamma, ys = batch_cholesky(A, times, [pair(inc) for pair in pairs])
+    return A, gamma, ys
 
 
 def batch_projections(model: ProcessModel, *hs: GridFunction):
@@ -158,7 +158,7 @@ def batch_projections(model: ProcessModel, *hs: GridFunction):
     pairs = {key: model.pairing(h) for key, h in dict(zip(keys, hs)).items()}
 
     def f(times: np.ndarray, eps: float = 0.0):
-        _, _, gamma, ys = batch_decompose(model, times, eps, pairs.values())
+        _, gamma, ys = batch_decompose(model, times, eps, pairs.values())
         by_key = dict(zip(pairs, ys))
         return gamma, [by_key[key] for key in keys]
 
@@ -166,21 +166,23 @@ def batch_projections(model: ProcessModel, *hs: GridFunction):
 
 
 def batch_cholesky(A: np.ndarray, times: np.ndarray, us: Sequence[np.ndarray] = ()):
-    """Lower Cholesky factors, Gram determinants and the border's coefficients, with
-    the one degeneracy check.
+    """Normalized Cholesky pivots, Gram determinants and the border's coefficients,
+    with the one degeneracy check.
 
     A: (B, m, m) symmetric matrices built from the time tuples ``times`` (B, k), lower
     triangle read; us: s border vectors (B, m).  One loop over the columns takes
     LAPACK's steps for any m, s and B on the rows of [A, U].T, contiguous tuple-last
-    (m, m + s, B): pivot s_j, l_jj = sqrt(s_j), the row times 1 / l_jj, the trailing
+    W (m, m + s, B): pivot s_j, l_jj = sqrt(s_j), the row times 1 / l_jj, the trailing
     update of rows j+1..m-1; one last division by l_{m-1,m-1} finishes the border,
-    whose columns then hold y = L^{-1} u.  The pivots give Gamma = (prod l_jj)^2 and
-    det G = prod s_j / A_jj, G = D^{-1/2} A D^{-1/2} with D = diag(A).  The first row
-    with det G < DET_MIN, or whose Gamma is not a normal, finite, positive float,
+    whose columns then hold y = L^{-1} u; the entries below W's diagonal feed no
+    result and are not cleared.  The pivots give Gamma = (prod l_jj)^2 and
+    det G = prod s_j / A_jj, G = D^{-1/2} A D^{-1/2} with D = diag(A).  The first
+    row with det G < DET_MIN, or whose Gamma is not a normal, finite, positive float,
     raises DegenerateConfigurationError naming the tuple; a non-finite or indefinite
     row is a NaN pivot and fails alike.  Cholesky's accuracy is governed by
     cond2(G) <= m^m / DET_MIN, not by cond2(A) (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 10).  Returns (L, gamma, [y]).
+    Numerical Algorithms, ch. 10).  Returns (pivots (B, m), gamma, [y]): the pivots
+    s_j / A_jj of G, whose product the check judged.
     """
     m, s = A.shape[1], len(us)
     W = np.empty((m, m + s, len(A)))  # W[j, i] is A[:, i, j], then u_{i-m}[:, j]
@@ -192,8 +194,8 @@ def batch_cholesky(A: np.ndarray, times: np.ndarray, us: Sequence[np.ndarray] = 
         for j in range(m - 1):
             W[j, j + 1 :] *= 1.0 / np.sqrt(d[j])
             W[j + 1 :, j + 1 :] -= W[j, j + 1 : m, None] * W[j, None, j + 1 :]
-            W[j + 1 :, j] = 0.0
-        det_g = np.multiply.reduce(d / A.diagonal(0, 1, 2).T, axis=0)
+        pivots = d / A.diagonal(0, 1, 2).T
+        det_g = np.multiply.reduce(pivots, axis=0)
         np.sqrt(d, out=d)
         W[m - 1, m:] /= d[m - 1]
         gamma = np.multiply.reduce(d, axis=0) ** 2
@@ -205,4 +207,4 @@ def batch_cholesky(A: np.ndarray, times: np.ndarray, us: Sequence[np.ndarray] = 
             f"determinant {det_g[i]:.2e}, Gram determinant {gamma[i]:.2e} "
             f"(smallest gap {np.diff(times[i]).min():.3e})"
         )
-    return W[:, :m].T, gamma, [W[:, i].T for i in range(m, m + s)]
+    return pivots.T, gamma, [W[:, i].T for i in range(m, m + s)]

@@ -17,14 +17,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .function_space import GridFunction, cell_table, inner
+from .function_space import GridFunction, cell_table
 from .gram import (
     TimeTuple,
     batch_projections,
     decreasing_values,
     wiener_projections,
 )
-from .process_models import ProcessModel, wiener_model
+from .process_models import ProcessModel
 from .quadrature import QuadratureSpec, RegularizedValue, check_converged, integrate_simplex
 from .quadrature import integrate_simplex_orders
 from .transform import batch_fw_limit
@@ -146,28 +146,3 @@ def schur_bound_check(h: GridFunction, a: float = 0.0) -> Tuple[float, float, bo
     lhs = norm_sq + float(np.sum(2.0 * s * d * np.log1p(D / x0) + d * d * D / (x0 * x1)))
     rhs = 8.0 * norm_sq
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-6)
-
-
-def iterated_bound_check(h: GridFunction, k: int) -> Tuple[float, float, bool]:
-    """Compare the iterated-product integral against (8 ||h||^2)^{k-1}.
-
-    Integrates prod_i (int_{t_i}^{t_{i+1}} h)^2 / gap_i^2 over the whole simplex, as
-    prod_i y_i^2 / Gamma from the kernel's Wiener projections (``batch_projections``):
-    there y_i^2 = (int h)^2 / gap_i and Gamma = prod gap_i.  ``integrate_simplex`` takes
-    its ratio to the bound, so the value scales exactly with h^2; only a converged one passes.
-    """
-    spec = QuadratureSpec(k)
-    if np.any(h.values < -1e-12):
-        raise ValidationError("the bound applies to nonnegative h only")
-    nsq = inner(h, h)
-    bound = (8.0 * nsq) ** (k - 1)
-    if nsq == 0.0:
-        return 0.0, 0.0, True
-    projections = batch_projections(wiener_model(h.grid), h)
-
-    def ratio(times: np.ndarray) -> np.ndarray:
-        gamma, (y,) = projections(times)
-        return np.multiply.reduce(y * y, axis=1) / (gamma * bound)
-
-    rv = integrate_simplex(h.grid.T, ratio, spec)
-    return rv.value * bound, bound, rv.converged and rv.value <= 1.0 + 1e-6

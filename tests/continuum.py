@@ -7,9 +7,17 @@ a Gauss–Legendre rule on each cell (one node, or eight for perturbed:sl), scal
 the square roots of the weights, are rows whose dot products are the continuum
 inner products, to rounding.  The oracle reads the grid, the closed form of
 S 1I_[0,t] and the perturbed:file matrix; it calls nothing of silt's kernel.
+
+``iterated_bound_check``, criterion 7's iterated Schur bound from the paper's
+finiteness proof, is no oracle: it integrates the kernel's Wiener projections,
+and only the tests call it.
 """
 
 import numpy as np
+
+from silt import ValidationError, inner, wiener_model
+from silt.gram import batch_projections
+from silt.quadrature import QuadratureSpec, integrate_simplex
 
 SL_NODES = 8
 
@@ -70,3 +78,27 @@ def continuum_decompose(model, times, hs=(), kernel=None):
     A = rows @ rows.T
     L = np.linalg.cholesky(A)
     return A, np.prod(np.diag(L)) ** 2, [np.linalg.solve(L, rows @ h) for h in shifts]
+
+
+def iterated_bound_check(h, k):
+    """Compare the iterated-product integral against (8 ||h||^2)^{k-1}: (value, bound, ok).
+
+    Integrates prod_i (int_{t_i}^{t_{i+1}} h)^2 / gap_i^2 over the whole simplex, as
+    prod_i y_i^2 / Gamma from the kernel's Wiener projections (``batch_projections``):
+    there y_i^2 = (int h)^2 / gap_i and Gamma = prod gap_i.  ``integrate_simplex`` takes
+    its ratio to the bound, so the value scales exactly with h^2; only a converged one passes.
+    """
+    if np.any(h.values < -1e-12):
+        raise ValidationError("the bound applies to nonnegative h only")
+    nsq = inner(h, h)
+    bound = (8.0 * nsq) ** (k - 1)
+    if nsq == 0.0:
+        return 0.0, 0.0, True
+    projections = batch_projections(wiener_model(h.grid), h)
+
+    def ratio(times):
+        gamma, (y,) = projections(times)
+        return np.multiply.reduce(y * y, axis=1) / (gamma * bound)
+
+    rv = integrate_simplex(h.grid.T, ratio, QuadratureSpec(k))
+    return rv.value * bound, bound, rv.converged and rv.value <= 1.0 + 1e-6

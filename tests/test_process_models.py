@@ -69,7 +69,7 @@ def test_sl_model_builds_no_kernel_operator(monkeypatch, n):
     monkeypatch.setattr(process_models, "sturm_liouville_operator", built)
     monkeypatch.setattr(KernelOperator, "__init__", built)
     model = parse_model("perturbed:sl", make_grid(math.pi / 2, n))
-    _, _, gamma, _ = batch_decompose(model, np.array([[0.2, 0.5, 0.9, 1.3]]))
+    _, gamma, _ = batch_decompose(model, np.array([[0.2, 0.5, 0.9, 1.3]]))
     assert gamma[0] > 0
 
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from continuum import iterated_bound_check
 from silt import (
     DegenerateConfigurationError,
     QuadratureSpec,
@@ -17,7 +18,6 @@ from silt import (
     ValidationError,
     counterexample_model,
     divergence_probe,
-    iterated_bound_check,
     make_grid,
     parse_function,
     product_form_wiener,

@@ -243,7 +243,7 @@ def test_structured_route_matches_the_continuum(name, data):
     cov = (E @ E.T).ravel()
     assert np.max(np.abs(model.covariance(s_, t_) - cov)) <= rtol * np.max(cov)
 
-    _, _, gamma, ys = batch_decompose(model, times, pairs=map(model.pairing, (h1, h2)))
+    _, gamma, ys = batch_decompose(model, times, pairs=map(model.pairing, (h1, h2)))
     assert _rel(gamma, gamma_d) <= tol
     for y, y_d in zip(ys, (y1_d, y2_d)):
         assert np.max(np.abs(y - y_d)) <= tol * np.max(np.abs(y_d))
@@ -404,18 +404,19 @@ def _arrays(x):
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_kernel_arrays_keep_the_tuple_axis_innermost(name, k):
     """The Gram kernel stores every per-tuple array tuple-last: the (B, ...)
-    arrays that ``increment_gram``, the pairings and ``batch_decompose`` return,
-    the factor and each shift's coefficients included, are views whose tuple axis
-    has a stride of one item, and the increments' times and the model's extra
-    arrays end with the tuple axis."""
+    arrays that ``increment_gram``, the pairings, ``batch_decompose`` and
+    ``batch_cholesky`` return, the normalized pivots and each shift's coefficients
+    included, are views whose tuple axis has a stride of one item, and the
+    increments' times and the model's extra arrays end with the tuple axis."""
     model, _ = MODELS[name]
     T, B = model.grid.T, 6
     times = T * (np.arange(1, k + 1) / (k + 1) + 0.01 * np.arange(B)[:, None])
     inc = model.increments(times)
     pairs = [model.pairing(parse_function(f, model.grid, model.aux_dim)) for f in ("sin:1", "zero")]
-    _, L, _, ys = batch_decompose(model, times, pairs=pairs)
-    assert len(ys) == 2 and all(y.shape == (B, k - 1) for y in ys)
-    for a in (model.increment_gram(inc), L, pairs[0](inc), *ys):
+    A, _, ys = batch_decompose(model, times, pairs=pairs)
+    pivots, _, _ = gram.batch_cholesky(A, times)
+    assert len(ys) == 2 and all(a.shape == (B, k - 1) for a in (pivots, *ys))
+    for a in (model.increment_gram(inc), pivots, pairs[0](inc), *ys):
         assert a.base is not None and a.shape[0] == B and a.strides[0] == a.itemsize
     extra = _arrays(inc.extra)
     assert extra
@@ -536,7 +537,7 @@ def test_sub_cell_gap_around_a_node_keeps_its_digits(frac):
     half, node, w = 0.5 * frac * grid.weight, grid.nodes, grid.weight
     rows = [[node[j] - half, node[j] + half, node[j] + half + 0.3] for j in (17, 2900, 6000)]
     rows += [[0.2, 4000 * w - half, 4000 * w + half]]
-    gamma = batch_decompose(model, np.array(rows))[2]
+    gamma = batch_decompose(model, np.array(rows))[1]
     want = [np.linalg.det(sl_quad_gram(t)) for t in rows]
     assert _rel(gamma, np.array(want)) <= 1e-12
 
@@ -721,7 +722,7 @@ def test_no_tuple_is_refused_for_its_scale(name, data):
     times = data.draw(log_uniform_tuples(T))
     shift = data.draw(st.sampled_from(["const1", "sin:1", "sin:3", "hat:0.5:0.4"]))
     h = parse_function(shift, model.grid, model.aux_dim)
-    _, _, (gamma,), (y,) = batch_decompose(model, times[None], pairs=[model.pairing(h)])
+    _, (gamma,), (y,) = batch_decompose(model, times[None], pairs=[model.pairing(h)])
     gaps = np.diff(times)
     bessel = h.norm_sq() * (1.0 + 4 * len(gaps) * np.finfo(float).eps)
     assert 0.0 <= np.add.reduce(y[0] ** 2) <= bessel
@@ -751,7 +752,7 @@ def test_kernel_path_calls_no_eigen_solver_or_lapack_cholesky(monkeypatch):
             times = np.sort(rng.uniform(0.0, T, (4096, k)), axis=1)
             times = times[np.all(np.diff(times, axis=1) > 1e-3 * T, axis=1)]
             for batch in (times[:1], np.resize(times, (4096, k))):
-                assert np.all(np.isfinite(batch_decompose(model, batch)[2]))
+                assert np.all(np.isfinite(batch_decompose(model, batch)[1]))
             tt = TimeTuple(times[0])
             values = [
                 fw_eps(TransformPoint(model, tt, h, h), 0.1),
@@ -1031,18 +1032,22 @@ def test_mc_estimate_is_reproducible_for_a_seed(data):
 # ---------------------------------------------------------------------------
 # every public name of src/silt has a caller outside the tests
 
-# public names that only the tests call, each kept for a stated reason
-_TEST_ONLY_NAMES = {
-    # criterion 7's iterated Schur bound, which the paper's finiteness proof states
-    "iterated_bound_check",
-}
+
+def _assigned(node):
+    """The names a module- or class-level (annotated) assignment binds, else []."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
 def test_every_public_name_has_a_production_caller():
-    """Every public module-level function, class and constant of ``src/silt`` is
-    referenced, as a name or an attribute outside its own definition, by ``src/silt``
-    outside ``__init__.py`` or by the benchmark code outside ``perfbench/tests``: code
-    with no caller outside the tests is deleted.  Read from the source with ``ast``."""
+    """Every public module-level function, class and constant of ``src/silt``, and
+    every public member of its classes (methods, properties, dataclass fields), is
+    read, as a name or an attribute outside its own module-level definition, by
+    ``src/silt`` outside ``__init__.py`` or by the benchmark code outside
+    ``perfbench/tests``: code with no caller outside the tests is deleted, with no
+    allowlist.  Read from the source with ``ast``."""
     root = Path(__file__).resolve().parents[1]
     sources = sorted((root / "src" / "silt").glob("*.py"))
     bench = root / "perfbench"
@@ -1052,24 +1057,25 @@ def test_every_public_name_has_a_production_caller():
     public = {}
     for path in sources:
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            public.update((n, path.name) for n in names if not n.startswith("_"))
+            if isinstance(node, ast.ClassDef):
+                members = [getattr(m, "name", None) for m in node.body] + [
+                    n for m in node.body for n in _assigned(m)
+                ]
+                public.update(
+                    (f"{path.name}:{node.name}.{n}", n) for n in members if n and n[0] != "_"
+                )
+            names = [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+            public.update((f"{path.name}:{n}", n) for n in names + _assigned(node) if n[0] != "_")
+    assert any("." in key.partition(":")[2] for key in public)  # members were collected
 
     referenced = set()
     for path in callers:
         for top in ast.parse(path.read_text()).body:
             own = getattr(top, "name", None)
             for node in ast.walk(top):
-                if isinstance(node, (ast.Name, ast.Attribute)):
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
                     name = node.id if isinstance(node, ast.Name) else node.attr
                     if name != own:
                         referenced.add(name)
-    unused = {f"{public[n]}:{n}" for n in public if n not in referenced | _TEST_ONLY_NAMES}
-    assert not unused, f"no caller outside the tests: {sorted(unused)}"
-    assert _TEST_ONLY_NAMES <= set(public) - referenced
+    unused = sorted(key for key, name in public.items() if name not in referenced)
+    assert not unused, f"no caller outside the tests: {unused}"
