@@ -28,8 +28,6 @@ from .gram import (
 from .nondeterminism import (
     berman_scan,
     berman_stat,
-    point_projection_norm_sq,
-    projection_decay,
     slnd_ratio,
     slnd_scan,
 )

@@ -26,14 +26,7 @@ from . import __version__
 from .errors import SiltError, ValidationError
 from .function_space import inner, make_grid, operator_norm, parse_function
 from .gram import TimeTuple, decompose, projection_norm_sq
-from .nondeterminism import (
-    berman_scan,
-    berman_stat,
-    point_projection_norm_sq,
-    projection_decay,
-    slnd_ratio,
-    slnd_scan,
-)
+from .nondeterminism import berman_scan, berman_stat, slnd_ratio, slnd_scan
 from .process_models import parse_model, sturm_liouville_operator, wiener_model
 from .quadrature import _ORDERS, QuadratureSpec, check_converged
 from .regularization import (
@@ -277,11 +270,18 @@ def _cmd_berman(cfg: RunConfig, args) -> int:
 def _cmd_pdecay(cfg: RunConfig, args) -> int:
     grid, model = _build(cfg)
     h = parse_function(args.h, grid, model.aux_dim)
-    if args.point:
-        value = math.sqrt(point_projection_norm_sq(model, args.t1, h))
+    if args.point:  # g(t1) is the increment over [0, t1]
+        if not args.t1 > 0:
+            raise ValidationError(f"t1 = {args.t1}: x(0) = 0 in every model, need t1 > 0")
+        a, b = 0.0, args.t1
+    elif args.t2 is None:
+        raise ValidationError("pdecay needs --t2 unless --point is given")
+    elif not args.t1 < args.t2:
+        raise ValidationError("need t1 < t2")
     else:
-        value = projection_decay(model, args.t1, args.t2, h)
-    _emit_csv(cfg, ["gap", "value"], [(args.t2 - args.t1, value)])
+        a, b = args.t1, args.t2
+    value = math.sqrt(projection_norm_sq(model, (a, b), h))
+    _emit_csv(cfg, ["gap", "value"], [(b - a, value)])
     return 0
 
 
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("pdecay", _cmd_pdecay, "projection on a single increment")
     p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--t2", type=float, required=True)
+    p.add_argument("--t2", type=float, help="right end of the increment (not read with --point)")
     p.add_argument("--h", required=True)
     p.add_argument("--point", action="store_true", help="project on g(t1) itself")
 

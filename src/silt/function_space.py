@@ -12,9 +12,10 @@ consecutive times into a head and a tail inside the cells of their ends and a bl
 whole cells between them, and ``interval_integrals`` integrates a cellwise-constant
 function, alone or times sin u and cos u, over each: a block from prefix sums built once
 per call, head and tail from integrals shared by every function (``Intervals.ends``), so
-a sub-cell interval keeps its digits.  Only this module reads that cell
-format; the models get integrals and the cell parts.  The ``indicator:a:b`` shift is
-the share of each cell that [a, b] covers.
+a sub-cell interval keeps its digits.  The models get integrals and the cell parts,
+never the cell format; only the Wiener oracle (``transform.wiener_projections``) and
+the Schur check read ``cell_table``'s edges outside this module.  The ``indicator:a:b``
+shift is the share of each cell that [a, b] covers.
 Per-call code calls ufuncs' reduce/accumulate, not numpy's wrappers (1-3 us slower).
 """
 
@@ -24,7 +25,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -256,13 +257,6 @@ def interval_integrals(grid: Grid, f: np.ndarray, trig: bool = False):
     return integrate
 
 
-def cumulative(h: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
-    """Cell edges (``cell_table``) and the exact cumulative integral of h at them: with
-    ``np.interp``, the cumulative H(t) = int_0^t h of the cellwise-constant h at any t."""
-    edges = cell_table(h.grid, False)[0]
-    return edges, np.concatenate([[0.0], np.cumsum(h.values) * h.grid.weight])
-
-
 @dataclass(frozen=True)
 class KernelOperator:
     """Discretized integral operator: matrix entry (i,j) = k(node_i, node_j) * weight."""
@@ -346,13 +340,14 @@ def parse_function(spec: str, grid: Grid, aux_dim: int = 0) -> GridFunction:
 def read_grid_function(grid: Grid, fh) -> GridFunction:
     """Read a grid function from an open CSV file: a node,value header, n rows
     node,value in grid order (nodes are not matched to the grid), then optionally
-    a row starting with aux and index,value rows of the aux coordinates.
-    Blank rows are skipped."""
+    a row starting with aux and index,value rows of the aux coordinates.  Each aux
+    value goes to its index: m aux rows carry the integers 0..m-1 once each, in any
+    order.  Blank rows are skipped."""
     reader = csv.reader(fh)
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:2]] != ["node", "value"]:
         raise ValidationError("grid function CSV must start with header node,value")
-    values, aux = [], []
+    values, aux = [], {}
     in_aux = False
     for row in reader:
         if not row:
@@ -364,12 +359,19 @@ def read_grid_function(grid: Grid, fh) -> GridFunction:
             x, v = float(row[0]), float(row[1])
         except (ValueError, IndexError) as exc:
             raise ValidationError(f"bad CSV row {row!r}") from exc
-        if in_aux:
-            aux.append(v)
-        else:
+        if not in_aux:
             values.append(v)
+        elif not x.is_integer():
+            raise ValidationError(f"aux row {row!r}: index {row[0].strip()} is not an integer")
+        elif int(x) in aux:
+            raise ValidationError(f"aux row {row!r}: index {int(x)} repeats")
+        else:
+            aux[int(x)] = v, row
     if len(values) != grid.n:
         raise ValidationError(
             f"CSV has {len(values)} grid values, expected {grid.n}"
         )
-    return GridFunction(grid, np.array(values), np.array(aux))
+    for i, (_, row) in aux.items():
+        if not 0 <= i < len(aux):
+            raise ValidationError(f"aux row {row!r}: index {i} outside 0..{len(aux) - 1}")
+    return GridFunction(grid, np.array(values), np.array([aux[i][0] for i in range(len(aux))]))

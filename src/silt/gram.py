@@ -13,9 +13,7 @@ bordered by the shifts' pairings, one border column per distinct shift, whose fa
 holds each shift's coefficients y = L^{-1} u on the orthonormalized increments, with
 ||h - P h||^2 = Gamma(dg, h) / Gamma(dg); ``projection_norm_sq`` is its B=1 row.
 The factor bordered by s shifts is stored tuple-last, (m, m + s, B); the (B, m)
-pivots and coefficients the functions return are transposed views.  The
-Wiener oracle ``wiener_projections`` integrates the shifts from their exact
-cumulative and calls nothing of the models or the kernel.
+pivots and coefficients the functions return are transposed views.
 Per-call code calls ufuncs' reduce, not numpy's wrappers such as np.sum (1-3 us slower).
 """
 
@@ -29,7 +27,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateConfigurationError, ValidationError
-from .function_space import GridFunction, cumulative
+from .function_space import GridFunction
 from .process_models import ProcessModel
 
 # the smallest accepted determinant of the normalized Gram matrix: cond2(G) <= m^m / DET_MIN
@@ -115,15 +113,6 @@ def projection_norm_sq(model: ProcessModel, times: Sequence[float], h: GridFunct
     return float(np.add.reduce(y[0] ** 2))
 
 
-def wiener_projections(tt: TimeTuple, *hs: GridFunction) -> np.ndarray:
-    """(H(b) - H(a))^2 / (b - a) for each Wiener increment 1I_[a,b] and shift h, with H
-    the exact cumulative integral of h, shape (k-1, len(hs)): the Wiener oracle, from
-    ``cumulative`` and ``np.interp`` alone."""
-    times = np.asarray(tt.times)
-    sums = [np.diff(np.interp(times, *cumulative(h))) for h in hs]
-    return np.array(sums).T ** 2 / tt.gaps[:, None]
-
-
 # ---------------------------------------------------------------------------
 # the batched kernel behind every Gram computation
 
@@ -135,8 +124,8 @@ def batch_decompose(model: ProcessModel, times: np.ndarray, eps: float = 0.0, pa
     (``model.pairing``).  Returns (A, gamma, ys): Gram matrices (B, k-1, k-1), Gram
     determinants (B,) and each pairing's coefficients (B, k-1) from ``batch_cholesky``,
     which checks A and factors it bordered by the pairings.  A comes from the
-    structured increments in O(1) per tuple; no factor rows are built.  With eps > 0
-    the increments carry independent noise of variance eps: A + eps I.
+    structured increments in O(1) per tuple.  With eps > 0 the increments carry
+    independent noise of variance eps: A + eps I.
     """
     inc = model.increments(times)
     A = model.increment_gram(inc)

@@ -6,19 +6,19 @@ s_j / A_jj that the Gram kernel's ``batch_cholesky`` returns, the numbers whose
 product its one check judges; A is built in O(1) per time like every other
 Gram matrix.  Scans drive the chosen gaps toward zero and return rows
 (gap, ratio), whose defining limit is 1; the caller judges how close the last
-one comes.
+one comes.  Projection decay, the paper's other half of the distinction, needs
+no code here: it is the Gram kernel's ``projection_norm_sq`` on the two times
+[t1, t2], or on (0, t1) for the projection on g(t1).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .function_space import GridFunction
-from .gram import TimeTuple, batch_cholesky, decreasing_values, gap_scan_tuple, projection_norm_sq
+from .gram import TimeTuple, batch_cholesky, decreasing_values, gap_scan_tuple
 from .process_models import ProcessModel
 
 
@@ -89,18 +89,3 @@ def berman_scan(
         rows.append((wdw, berman_stat(model, TimeTuple(times))))
     return rows
 
-
-def projection_decay(
-    model: ProcessModel, t1: float, t2: float, h: GridFunction
-) -> float:
-    """|(h, dg)| / ||dg|| for the increment on [t1, t2] (= ||P_{t1 t2} h||)."""
-    if not t1 < t2:
-        raise ValidationError("need t1 < t2")
-    return math.sqrt(projection_norm_sq(model, (t1, t2), h))
-
-
-def point_projection_norm_sq(model: ProcessModel, t1: float, h: GridFunction) -> float:
-    """||projection of h on g(t1)||^2 = (h, g(t1))^2 / ||g(t1)||^2."""
-    if not t1 > 0:
-        raise ValidationError(f"t1 = {t1}: x(0) = 0 in every model, need t1 > 0")
-    return projection_norm_sq(model, (0.0, t1), h)

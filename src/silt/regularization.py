@@ -18,16 +18,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .function_space import GridFunction, cell_table
-from .gram import (
-    TimeTuple,
-    batch_projections,
-    decreasing_values,
-    wiener_projections,
-)
+from .gram import TimeTuple, batch_projections, decreasing_values
 from .process_models import ProcessModel
 from .quadrature import QuadratureSpec, RegularizedValue, check_converged, integrate_simplex
 from .quadrature import integrate_simplex_orders
-from .transform import batch_fw_limit
+from .transform import batch_fw_limit, wiener_projections
 
 
 def product_form_wiener(tt: TimeTuple, h1: GridFunction, h2: GridFunction) -> float:
@@ -46,8 +41,7 @@ def batch_regularized_integrand(model: ProcessModel, h1: GridFunction, h2: GridF
     out (1 - e^{-a_i}) exactly, so the result is a rearrangement of the
     literal sum that avoids its catastrophic cancellation (the literal sum
     has O(1) terms but a result that can be many orders of magnitude
-    smaller).  Works from the model's structured primitives; no factor rows
-    are built.
+    smaller).  Works from the model's structured primitives.
     """
     projections = batch_projections(model, h1, h2)
 

@@ -3,7 +3,9 @@
 One closure, ``batch_fw_limit``'s, evaluates the closed form at every eps from the
 Gram kernel's projections: ``fw_eps`` is its B=1 row at eps > 0, ``fw_limit`` at
 eps = 0, and ``divergence_probe`` integrates it at eps = 0.  The Wiener form
-``fw_wiener`` is an independent oracle that calls neither.
+``fw_wiener`` is an independent oracle that calls neither: it and
+``regularization.product_form_wiener`` read ``wiener_projections``, which integrates
+the shifts from their exact cumulative and calls nothing of the models or the kernel.
 
 The validator samples the law of the increments and shifts that ``fw_eps``
 integrates in closed form, from the same exact Gram matrix and pairings.
@@ -21,13 +23,10 @@ from typing import Tuple
 
 import numpy as np
 
+from . import function_space
 from .errors import ValidationError
 from .function_space import GridFunction
-from .gram import (
-    TimeTuple,
-    batch_projections,
-    wiener_projections,
-)
+from .gram import TimeTuple, batch_projections
 from .process_models import ProcessModel
 
 NORMALIZATIONS = ("paper", "analytic")
@@ -86,7 +85,7 @@ def batch_fw_limit(
     eps = 0 the unregularized limit integrand, whose simplex integral diverges,
     and at eps > 0 the eps-smoothed closed form of ``fw_eps``.  The name, from
     the quadrature's eps = 0 use, is the one the benchmark's per-layer probe
-    reads.  Works from the model's structured primitives; no factor rows are built.
+    reads.  Works from the model's structured primitives.
     """
     projections = batch_projections(model, h1, h2)
 
@@ -103,6 +102,18 @@ def fw_limit(point: TransformPoint) -> float:
     ``batch_fw_limit``'s closure at eps = 0."""
     f = batch_fw_limit(point.model, point.h1, point.h2, point.normalization)
     return float(f(np.asarray(point.tt.times)[None])[0])
+
+
+def wiener_projections(tt: TimeTuple, *hs: GridFunction) -> np.ndarray:
+    """(H(b) - H(a))^2 / (b - a) for each Wiener increment 1I_[a,b] and shift h, with H
+    the exact cumulative integral of h, shape (k-1, len(hs)): the Wiener oracle's one
+    route, from the cell edges of ``cell_table``, ``np.cumsum`` and ``np.interp`` alone."""
+    times, sums = np.asarray(tt.times), []
+    for h in hs:
+        edges = function_space.cell_table(h.grid, False)[0]
+        H = np.concatenate([[0.0], np.cumsum(h.values) * h.grid.weight])  # H at the edges
+        sums.append(np.diff(np.interp(times, edges, H)))
+    return np.array(sums).T ** 2 / tt.gaps[:, None]
 
 
 def fw_wiener(

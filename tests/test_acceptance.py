@@ -27,8 +27,8 @@ from silt import (
     make_grid,
     mc_fw_estimate,
     parse_function,
-    point_projection_norm_sq,
     product_form_wiener,
+    projection_norm_sq,
     regularized_integral,
     regularized_integrand,
     schur_bound_check,
@@ -291,7 +291,7 @@ def test_criterion_10_separation_example():
     m = counterexample_model(grid)
     rows = berman_scan(m, 0.3, 3, [1e-2, 1e-3, 1e-4])
     e = GridFunction(grid, np.zeros(grid.n), np.array([1.0]))
-    projs = [point_projection_norm_sq(m, t1, e) for t1 in (0.1, 0.25, 0.5, 0.75, 0.95)]
+    projs = [projection_norm_sq(m, (0.0, t1), e) for t1 in (0.1, 0.25, 0.5, 0.75, 0.95)]
     dev = max(abs(p - 0.5) for p in projs)
     ok = rows[-1][1] >= 0.95 and dev <= 1e-6
     report(

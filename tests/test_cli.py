@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
+import importlib
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -163,6 +165,11 @@ NAMED_VALUES = {
     # a value after a space that starts with - and is not a plain negative number
     "schur --h const1 --a -inf": "left endpoint a=-inf must lie in [0, T=1.0)",
     "pdecay --t1 -1e-3 --t2 0.5 --h const1": "model time -0.001 outside [0, 1.0]",
+    "pdecay --t1 0.3 --h const1": "pdecay needs --t2 unless --point is given",
+    "pdecay --t1 0.5 --t2 0.3 --h const1": "need t1 < t2",
+    # on the counterexample (one aux coordinate) a lone aux row 1,5 is not coordinate 0
+    "gram --grid-n 2 --model counterexample --times 0.2,0.5 --h {dir}/aux_index.csv":
+        "aux row ['1', '5']: index 1 outside 0..0",
     "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --eps -inf":
         "eps must be positive and finite, got -inf",
     "diverge --k 2 --h1 zero --h2 zero --deltas nan": "deltas must be finite, positive and "
@@ -199,6 +206,9 @@ NAMED_VALUES = {
         "schur --h const1 --a=-inf",
         "schur --h const1 --a -inf",
         "pdecay --t1 -1e-3 --t2 0.5 --h const1",
+        "pdecay --t1 0.3 --h const1",
+        "pdecay --t1 0.5 --t2 0.3 --h const1",
+        "gram --grid-n 2 --model counterexample --times 0.2,0.5 --h {dir}/aux_index.csv",
         "transform --times 0.3,0.8 --h1 sin:1 --h2 zero --eps -inf",
         "regularize --k 2 --h1 const1 --h2 const1 --levels 7",
         "regularize --k 2 --h1 const1 --h2 const1 --levels 2",
@@ -208,6 +218,7 @@ def test_non_finite_or_malformed_input_exits_2(tmp_path, capsys, argv):
     (tmp_path / "h_nan.csv").write_text("node,value\n0.25,1.0\n0.75,nan\n")
     (tmp_path / "kernel_nan.csv").write_text("0.25,0.25,nan\n")
     (tmp_path / "node_nan.csv").write_text("nan,0.25,0.5\n")
+    (tmp_path / "aux_index.csv").write_text("node,value\n0.25,1.0\n0.75,2.0\naux,value\n1,5\n")
     code, out, err = run(capsys, *argv.format(dir=tmp_path).split())
     assert code == 2, err
     assert "validation error" in err
@@ -631,9 +642,18 @@ def test_pdecay_both_modes(capsys, point):
     header, rows = run_csv(capsys, *argv)
     assert header == "gap,value"
     assert len(rows) == 1
-    assert rows[0][0] == pytest.approx(0.2, abs=1e-15)
+    # the gap is the increment's length: t2 - t1, or t1 for g(t1), the increment of (0, t1)
+    assert rows[0][0] == pytest.approx(0.3 if point else 0.2, abs=1e-15)
     # Wiener, h = 1: |(1, dg)| / ||dg|| = sqrt(t2 - t1), and sqrt(t1) on g(t1)
     assert rows[0][1] == pytest.approx(math.sqrt(0.3 if point else 0.2), rel=1e-12)
+
+
+@pytest.mark.parametrize("t2", [[], ["--t2", "0.1"]])
+def test_pdecay_point_reads_no_t2(capsys, t2):
+    """Under --point, --t2 is optional and not read: a t2 below t1 changes nothing."""
+    header, rows = run_csv(capsys, "pdecay", "--point", "--t1", "0.3", "--h", "const1", *t2)
+    assert header == "gap,value"
+    assert rows[0][0] == 0.3 and rows[0][1] == pytest.approx(math.sqrt(0.3), rel=1e-12)
 
 
 def test_transform_mc(capsys):
@@ -660,3 +680,23 @@ def test_readme_cli_example_exits_zero(capsys, line):
     assert line[0] == "silt"
     code, _, err = run(capsys, *line[1:])
     assert code == 0, err
+
+
+def test_readme_code_references_resolve():
+    """Every backticked ``module.name`` in the README (``silt.`` prefix optional) whose
+    module is a file of ``src/silt`` names an attribute that exists: a renamed, moved or
+    deleted function leaves no stale reference behind."""
+    root = Path(__file__).resolve().parents[1]
+    modules = {p.stem for p in (root / "src" / "silt").glob("*.py")} - {"__init__"}
+    readme = (root / "README.md").read_text()
+    refs = re.findall(r"`(?:silt\.)?(\w+)\.(\w+(?:\.\w+)*)`", readme)
+    refs = [(mod, name) for mod, name in refs if mod in modules]
+    assert len(refs) >= 5, refs
+    stale = []
+    for mod, name in refs:
+        obj = importlib.import_module(f"silt.{mod}")
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            stale.append(f"{mod}.{name}")
+    assert not stale, f"README names what src/silt does not define: {stale}"

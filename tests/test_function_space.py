@@ -146,6 +146,29 @@ def test_grid_function_csv_roundtrip():
     assert f.aux.tolist() == [7.0, -0.5]
 
 
+GRID_ROWS = "node,value\n0.25,1.0\n0.75,2.0\n"
+
+
+def test_csv_aux_rows_are_placed_at_their_index():
+    f = read_grid_function(make_grid(1.0, 2), io.StringIO(GRID_ROWS + "aux,value\n1,5\n0,7\n"))
+    assert f.aux.tolist() == [7.0, 5.0]
+
+
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ("0,7\n0,5\n", r"aux row \['0', '5'\]: index 0 repeats"),
+        ("0,7\n2,5\n", r"aux row \['2', '5'\]: index 2 outside 0\.\.1"),
+        ("1,5\n", r"aux row \['1', '5'\]: index 1 outside 0\.\.0"),
+        ("0.5,5\n", r"aux row \['0.5', '5'\]: index 0.5 is not an integer"),
+        ("nan,5\n", r"aux row \['nan', '5'\]: index nan is not an integer"),
+    ],
+)
+def test_csv_aux_indices_must_cover_each_coordinate_once(rows, named):
+    with pytest.raises(ValidationError, match=named):
+        read_grid_function(make_grid(1.0, 2), io.StringIO(GRID_ROWS + "aux,value\n" + rows))
+
+
 def test_arithmetic_operators():
     grid = make_grid(1.0, 8)
     f = parse_function("const1", grid)

@@ -27,9 +27,9 @@ from silt.gram import (
     batch_decompose,
     batch_projections,
     gap_scan_tuple,
-    wiener_projections,
 )
 from silt.process_models import ProcessModel, parse_model
+from silt.transform import wiener_projections
 
 
 def random_tuple(rng, T, k, min_gap):

@@ -16,8 +16,7 @@ from silt import (
     counterexample_model,
     make_grid,
     perturbed_model,
-    point_projection_norm_sq,
-    projection_decay,
+    projection_norm_sq,
     slnd_ratio,
     slnd_scan,
     sturm_liouville_model,
@@ -74,7 +73,7 @@ def test_counterexample_separation():
     assert rows[-1][1] >= 0.95
     e = GridFunction(grid, np.zeros(grid.n), np.array([1.0]))
     for t1 in (0.1, 0.4, 0.9):
-        assert point_projection_norm_sq(m, t1, e) == pytest.approx(0.5, abs=1e-6)
+        assert projection_norm_sq(m, (0.0, t1), e) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_projection_decay_wiener():
@@ -83,7 +82,7 @@ def test_projection_decay_wiener():
     h = parse_function("const1", grid)
     # |(h, dg)|/||dg|| = gap/sqrt(gap) = sqrt(gap) -> 0
     for gap in (0.4, 0.1, 0.02):
-        got = projection_decay(m, 0.3, 0.3 + gap, h)
+        got = math.sqrt(projection_norm_sq(m, (0.3, 0.3 + gap), h))
         assert got == pytest.approx(math.sqrt(gap), abs=1e-8)
 
 
@@ -95,14 +94,12 @@ def test_scan_validates_interval():
 
 
 def test_t1_zero_is_a_validation_error():
-    # x(0) = 0 in every model: the statistic and the point projection are
-    # undefined there, and the error names t1
+    # x(0) = 0 in every model: the statistic is undefined there, and the error
+    # names t1
     m = wiener_model(make_grid(1.0, 64))
-    h = parse_function("const1", m.grid)
     for call in (
         lambda: berman_stat(m, TimeTuple([0.0, 0.5])),
         lambda: berman_scan(m, 0.0, 3, [0.1, 0.01]),
-        lambda: point_projection_norm_sq(m, 0.0, h),
     ):
         with pytest.raises(ValidationError, match="t1 = 0.0"):
             call()

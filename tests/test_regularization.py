@@ -27,7 +27,7 @@ from silt import (
     sturm_liouville_model,
     wiener_model,
 )
-from silt.function_space import GridFunction, cumulative
+from silt.function_space import GridFunction
 from silt.gram import decreasing_values, gap_scan_tuple
 from silt import quadrature, regularization
 from silt.quadrature import (
@@ -457,6 +457,30 @@ def test_counterexample_aux_shift_estimates_cover_the_error(grid):
         assert abs(rv.value - want) <= rv.error_estimate, (rv, want)
 
 
+# The regularized integral of the paper's example, perturbed:sl on [0, pi/2] at n = 512,
+# from ROADMAP item 11's table (re-anchor 8): silt's integrand under Gauss-Legendre
+# orders far past the node budget, two orders agreeing to 7e-16 (k = 2), 1e-15 (k = 3, 4),
+# 2e-10 abs (k = 5) for const1, and to 5e-8 (k = 4) and 4e-10 abs (k = 5) for sin:1.
+# k = 6 stays out until it fits the node budget (item 4).
+SL_REFERENCE = [
+    ("const1", 2, 0.901523881724969),
+    ("const1", 3, 0.382950855109784),
+    ("const1", 4, 0.125752873858714),
+    ("const1", 5, 0.0336987263),
+    ("sin:1", 4, 0.0623657),
+    ("sin:1", 5, 0.0127304999),
+]
+
+
+@pytest.mark.parametrize("h, k, want", SL_REFERENCE)
+def test_sl_default_spec_lies_within_its_estimate_of_the_reference(h, k, want):
+    grid = make_grid(math.pi / 2, 512)
+    shift = parse_function(h, grid)
+    rv = regularized_integral(sturm_liouville_model(grid), k, shift, shift)
+    assert rv.converged
+    assert abs(rv.value - want) <= rv.error_estimate, (rv, want)
+
+
 @pytest.mark.parametrize("floor", [0.01, 0.1, 0.33])
 def test_min_gap_truncates_the_simplex(grid, model, floor):
     """A given floor integrates the gaps above it only: Wiener const1 at k = 2 is
@@ -674,13 +698,15 @@ def test_schur_sides_match_a_gauss_rule_on_each_cell(grid, a):
     [a, T] cut at the cell edges, where (int_a^t h)^2 / (t - a)^2 and h^2 are smooth,
     to 1e-12 relative, for random nonnegative h."""
     x, w = np.polynomial.legendre.leggauss(24)
-    cuts = np.unique(np.concatenate([[a], np.arange(grid.n + 1) * grid.weight]))
+    edges = np.arange(grid.n + 1) * grid.weight
+    cuts = np.unique(np.concatenate([[a], edges]))
     lo, hi = cuts[cuts >= a][:-1, None], cuts[cuts >= a][1:, None]
     t, wts = lo + (hi - lo) * (x + 1) / 2, (hi - lo) * w / 2
     rng = np.random.default_rng(13)
     for _ in range(100):
         h = GridFunction(grid, np.abs(rng.normal(size=grid.n)))
-        H = lambda s: np.interp(s, *cumulative(h))
+        cum = np.concatenate([[0.0], np.cumsum(h.values) * grid.weight])  # at the edges
+        H = lambda s: np.interp(s, edges, cum)
         vals = h.values[np.minimum((t / grid.weight).astype(int), grid.n - 1)]
         lhs, rhs, _ = schur_bound_check(h, a)
         assert lhs == pytest.approx(np.sum(((H(t) - H(a)) / (t - a)) ** 2 * wts), rel=1e-12)

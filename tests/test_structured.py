@@ -46,9 +46,7 @@ from silt import (
     parse_function,
     parse_model,
     perturbed_model,
-    point_projection_norm_sq,
     product_form_wiener,
-    projection_decay,
     projection_norm_sq,
     regularized_integral,
     regularized_integrand,
@@ -282,7 +280,7 @@ def test_structured_route_matches_the_continuum(name, data):
     want = np.exp(-0.5 * sum(u @ np.linalg.solve(Ae, u) for u in us)) / np.linalg.det(Ae)
     assert abs(fw_eps(TransformPoint(model, tt, h1, h2), eps) / want - 1.0) <= tol
 
-    got = [projection_decay(model, a, b, h1) for a, b in zip(t[:-1], t[1:])]
+    got = [math.sqrt(projection_norm_sq(model, (a, b), h1)) for a, b in zip(t[:-1], t[1:])]
     assert _rel(np.array(got), np.abs(us[0]) / d) <= tol
 
 
@@ -466,7 +464,7 @@ def test_sl_gram_of_short_segments_matches_the_continuum(gap):
 
 
 def test_pairings_on_one_grid_read_one_read_only_table_each(monkeypatch):
-    """A wiener pairing and ``cumulative`` read one cell table of the grid, with no sin
+    """A wiener pairing and the Wiener oracle read one cell table of the grid, with no sin
     and cos rows; a perturbed:sl pairing and the heads and tails of its intervals
     (``Intervals.ends``) read the grid's trig table.  Each is built once and its arrays
     are read-only."""
@@ -481,7 +479,7 @@ def test_pairings_on_one_grid_read_one_read_only_table_each(monkeypatch):
     h = parse_function("sin:1", grid)
     for model in (wiener_model(grid), sturm_liouville_model(grid), wiener_model(grid)):
         model.pairing(h)(model.increments(np.array([[0.2, 0.5, 0.9]])))
-    function_space.cumulative(h)
+    transform.wiener_projections(TimeTuple([0.2, 0.5]), h)
     plain, trig = read[0], read[1]
     assert len(read) == 5 and read[2] is trig and read[3] is plain and read[4] is plain
     assert plain[1] is None and plain[2].shape == (1, 48)
@@ -830,8 +828,8 @@ def test_scalar_route_builds_no_factor_rows(no_dense_rows):
             regularized_integrand(model, tt, h, h),
             slnd_ratio(model, tt, {1}),
             berman_stat(model, tt),
-            projection_decay(model, t[0], t[1], h),
-            point_projection_norm_sq(model, t[1], h),
+            projection_norm_sq(model, (t[0], t[1]), h),
+            projection_norm_sq(model, (0.0, t[1]), h),
         ]
         assert np.all(np.isfinite(values))
 
